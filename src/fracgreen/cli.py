@@ -163,12 +163,10 @@ def _cmd_green(p, fmt, out, config):
         y = float(np.atleast_1d(np.asarray(y, float))[0])
     k = int(p.get("derivative", 0))
     req = S.FracGreenRequest(kernel=kernel, beta=beta, t=t, x=x, y=y, derivative_order=k)
-    if k == 0:
-        res = S.frac_green_detailed(req)
-        row = {"value": res.value, "log_value": res.log_value,
-               "truncated_mass_bound": res.truncated_mass_bound}
-    else:
-        row = {"value": S.frac_green_derivative(req)}
+    res = S.frac_green_detailed(req)
+    row = {"value": res.value, "log_value": res.log_value,
+           "truncated_mass_bound": res.truncated_mass_bound,
+           "error_estimate": res.error_estimate, "nodes": res.nodes}
     if out or "format" in p:
         _emit_table([row], list(row.keys()), fmt, out, config)
     else:

@@ -259,26 +259,6 @@ def _envelope_log(theorem_or_prop, family, d, alpha, beta, k, point, consts, cas
     return env.envelope_stable_deriv(d, k, alpha, beta, point, consts, case=case).log_value
 
 
-def _thread_cap():
-    import os
-
-    try:
-        return max(int(os.environ.get("FRACGREEN_THREADS", "1")), 1)
-    except ValueError:
-        return 1
-
-
-def _ordered_map(fn, items):
-    """Map preserving order; FRACGREEN_THREADS caps worker parallelism."""
-    n = _thread_cap()
-    if n <= 1 or len(items) < 4:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 def _collect_points(kernel, beta, grid, k, consts, family, d, alpha, case="global", horizon=None):
     tasks = []
     for t in grid.t_values:
@@ -329,7 +309,7 @@ def _collect_points(kernel, beta, grid, k, consts, family, d, alpha, case="globa
             "log_ratio": log_ratio, "flag": flag,
         }
 
-    return _ordered_map(one, tasks)
+    return [one(tr) for tr in tasks]
 
 
 def _spread(vals):

@@ -41,9 +41,6 @@ __all__ = [
     "SpectralMeasure",
     "StableOrder",
     "gaussian_kernel",
-    "stable_kernel_isotropic",
-    "stable_kernel_anisotropic",
-    "fd1d_kernel",
     "coefficient_from_csv",
     "spectral_density_from_csv",
     "COEFFICIENT_BUILTINS",
@@ -104,11 +101,14 @@ class ConstantDiffusion:
             raise DomainError(f"points must have dimension {self.d}")
         return dx, float(dx @ self._inv @ dx)
 
-    def log_value(self, t, x, y) -> float:
-        if t <= 0:
+    def log_value(self, t, x, y):
+        """log G(t, x, y); ``t`` may be an array of times."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t <= 0):
             raise DomainError("kernel requires t > 0")
         _, q = self._quad_form(x, y)
-        return -0.5 * self.d * math.log(4.0 * math.pi * t) - 0.5 * self._logdet - q / (4.0 * t)
+        out = -0.5 * self.d * np.log(4.0 * math.pi * t) - 0.5 * self._logdet - q / (4.0 * t)
+        return float(out) if out.ndim == 0 else out
 
     def value(self, t, x, y) -> float:
         lv = self.log_value(t, x, y)
@@ -199,24 +199,25 @@ def _profile_deriv_exact_d1(alpha, rho):
 
 def _tail_series_d1(alpha, rho, deriv=False):
     """Inverse-power tail of the d=1 profile (convergent for alpha < 1,
-    truncation-optimal asymptotic for alpha > 1)."""
-    total = 0.0
-    prev = math.inf
-    for k in range(1, 200):
-        sk = math.sin(math.pi * k * alpha / 2.0)
-        if abs(sk) < 1e-12:
-            continue  # vanishing coefficient (integer k*alpha/2), not convergence
-        lg = gammaln(k * alpha + 1.0) - gammaln(k + 1.0)
-        term = math.exp(lg - (k * alpha + 1.0) * math.log(rho)) * sk * (-1.0) ** (k + 1)
-        if deriv:
-            term *= -(k * alpha + 1.0) / rho
-        if abs(term) > prev:
-            break  # asymptotic regime: stop at the smallest term
-        total += term
-        if abs(term) < 1e-17 * max(abs(total), 1e-300):
-            break
-        prev = abs(term)
-    return total / math.pi
+    truncation-optimal asymptotic for alpha > 1), vectorised over rho.
+
+    Each row sums its terms in order up to the first that grows (asymptotic
+    regime: stop at the smallest term) or through the first below 1e-17 of
+    the partial sum.
+    """
+    rho = np.asarray(rho, dtype=float).reshape(-1, 1)
+    k = np.arange(1, 200, dtype=float)
+    sk = np.sin(math.pi * k * alpha / 2.0)
+    keep = np.abs(sk) >= 1e-12  # vanishing coefficient (integer k*alpha/2), not convergence
+    k, sk = k[keep], sk[keep]
+    lg = gammaln(k * alpha + 1.0) - gammaln(k + 1.0)
+    terms = np.exp(lg - (k * alpha + 1.0) * np.log(rho)) * (sk * (-1.0) ** (k + 1))
+    if deriv:
+        terms = terms * (-(k * alpha + 1.0) / rho)
+    mag, partial, n = np.abs(terms), np.cumsum(terms, axis=1), k.size
+    grows = np.where(mag[:, 1:] > mag[:, :-1], np.arange(1, n), n).min(axis=1, initial=n)
+    tiny = np.where(mag < 1e-17 * np.maximum(np.abs(partial), 1e-300), np.arange(1, n + 1), n).min(axis=1, initial=n)
+    return partial[np.arange(rho.shape[0]), np.minimum(grows, tiny) - 1] / math.pi
 
 
 _TAIL_RHO = 60.0
@@ -236,29 +237,22 @@ class _StableProfile1D:
             lr, [math.log(-_profile_deriv_exact_d1(self.alpha, math.exp(s))) for s in lr]
         )
 
-    def value(self, rho):
-        rho = abs(float(rho))
-        if rho <= 2.0:
-            return float(self._near(rho))
-        if rho <= _TAIL_RHO:
-            return math.exp(float(self._far(math.log(rho))))
-        return _tail_series_d1(self.alpha, rho)
+    def _piecewise(self, rho, near, far, tail):
+        """Near spline in rho, far spline in log rho, tail series beyond _TAIL_RHO."""
+        rho = np.abs(np.asarray(rho, dtype=float))
+        pieces = [rho <= 2.0, (rho > 2.0) & (rho <= _TAIL_RHO), rho > _TAIL_RHO]
+        return np.piecewise(rho, pieces, [near, lambda r: far(np.log(r)), tail])
 
     def log_value(self, rho):
-        rho = abs(float(rho))
-        if rho <= 2.0:
-            return math.log(float(self._near(rho)))
-        if rho <= _TAIL_RHO:
-            return float(self._far(math.log(rho)))
-        return math.log(_tail_series_d1(self.alpha, rho))
+        return self._piecewise(rho, lambda r: np.log(self._near(r)), self._far,
+                               lambda r: np.log(_tail_series_d1(self.alpha, r)))
+
+    def value(self, rho):
+        return np.exp(self.log_value(rho))
 
     def deriv(self, rho):
-        rho = abs(float(rho))
-        if rho <= 2.0:
-            return float(self._near_d(rho))
-        if rho <= _TAIL_RHO:
-            return -math.exp(float(self._far_d(math.log(rho))))
-        return _tail_series_d1(self.alpha, rho, deriv=True)
+        return self._piecewise(rho, self._near_d, lambda lr: -np.exp(self._far_d(lr)),
+                               lambda r: _tail_series_d1(self.alpha, r, deriv=True))
 
 
 @lru_cache(maxsize=32)
@@ -351,19 +345,20 @@ class IsotropicStable:
             lv = -rho * rho / 4.0 - 0.5 * self.d * math.log(4.0 * math.pi)
             return math.exp(lv) if lv > -745.0 else 0.0
         if self.d == 1:
-            return self._profile.value(rho)
+            return float(self._profile.value(rho))
         return _profile_exact_radial(self.alpha, self.d, abs(float(rho)))
 
-    def log_profile(self, rho) -> float:
+    def log_profile(self, rho):
+        """log P(rho); ``rho`` may be an array (d >= 2 evaluates point by point)."""
+        rho = np.abs(np.asarray(rho, dtype=float))
         if self.alpha == 2.0:
-            rho = abs(float(rho))
             return -rho * rho / 4.0 - 0.5 * self.d * math.log(4.0 * math.pi)
         if self.d == 1:
             return self._profile.log_value(rho)
-        v = self.profile(rho)
-        if v <= 0:
+        v = np.array([_profile_exact_radial(self.alpha, self.d, r) for r in rho.ravel()]).reshape(rho.shape)
+        if np.any(v <= 0):
             raise CapabilityError("radial quadrature lost positivity; out of validated range")
-        return math.log(v)
+        return np.log(v)
 
     def value(self, t, r) -> float:
         if t <= 0:
@@ -372,35 +367,39 @@ class IsotropicStable:
         s = t ** (-1.0 / self.alpha)
         return t ** (-self.d / self.alpha) * self.profile(r * s)
 
-    def log_value(self, t, r) -> float:
-        if t <= 0:
+    def log_value(self, t, r):
+        """log G(t, r); ``t`` may be an array of times."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t <= 0):
             raise DomainError("kernel requires t > 0")
         r = abs(float(r))
-        return -self.d / self.alpha * math.log(t) + self.log_profile(r * t ** (-1.0 / self.alpha))
+        out = -self.d / self.alpha * np.log(t) + self.log_profile(r * t ** (-1.0 / self.alpha))
+        return float(out) if out.ndim == 0 else out
 
     def max_derivative_order(self) -> int:
         return 1 if self.d == 1 else 0
 
     def derivative(self, t, x, y, k=1, coord=0):
-        """Signed spatial derivative d/dx of G(t, x - y); d = 1 only."""
+        """Signed spatial derivative d/dx of G(t, x - y); d = 1 only.
+
+        For k = 1, ``t`` may be an array of times.
+        """
         if k == 0:
             return self.value(t, abs(float(x) - float(y)))
         if self.d != 1 or k > 1:
             raise CapabilityError("stable-kernel derivatives implemented for d = 1, k = 1")
         rr = float(x) - float(y)
+        t = np.asarray(t, dtype=float)
         s = t ** (-1.0 / self.alpha)
         if self.alpha == 2.0:
             rho = abs(rr) * s
-            dmag = -(rho / 2.0) * math.exp(-rho * rho / 4.0) / math.sqrt(4.0 * math.pi)
+            dmag = -(rho / 2.0) * np.exp(-rho * rho / 4.0) / math.sqrt(4.0 * math.pi)
         else:
             dmag = self._profile.deriv(abs(rr) * s)
-        mag = t ** (-2.0 / self.alpha) * dmag
-        return math.copysign(mag, -rr) if rr != 0.0 else 0.0
-
-
-def stable_kernel_isotropic(spec: IsotropicStable, t, r) -> float:
-    """Radial kernel value for an isotropic stable spec."""
-    return spec.value(float(t), float(r))
+        # the profile decreases in rho: the derivative has the sign of -(x - y)
+        mag = np.abs(t ** (-2.0 / self.alpha) * dmag)
+        out = math.copysign(1.0, -rr) * mag if rr != 0.0 else np.zeros_like(t)
+        return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +622,6 @@ class AnisotropicStable2D:
         return float(np.trapezoid(np.trapezoid(vals, xs, axis=1), xs))
 
 
-def stable_kernel_anisotropic(spec: AnisotropicStable2D, t, x) -> float:
-    return spec.value(float(t), x)
-
-
 # ---------------------------------------------------------------------------
 # 1-D variable-coefficient diffusion (Crank-Nicolson)
 # ---------------------------------------------------------------------------
@@ -837,8 +832,3 @@ class VariableDiffusion1D:
         w = (t - t0) / (t1 - t0)
         row = (1.0 - w) * hist.profiles[it - 1] + w * hist.profiles[it]
         return float(np.trapezoid(row, hist.xs))
-
-
-def fd1d_kernel(spec: VariableDiffusion1D, t, x, y) -> float:
-    """Fundamental-solution value for the 1-D variable-coefficient family."""
-    return spec.value(float(t), float(x), float(y))

@@ -44,6 +44,7 @@ __all__ = [
     "stable_density_eval",
     "stable_density_log",
     "stable_density_envelope",
+    "subordination_log_weight",
     "subordinator_density",
     "ml_series",
     "ml_series_deriv",
@@ -173,63 +174,65 @@ def _w_series_coeffs(b: float, K: int = 220):
     return k, logc, sign
 
 
-def _w_series_vec(x, b):
-    """Series evaluation of w_beta, valid (and accurate) for x >= ~0.7."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _w_series_log(lx, b):
+    """log w_beta by the series from lx = log x (x >= ~0.7).
+
+    The leading power x^{-1-b} is factored out, so x may be far beyond the
+    float range.
+    """
     k, logc, sign = _w_series_coeffs(b)
-    # terms[i, j] = sign_j * exp(logc_j - (k_j b + 1) ln x_i) / pi
-    logterms = logc[None, :] - (k[None, :] * b + 1.0) * np.log(x)[:, None]
-    terms = sign[None, :] * np.exp(logterms)
-    return terms.sum(axis=1) / np.pi
+    rel = (logc[None, :] - logc[0]) - ((k[None, :] - 1.0) * b) * lx[:, None]
+    return logc[0] - math.log(np.pi) - (b + 1.0) * lx + np.log((sign[None, :] * np.exp(rel)).sum(axis=1))
 
 
-def _w_integral_vec(x, b):
-    """Integral-representation evaluation of w_beta (any x > 0), log-safe."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _w_integral_log(lx, b):
+    """log w_beta by the integral representation from lx = log x (any x > 0).
+
+    Rows are reduced with ``sum`` rather than a matrix product, so a value
+    does not depend on which other arguments share its call.
+    """
+    if lx.size > 256:  # bound the (len(lx), angular nodes) temporaries
+        return np.concatenate([_w_integral_log(lx[i:i + 256], b) for i in range(0, lx.size, 256)])
     nodes, weights, logA, A, c_beta = _zolo_nodes(b)
-    M = x ** (-b / (1.0 - b))
+    M = np.exp((-b / (1.0 - b)) * lx)
     # w = b/((1-b) pi) x^{-1/(1-b)} e^{-c_beta M} Int A e^{-(A - c_beta) M}
-    expo = -np.outer(M, A - c_beta)
+    with np.errstate(over="ignore"):
+        expo = -np.outer(M, A - c_beta)
     np.clip(expo, -745.0, 0.0, out=expo)
-    core = np.exp(expo + logA[None, :]) @ weights
-    logw = (
-        math.log(b / ((1.0 - b) * np.pi))
-        - np.log(x) / (1.0 - b)
-        - c_beta * M
-        + np.log(core)
-    )
-    return logw
+    core = (np.exp(expo + logA[None, :]) * weights[None, :]).sum(axis=1)
+    return math.log(b / ((1.0 - b) * np.pi)) - lx / (1.0 - b) - c_beta * M + np.log(core)
 
 
-def _w_asymptotic_log(x, b):
+def _w_asymptotic_log(lx, b):
     """Leading small-x asymptotic in log form (used below x ~ 1e-12)."""
-    x = np.asarray(x, dtype=float)
     c_beta = stable_exponent_constant(b)
     pref = math.log(b ** (1.0 / (2.0 * (1.0 - b)))) - 0.5 * math.log(2.0 * np.pi * (1.0 - b))
-    return pref - (2.0 - b) / (2.0 * (1.0 - b)) * np.log(x) - c_beta * x ** (-b / (1.0 - b))
+    with np.errstate(over="ignore"):
+        return pref - (2.0 - b) / (2.0 * (1.0 - b)) * lx - c_beta * np.exp((-b / (1.0 - b)) * lx)
 
 
 _TINY_X = 1e-12
 
 
-def stable_density_vec(beta, x, switch=None):
-    """Vectorised w_beta for positive array arguments."""
-    b = _beta_value(beta)
-    sw = SWITCH_POINT if switch is None else float(switch)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(~(x > 0.0)):
-        raise DomainError("stable density requires x > 0")
-    out = np.empty_like(x)
-    hi = x >= sw
-    tiny = (~hi) & (x < _TINY_X)
+def _w_log(b, lx, sw):
+    """log w_beta at lx = log x: series above the switch, integral below,
+    asymptotic deep in the left tail."""
+    out = np.empty_like(lx)
+    hi = lx >= math.log(sw)
+    tiny = (~hi) & (lx < math.log(_TINY_X))
     mid = (~hi) & (~tiny)
     if hi.any():
-        out[hi] = _w_series_vec(x[hi], b)
+        out[hi] = _w_series_log(lx[hi], b)
     if mid.any():
-        out[mid] = np.exp(_w_integral_vec(x[mid], b))
+        out[mid] = _w_integral_log(lx[mid], b)
     if tiny.any():
-        out[tiny] = np.exp(_w_asymptotic_log(x[tiny], b))
+        out[tiny] = _w_asymptotic_log(lx[tiny], b)
     return out
+
+
+def stable_density_vec(beta, x, switch=None):
+    """Vectorised w_beta for positive array arguments."""
+    return np.exp(stable_density_log_vec(beta, x, switch=switch))
 
 
 def stable_density_log_vec(beta, x, switch=None):
@@ -239,17 +242,19 @@ def stable_density_log_vec(beta, x, switch=None):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(~(x > 0.0)):
         raise DomainError("stable density requires x > 0")
-    out = np.empty_like(x)
-    hi = x >= sw
-    tiny = (~hi) & (x < _TINY_X)
-    mid = (~hi) & (~tiny)
-    if hi.any():
-        out[hi] = np.log(_w_series_vec(x[hi], b))
-    if mid.any():
-        out[mid] = _w_integral_vec(x[mid], b)
-    if tiny.any():
-        out[tiny] = _w_asymptotic_log(x[tiny], b)
-    return out
+    return _w_log(b, np.log(x), sw)
+
+
+def subordination_log_weight(beta, zeta):
+    """omega_beta(zeta) = -zeta/beta + log w_beta(e^{-zeta/beta}), vectorised.
+
+    This is the beta-only part of the subordination integrand in zeta = ln z.
+    It is computed from log u = -zeta/beta, so no exponential of zeta is
+    formed and any finite zeta is safe.
+    """
+    b = _beta_value(beta)
+    lu = -np.atleast_1d(np.asarray(zeta, dtype=float)) / b
+    return lu + _w_log(b, lu, SWITCH_POINT)
 
 
 def stable_density(beta, x, switch=None) -> float:

@@ -5,32 +5,35 @@ The fractional kernel of order beta over a base family with kernel G is
     Gb(t, x, y) = (1/beta) Int_0^inf G(t^beta z, x, y)
                   z^{-1-1/beta} w_beta(z^{-1/beta}) dz.
 
-Everything is integrated in log coordinates zeta = ln z: the integrand
+In zeta = ln z the integrand is sign * exp(phi), phi(zeta) = log|G(t^beta
+e^zeta, x, y)| + omega_beta(zeta) with omega_beta(zeta) = -zeta/beta +
+log w_beta(e^{-zeta/beta}).  phi is analytic and decays at both ends, so the
+trapezoid rule is spectrally accurate (Trefethen & Weideman, SIAM Review
+2014).  One rule serves every family and derivative order: nodes lie on the
+fixed dyadic lattice zeta = k _H0 / 2^L; a request's window starts from the
+analytic bounds of ``_scan_window`` and is extended, then trimmed, on level 0
+until phi at its ends is ``_DROP`` below the peak; h is then halved until the
+h/2h difference (relative to the sum of |integrand|) is below the family's
+tolerance.  That difference is the reported error estimate; reaching the
+finest level without it raises ``AccuracyError``.  omega_beta depends on beta
+alone: it is computed in log form and memoised per beta on the lattice in a
+bounded cache, so a sweep at one beta evaluates w_beta about once per node.
 
-    phi(zeta) = log G(t^beta e^zeta, x, y) - zeta/beta + log w_beta(e^{-zeta/beta})
-
-is smooth, tends to -inf at both ends (superexponential stable-weight decay
-on the right, kernel small-time decay on the left), and a possible power-law
-stretch near the diagonal becomes a harmless linear piece of phi.  The peak
-is located, the bracket expanded until contributions are negligible, and
-exp(phi - phi_max) integrated by adaptive quadrature.
-
-For the variable-coefficient family the base kernel is only simulated up to a
-finite time; the simulation horizon is extended adaptively until the
-neglected weight mass is below 1e-8, and the realised truncation bound is
-reported alongside the value.
+The variable-coefficient kernel is only simulated up to a finite time: its
+window is clipped there, an integrand that has not decayed by the clip raises
+``HorizonError``, and the neglected weight mass is reported with the value.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
-from .errors import AccuracyError, CapabilityError, CoverageError, DomainError
+from .errors import AccuracyError, CapabilityError, CoverageError, DomainError, HorizonError
 from .kernels import (
     AnisotropicStable2D,
     ConstantDiffusion,
@@ -42,6 +45,7 @@ from .specfun import (
     _beta_value,
     stable_density_log,
     stable_exponent_constant,
+    subordination_log_weight,
 )
 
 __all__ = ["FracGreenRequest", "frac_green", "frac_green_detailed", "frac_green_derivative", "frac_solve"]
@@ -72,9 +76,149 @@ class FracGreenRequest:
 
 @dataclass(frozen=True)
 class FracGreenResult:
+    """Value with its log, the rule's error estimate and node count, and the
+    neglected weight mass (finite-horizon family only)."""
+
     value: float
     log_value: float
     truncated_mass_bound: float = 0.0
+    error_estimate: float = 0.0
+    nodes: int = 0
+
+
+# ---------------------------------------------------------------------------
+# the lattice rule
+# ---------------------------------------------------------------------------
+
+_H0 = 0.5            # level-0 step of the zeta lattice
+_MAX_LEVEL = 12      # finest step _H0 / 2^12
+_DROP = 46.0         # window ends: phi this far below its largest node value
+_ZETA_LIMIT = 600.0  # |zeta| beyond which a window is not extended
+# stop tolerance of the h/2h difference, per base family: each sits above
+# that family's own evaluation noise (interpolated profiles, per-node
+# quadratures, the piecewise-smooth Crank-Nicolson history)
+_FAMILY_TOL = {
+    ConstantDiffusion.family: 1e-10,
+    IsotropicStable.family: 1e-8,
+    AnisotropicStable2D.family: 1e-7,
+    VariableDiffusion1D.family: 1e-4,
+}
+
+
+class _WeightCache:
+    """omega_beta memoised per beta at lattice nodes, keyed by zeta (exact on
+    the lattice).  Bounded: at most ``max_betas`` betas, least recently used
+    first out, and at most ``max_nodes`` values per beta (a table that
+    outgrows it is dropped).  Values are computed elementwise, so none
+    depends on which request filled it."""
+
+    def __init__(self, max_betas=8, max_nodes=1 << 15):
+        self.max_betas = max_betas
+        self.max_nodes = max_nodes
+        self._tables = OrderedDict()
+        self._lock = threading.Lock()
+
+    def omega(self, beta, zeta):
+        with self._lock:
+            table = self._tables.pop(beta, None) or {}
+            out = np.array([table.get(z, np.nan) for z in zeta.tolist()])
+            todo = np.isnan(out)
+            if todo.any():
+                out[todo] = subordination_log_weight(beta, zeta[todo])
+                table.update(zip(zeta[todo].tolist(), out[todo].tolist()))
+            if len(table) <= self.max_nodes:
+                self._tables[beta] = table
+                if len(self._tables) > self.max_betas:
+                    self._tables.popitem(last=False)
+            return out
+
+
+_WEIGHTS = _WeightCache()
+
+
+def _lattice_integral(log_kernel, beta, t, q_scale, tol, zeta_clip=None):
+    """Trapezoid rule for Int sign * exp(phi) dzeta on the shared lattice.
+
+    ``log_kernel(s)`` maps an array of base times to (log|kernel part|,
+    sign), the sign a scalar or an array.  Returns (log|I|, sign of I, error
+    estimate, nodes used).  ``zeta_clip`` bounds the window on the right (the
+    finite-horizon family); an integrand that has not decayed there raises
+    HorizonError.
+    """
+    lb = beta * math.log(t)
+    nodes = 0
+
+    def phi(zeta):
+        nonlocal nodes
+        nodes += zeta.size
+        log_k, sign = log_kernel(np.exp(lb + zeta))
+        return log_k + _WEIGHTS.omega(beta, zeta), np.broadcast_to(sign, zeta.shape)
+
+    lo, hi = _scan_window(beta, t, q_scale)
+    j_limit = int(_ZETA_LIMIT / _H0)
+    j_max = j_limit if zeta_clip is None else min(math.floor(zeta_clip / _H0), j_limit)
+    j = np.arange(math.floor(lo / _H0), min(math.ceil(hi / _H0), j_max) + 1)
+    vals, signs = phi(j * _H0)
+
+    # extend level 0 until phi has fallen by _DROP at both ends; at the clip
+    # the window ends at the clip itself if phi has fallen by then
+    b = None
+    while True:
+        top = vals.max()
+        if not np.isfinite(top):
+            raise AccuracyError("integrand identically negligible on the scan window")
+        grow_left = vals[0] > top - _DROP
+        grow_right = vals[-1] > top - _DROP and b is None
+        if not (grow_left or grow_right):
+            break
+        if grow_right and j[-1] == j_max and zeta_clip is not None:
+            if phi(np.array([zeta_clip]))[0][0] > top - _DROP:
+                raise HorizonError(f"integrand has not decayed at the stored horizon (zeta = {zeta_clip:g})")
+            b = zeta_clip
+            continue
+        n = max(j.size, 8)
+        if grow_left:
+            new = np.arange(max(j[0] - n, -j_limit), j[0])
+        else:
+            new = np.arange(j[-1] + 1, min(j[-1] + n, j_max) + 1)
+        if new.size == 0:
+            raise AccuracyError(f"subordination integrand has not decayed within |zeta| <= {_ZETA_LIMIT:g}")
+        v, s = phi(new * _H0)
+        parts = ((new, j), (v, vals), (s, signs)) if grow_left else ((j, new), (vals, v), (signs, s))
+        j, vals, signs = (np.concatenate(p) for p in parts)
+
+    # trim to the nodes above the drop, keeping one node of margin each side
+    above = np.flatnonzero(vals > top - _DROP)
+    keep = slice(max(above[0] - 1, 0), min(above[-1] + 2, j.size))
+    a = j[keep][0] * _H0
+    if b is None:
+        b = j[keep][-1] * _H0
+    scale = top
+    total = float(np.sum(signs[keep] * np.exp(vals[keep] - scale)))
+    total_abs = float(np.sum(np.exp(vals[keep] - scale)))
+    prev = _H0 * total
+
+    for level in range(1, _MAX_LEVEL + 1):
+        h = _H0 / 2 ** level
+        # the nodes this level adds inside [a, b]: (2 i + 1) h
+        v, s = phi((2.0 * np.arange(math.ceil((a / h - 1.0) / 2.0), math.floor((b / h - 1.0) / 2.0) + 1) + 1.0) * h)
+        if v.size and v.max() > scale:
+            shrink = math.exp(scale - v.max())
+            total, total_abs, prev, scale = total * shrink, total_abs * shrink, prev * shrink, float(v.max())
+        e = np.exp(v - scale)
+        total += float(np.sum(s * e))
+        total_abs += float(np.sum(e))
+        err = abs(h * total - prev) / (h * total_abs)
+        if err < tol:
+            if total == 0.0:
+                return -math.inf, 0.0, err, nodes
+            return scale + math.log(h * abs(total)), math.copysign(1.0, total), err, nodes
+        prev = h * total
+    raise AccuracyError(
+        "subordination quadrature above tolerance at the finest lattice level",
+        estimate=scale + math.log(abs(prev)) if prev else -math.inf,
+        achieved=err,
+    )
 
 
 def _scalar_r(x, y):
@@ -82,126 +226,41 @@ def _scalar_r(x, y):
     return float(np.sqrt((dx * dx).sum()))
 
 
-def _log_domain_integral(phi, lo0, hi0, n_scan=241, drop=46.0, method="adaptive"):
-    """Integrate exp(phi) over (lo, hi) located by scanning and expansion.
-
-    Returns (log integral, peak position).  phi must tend to -inf at both
-    ends of the eventually-expanded bracket.
-    """
-    grid = np.linspace(lo0, hi0, n_scan)
-    vals = np.array([phi(z) for z in grid])
-    if not np.any(np.isfinite(vals)):
-        raise AccuracyError("integrand identically negligible on the scan window")
-    imax = int(np.nanargmax(vals))
-
-    a = grid[max(imax - 1, 0)]
-    b = grid[min(imax + 1, n_scan - 1)]
-    res = minimize_scalar(lambda z: -phi(z), bounds=(a, b), method="bounded",
-                          options={"xatol": 1e-10})
-    z_peak = float(res.x)
-    phi_max = max(float(phi(z_peak)), float(vals[imax]))
-
-    # expand/trim the ends until phi < phi_max - drop
-    lo = grid[0]
-    step = grid[1] - grid[0]
-    k = imax
-    while k > 0 and vals[k] > phi_max - drop:
-        k -= 1
-    if k > 0:
-        lo = grid[k]
-    else:
-        lo = grid[0]
-        w = step
-        while phi(lo) > phi_max - drop:
-            lo -= w
-            w *= 2.0
-            if w > 1e6:
-                raise AccuracyError("no left decay found for subordination integrand")
-    k = imax
-    while k < n_scan - 1 and vals[k] > phi_max - drop:
-        k += 1
-    if k < n_scan - 1:
-        hi = grid[k]
-    else:
-        hi = grid[-1]
-        w = step
-        while phi(hi) > phi_max - drop:
-            hi += w
-            w *= 2.0
-            if w > 1e6:
-                raise AccuracyError("no right decay found for subordination integrand")
-
-    def f(z):
-        d = phi(z) - phi_max
-        return math.exp(d) if d > -745.0 else 0.0
-
-    if method == "fixed":
-        # composite Gauss-Legendre: robust against the micro-kinks of
-        # interpolated base kernels, deterministic panel layout
-        xg, wg = np.polynomial.legendre.leggauss(12)
-        n_panels = max(int((hi - lo) / 0.125), 24)
-        edges = np.linspace(lo, hi, n_panels + 1)
-        total = 0.0
-        for a_, b_ in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a_ + b_), 0.5 * (b_ - a_)
-            total += half * sum(w * f(mid + half * xx) for xx, w in zip(xg, wg))
-        if total <= 0 or not np.isfinite(total):
-            raise AccuracyError("subordination quadrature failed", estimate=total)
-        return phi_max + math.log(total), z_peak
-
-    pts = [z_peak] if lo < z_peak < hi else None
-    val, err = quad(f, lo, hi, points=pts, epsabs=1e-13, epsrel=1e-9, limit=500)
-    if val <= 0 or not np.isfinite(val):
-        raise AccuracyError("subordination quadrature failed", estimate=val)
-    if err > 1e-6 * val:
-        raise AccuracyError(
-            "subordination quadrature above tolerance",
-            estimate=phi_max + math.log(val),
-            achieved=err / val,
-        )
-    return phi_max + math.log(val), z_peak
-
-
 def _base_log_kernel(kernel, x, y, k=0, coord=0):
-    """(log|dk G(s, x, y)|, sign) as a function of base time s.
-
-    The sign is constant in s for every supported (kernel, k <= 1) pair; for
-    the Gaussian second derivative the sign flip is handled by the caller.
-    """
+    """log|d^k G(s, x, y)| and its sign as a function of an array of base
+    times s, or None where the derivative vanishes identically."""
     if isinstance(kernel, ConstantDiffusion):
         if k == 0:
-            return (lambda s: kernel.log_value(s, x, y)), 1.0
+            return lambda s: (kernel.log_value(s, x, y), 1.0)
         dxv = np.atleast_1d(np.asarray(x, float)) - np.atleast_1d(np.asarray(y, float))
         w1 = float((kernel._inv @ dxv)[coord])
-        if k == 1:
-            if w1 == 0.0:
-                return None, 0.0
-            sign = -math.copysign(1.0, w1)
+        a = float(kernel._inv[coord, coord])
+        if k == 1 and w1 == 0.0:
+            return None
 
-            def logd1(s):
-                return math.log(abs(w1) / (2.0 * s)) + kernel.log_value(s, x, y)
+        def logdk(s):
+            # d^k G = factor * G; for k = 2 the factor changes sign at s = w1^2 / 2a
+            factor = -w1 / (2.0 * s) if k == 1 else (w1 / (2.0 * s)) ** 2 - a / (2.0 * s)
+            with np.errstate(divide="ignore"):  # log 0 at the sign change
+                return np.log(np.abs(factor)) + kernel.log_value(s, x, y), np.sign(factor)
 
-            return logd1, sign
-        raise CapabilityError("closed log form implemented for k <= 1")
+        return logdk
     if isinstance(kernel, IsotropicStable):
         r = _scalar_r(x, y)
         if k == 0:
-            return (lambda s: kernel.log_value(s, r)), 1.0
+            return lambda s: (kernel.log_value(s, r), 1.0)
         if kernel.d != 1 or k > 1:
             raise CapabilityError("stable derivatives: d = 1, k = 1")
         if r == 0.0:
-            return None, 0.0
+            return None
         rr = float(np.atleast_1d(x)[0]) - float(np.atleast_1d(y)[0])
         sign = -math.copysign(1.0, rr)
-        alpha = kernel.alpha
 
         def logd1(s):
-            mag = abs(kernel.derivative(s, abs(rr), 0.0, k=1))
-            if mag == 0.0:
-                return -math.inf
-            return math.log(mag)
+            with np.errstate(divide="ignore"):
+                return np.log(np.abs(kernel.derivative(s, abs(rr), 0.0, k=1))), sign
 
-        return logd1, sign
+        return logd1
     if isinstance(kernel, AnisotropicStable2D):
         if k > 0:
             raise CapabilityError("anisotropic derivatives not supported")
@@ -224,18 +283,8 @@ def _base_log_kernel(kernel, x, y, k=0, coord=0):
             v = kernel.value(s, xv)
             return math.log(v) if v > 0 else -math.inf
 
-        return logv, 1.0
+        return lambda s: (np.array([logv(si) for si in s]), 1.0)
     raise CapabilityError(f"unsupported kernel family {type(kernel).__name__}")
-
-
-def _phi_factory(log_kernel, beta, t):
-    lb = math.log(t) * beta
-
-    def phi(zeta):
-        u = math.exp(-zeta / beta)
-        return log_kernel(math.exp(lb + zeta)) - zeta / beta + stable_density_log(beta, u)
-
-    return phi
 
 
 def _scan_window(beta, t, q_scale):
@@ -250,8 +299,15 @@ def _scan_window(beta, t, q_scale):
     return min(lo, -10.0), max(hi, 5.0)
 
 
+def _result(log_int, sign, beta, err, nodes, trunc=0.0):
+    logv = log_int - math.log(beta)
+    value = sign * (math.exp(logv) if logv > -745.0 else 0.0)
+    return FracGreenResult(value=value, log_value=logv, truncated_mass_bound=trunc, error_estimate=err, nodes=nodes)
+
+
 def frac_green_detailed(req: FracGreenRequest) -> FracGreenResult:
-    """Fractional Green's function with log value and truncation diagnostics."""
+    """Fractional Green's function (or a signed spatial derivative) with its
+    log value, error estimate, node count and truncation bound."""
     beta = _beta_value(req.beta)
     t = float(req.t)
     kernel = req.kernel
@@ -261,14 +317,15 @@ def frac_green_detailed(req: FracGreenRequest) -> FracGreenResult:
             raise CapabilityError("fd1d derivatives not supported")
         return _frac_green_fd1d(kernel, beta, t, req.x, req.y)
 
-    if req.derivative_order == 0:
-        if isinstance(kernel, ConstantDiffusion) and kernel.d >= 2 and _scalar_r(req.x, req.y) == 0.0:
-            raise DomainError("fractional kernel diverges on the diagonal for d >= 2")
-        if isinstance(kernel, IsotropicStable) and kernel.d >= kernel.alpha and _scalar_r(req.x, req.y) == 0.0:
+    if _scalar_r(req.x, req.y) == 0.0:
+        k = req.derivative_order
+        if isinstance(kernel, ConstantDiffusion) and (k == 2 or (k == 0 and kernel.d >= 2)):
+            raise DomainError("fractional kernel diverges on the diagonal for d + k >= 2")
+        if isinstance(kernel, IsotropicStable) and k == 0 and kernel.d >= kernel.alpha:
             raise DomainError("fractional kernel diverges on the diagonal for d >= alpha")
 
-    log_kernel, sign = _base_log_kernel(kernel, req.x, req.y, k=req.derivative_order)
-    if sign == 0.0:
+    log_kernel = _base_log_kernel(kernel, req.x, req.y, k=req.derivative_order)
+    if log_kernel is None:
         return FracGreenResult(value=0.0, log_value=-math.inf)
 
     if isinstance(kernel, ConstantDiffusion):
@@ -277,12 +334,8 @@ def frac_green_detailed(req: FracGreenRequest) -> FracGreenResult:
     else:
         q_scale = _scalar_r(req.x, req.y) ** getattr(kernel, "alpha", 2.0)
 
-    phi = _phi_factory(log_kernel, beta, t)
-    lo0, hi0 = _scan_window(beta, t, q_scale)
-    log_int, _ = _log_domain_integral(phi, lo0, hi0)
-    logv = log_int - math.log(beta)
-    value = sign * (math.exp(logv) if logv > -745.0 else 0.0)
-    return FracGreenResult(value=value, log_value=logv if sign > 0 else logv)
+    log_int, sign, err, nodes = _lattice_integral(log_kernel, beta, t, q_scale, _FAMILY_TOL[kernel.family])
+    return _result(log_int, sign, beta, err, nodes)
 
 
 def frac_green(req: FracGreenRequest) -> float:
@@ -292,41 +345,11 @@ def frac_green(req: FracGreenRequest) -> float:
     return frac_green_detailed(req).value
 
 
-def frac_green_log(req: FracGreenRequest) -> float:
-    return frac_green_detailed(req).log_value
-
-
 def frac_green_derivative(req: FracGreenRequest) -> float:
     """Spatial derivative of the fractional kernel (signed)."""
     if req.derivative_order < 1:
         raise DomainError("derivative_order must be >= 1")
-    if req.derivative_order == 2:
-        return _frac_green_second_gaussian(req)
     return frac_green_detailed(req).value
-
-
-def _frac_green_second_gaussian(req: FracGreenRequest) -> float:
-    """Order-2 derivative for the Gaussian family; the integrand changes sign
-    at one base time, so the two monotone pieces are integrated separately."""
-    kernel = req.kernel
-    if not isinstance(kernel, ConstantDiffusion):
-        raise CapabilityError("second derivatives implemented for the Gaussian family")
-    beta = _beta_value(req.beta)
-    t = float(req.t)
-
-    def d2(s):
-        return kernel.derivative(s, req.x, req.y, k=2)
-
-    def integrand(z):
-        s = t ** beta * z
-        u = z ** (-1.0 / beta)
-        lw = stable_density_log(beta, u)
-        if lw < -700.0:
-            return 0.0
-        return d2(s) * z ** (-1.0 - 1.0 / beta) * math.exp(lw)
-
-    val, err = quad(integrand, 0.0, np.inf, limit=500, epsabs=1e-12, epsrel=1e-8)
-    return val / beta
 
 
 _FD1D_TRUNC_MASS = 1e-8
@@ -342,15 +365,15 @@ def _frac_green_fd1d(kernel: VariableDiffusion1D, beta, t, x, y) -> FracGreenRes
     xf = float(np.atleast_1d(x)[0])
 
     def log_kernel(s):
-        v = hist.eval(s, xf)
-        return math.log(v) if v > 0 else -math.inf
+        v = np.array([hist.eval(si, xf) for si in s])
+        with np.errstate(divide="ignore"):
+            return np.where(v > 0.0, np.log(np.abs(v)), -np.inf), 1.0
 
-    phi = _phi_factory(log_kernel, beta, t)
     q_scale = (xf - hist.y) ** 2
-    lo0, hi0 = _scan_window(beta, t, q_scale)
-    hi_cap = math.log(t_sim / t ** beta)
-    log_int, _ = _log_domain_integral(phi, lo0, min(hi0, hi_cap), method="fixed")
-    logv = log_int - math.log(beta)
+    zeta_clip = math.log(t_sim / t ** beta)
+    log_int, _, err, nodes = _lattice_integral(
+        log_kernel, beta, t, q_scale, _FAMILY_TOL[kernel.family], zeta_clip=zeta_clip
+    )
 
     # neglected weight beyond the simulated base-time horizon: u < u_min
     u_min = (t ** beta / t_sim) ** (1.0 / beta)
@@ -359,10 +382,10 @@ def _frac_green_fd1d(kernel: VariableDiffusion1D, beta, t, x, y) -> FracGreenRes
     if trunc > _FD1D_TRUNC_MASS:
         raise AccuracyError(
             "fd1d simulation horizon too short for requested time",
-            estimate=math.exp(logv),
+            estimate=math.exp(log_int - math.log(beta)),
             achieved=trunc,
         )
-    return FracGreenResult(value=math.exp(logv), log_value=logv, truncated_mass_bound=trunc)
+    return _result(log_int, 1.0, beta, err, nodes, trunc=trunc)
 
 
 def frac_solve(kernel, beta, t, y_grid, y_values, x, mass_threshold=0.999) -> float:

@@ -38,7 +38,10 @@ class TestGreen:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["rows"][0]["value"] > 0
+        row = payload["rows"][0]
+        assert row["value"] > 0
+        assert 0.0 <= row["error_estimate"] < 1e-10 and row["nodes"] > 0
+        assert row["truncated_mass_bound"] == 0.0
         assert payload["config"]["subcommand"] == "green"
 
     def test_domain_error_exit_1(self):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fracgreen import harness as H
 from fracgreen import kernels as K
 from fracgreen import subordination as S
-from fracgreen.errors import CapabilityError, CoverageError, DomainError
+from fracgreen.errors import AccuracyError, CapabilityError, CoverageError, DomainError, HorizonError
 
 
 def beta_half_oracle(t, r):
@@ -39,10 +40,14 @@ def req(kernel, beta, t, x, y, k=0):
     return S.FracGreenRequest(kernel=kernel, beta=beta, t=t, x=x, y=y, derivative_order=k)
 
 
+GAUSS_TOL = S._FAMILY_TOL[K.ConstantDiffusion.family]
+
+
 class TestFracGreenGaussian:
     def test_on_diagonal_closed_form(self, gauss1d):
-        got = S.frac_green(req(gauss1d, 0.5, 1.0, [0.0], [0.0]))
-        assert got == pytest.approx(math.gamma(0.25) / (2**1.5 * math.pi), rel=1e-9)
+        res = S.frac_green_detailed(req(gauss1d, 0.5, 1.0, [0.0], [0.0]))
+        assert res.value == pytest.approx(math.gamma(0.25) / (2**1.5 * math.pi), rel=1e-9)
+        assert res.error_estimate < GAUSS_TOL and res.nodes > 0
 
     @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
     @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 4.0])
@@ -130,6 +135,21 @@ class TestFracGreenStable:
         with pytest.raises(DomainError):
             S.frac_green(req(cauchy1d, 0.5, 1.0, [0.0], [0.0]))
 
+    def test_on_diagonal_slow_left_decay(self):
+        # d < alpha on the diagonal: the integrand decays only like
+        # e^{(1 - d/alpha) zeta} to the left, so the window reaches zeta ~ -140.
+        # Closed form: (1/pi) t^{-beta/alpha} Gamma(1/alpha) Gamma(1 - 1/alpha)
+        # / (alpha Gamma(1 - beta/alpha)), from the Mellin transform of E_beta(-u)
+        alpha, beta = 1.5, 0.3
+        res = S.frac_green_detailed(req(K.IsotropicStable(1, alpha), beta, 1.0, [0.0], [0.0]))
+        exact = (
+            math.gamma(1.0 / alpha) * math.gamma(1.0 - 1.0 / alpha)
+            / (math.pi * alpha * math.gamma(1.0 - beta / alpha))
+        )
+        assert math.isfinite(res.value) and res.value > 0
+        assert res.error_estimate < S._FAMILY_TOL[K.IsotropicStable.family]
+        assert res.value == pytest.approx(exact, rel=1e-8)
+
     def test_anisotropic_matches_radial(self):
         an = K.AnisotropicStable2D(1.2, K.SpectralMeasure.uniform(1.2))
         iso = K.IsotropicStable(2, 1.2)
@@ -154,8 +174,10 @@ class TestFracGreenDerivative:
             S.frac_green(req(gauss1d, 0.5, 1.0, [1.0 + h], [0.0]))
             - S.frac_green(req(gauss1d, 0.5, 1.0, [1.0 - h], [0.0]))
         ) / (2 * h)
-        got = S.frac_green_derivative(req(gauss1d, 0.5, 1.0, [1.0], [0.0], k=1))
-        assert got == pytest.approx(fd, rel=1e-5)
+        res = S.frac_green_detailed(req(gauss1d, 0.5, 1.0, [1.0], [0.0], k=1))
+        assert res.value == pytest.approx(fd, rel=1e-5)
+        assert res.error_estimate < GAUSS_TOL
+        assert S.frac_green_derivative(req(gauss1d, 0.5, 1.0, [1.0], [0.0], k=1)) == res.value
 
     def test_stable_derivative_matches_fd(self, cauchy1d):
         h = 1e-5
@@ -173,12 +195,45 @@ class TestFracGreenDerivative:
             S.frac_green(req(gauss1d, 0.5, 1.0, [1.0 + s * h], [0.0])) for s in (-1, 0, 1)
         ]
         fd2 = (vals[0] - 2 * vals[1] + vals[2]) / h**2
-        got = S.frac_green_derivative(req(gauss1d, 0.5, 1.0, [1.0], [0.0], k=2))
-        assert got == pytest.approx(fd2, rel=1e-3)
+        res = S.frac_green_detailed(req(gauss1d, 0.5, 1.0, [1.0], [0.0], k=2))
+        assert res.value == pytest.approx(fd2, rel=1e-3)
+        assert res.error_estimate < GAUSS_TOL
+        assert S.frac_green_derivative(req(gauss1d, 0.5, 1.0, [1.0], [0.0], k=2)) == res.value
+
+    def test_second_derivative_diverges_on_diagonal(self, gauss1d):
+        with pytest.raises(DomainError):
+            S.frac_green_derivative(req(gauss1d, 0.5, 1.0, [0.0], [0.0], k=2))
 
     def test_capability_budget(self, cauchy1d):
         with pytest.raises(CapabilityError):
             req(cauchy1d, 0.5, 1.0, [1.0], [0.0], k=2)
+
+
+class TestLatticeRule:
+    def test_value_independent_of_call_order(self, gauss1d, monkeypatch):
+        monkeypatch.setattr(S, "_WEIGHTS", S._WeightCache())
+        point = req(gauss1d, 0.45, 1.3, [0.7], [0.0])
+        first = S.frac_green_detailed(point)
+        H.verify_envelope("3.1", K.ConstantDiffusion(3), 0.45)
+        again = S.frac_green_detailed(point)
+        # a fresh cache recomputes every weight in other batches
+        monkeypatch.setattr(S, "_WEIGHTS", S._WeightCache())
+        fresh = S.frac_green_detailed(point)
+        assert first == again == fresh
+
+    def test_weight_cache_bounded(self, gauss1d, monkeypatch):
+        cache = S._WeightCache()
+        monkeypatch.setattr(S, "_WEIGHTS", cache)
+        for beta in np.linspace(0.2, 0.9, 200):
+            S.frac_green(req(gauss1d, float(beta), 1.0, [0.5], [0.0]))
+        sizes = [len(table) for table in cache._tables.values()]
+        assert 0 < len(sizes) <= cache.max_betas
+        assert max(sizes) <= cache.max_nodes
+
+    def test_finest_level_without_convergence_raises(self, gauss1d, monkeypatch):
+        monkeypatch.setattr(S, "_MAX_LEVEL", 1)
+        with pytest.raises(AccuracyError):
+            S.frac_green(req(gauss1d, 0.8, 0.1, [30.0], [0.0]))
 
 
 class TestFracSolve:
@@ -223,6 +278,13 @@ class TestFracGreenFd1d:
         fd = K.VariableDiffusion1D("sin_bump", horizon=0.5)
         v = S.frac_green_detailed(S.FracGreenRequest(kernel=fd, beta=0.5, t=0.3, x=0.7, y=0.0))
         assert v.value > 0
+
+    def test_far_point_beyond_horizon_raises(self):
+        # the integrand still carries weight at the stored horizon: no
+        # silently truncated value
+        fd = K.VariableDiffusion1D("one", horizon=0.5, dx=0.05, dt=0.05)
+        with pytest.raises(HorizonError):
+            S.frac_green(S.FracGreenRequest(kernel=fd, beta=0.5, t=0.05, x=6.0, y=0.0))
 
     def test_derivative_unsupported(self):
         fd = K.VariableDiffusion1D("one", horizon=0.5)
