@@ -64,11 +64,7 @@ def laplace_boundary_log(g_at_b, h_at_b, h_prime_at_b, lam) -> float:
 
 def laplace_boundary(g_at_b, h_at_b, h_prime_at_b, lam) -> float:
     """Leading asymptotics of Int_b^inf g e^{-lam h} when h is minimal at b."""
-    if h_prime_at_b <= 0:
-        raise DomainError("boundary Laplace formula needs h'(b) > 0")
-    if lam <= 0:
-        raise DomainError("lam must be positive")
-    return g_at_b / (lam * h_prime_at_b) * math.exp(-lam * h_at_b)
+    return g_at_b * math.exp(laplace_boundary_log(1.0, h_at_b, h_prime_at_b, lam))
 
 
 def laplace_interior_log(g_at_bt, h_at_bt, h_second_at_bt, lam) -> float:
@@ -88,11 +84,7 @@ def laplace_interior_log(g_at_bt, h_at_bt, h_second_at_bt, lam) -> float:
 
 def laplace_interior(g_at_bt, h_at_bt, h_second_at_bt, lam) -> float:
     """Leading asymptotics when h has an interior minimum at b~."""
-    if h_second_at_bt <= 0:
-        raise DomainError("interior Laplace formula needs h''(b~) > 0")
-    if lam <= 0:
-        raise DomainError("lam must be positive")
-    return g_at_bt * math.sqrt(2.0 * math.pi / (lam * h_second_at_bt)) * math.exp(-lam * h_at_bt)
+    return g_at_bt * math.exp(laplace_interior_log(1.0, h_at_bt, h_second_at_bt, lam))
 
 
 def prop_a1_constants(a, c):

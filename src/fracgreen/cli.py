@@ -6,25 +6,23 @@ and derivatives), ``envelope`` (estimate shapes), ``verify`` (certification
 sweeps), ``laplace-check`` (asymptotics vs oracle CSV), ``mc`` (Monte Carlo
 campaigns).
 
-Every subcommand accepts ``--tolerance``, ``--out`` and ``--format
-{csv,json}``, plus ``--config FILE`` with a JSON parameter map; explicit
-flags win over config-file values, and the effective configuration is echoed
-into every artifact.  Exit codes: 0 all requested checks passed, 1
-computation or check failure (a JSON error record goes to stderr), 2 usage
-error.  Output files are written atomically (temp file + rename).
+Every subcommand accepts ``--out`` and ``--format {csv,json}``, plus
+``--config FILE`` with a JSON parameter map; explicit flags win over
+config-file values, and the effective configuration is echoed into every
+artifact.  ``laplace-check`` also takes ``--tolerance``, the bound on its
+worst log ratio that sets the exit code.  Exit codes: 0 all requested checks
+passed, 1 computation or check failure (a JSON error record goes to stderr),
+2 usage error.  Output files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import sys
-import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,27 +48,14 @@ class RunConfig:
         return {"subcommand": self.subcommand, "params": self.params}
 
 
-def _atomic_write(path, text):
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _emit_table(rows, columns, fmt, out, config):
     """Rows of dicts -> CSV or JSON artifact (stdout when out is None)."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c] for c in columns])
-        text = buf.getvalue()
+        text = H.csv_text(columns, rows)
     else:
         text = json.dumps({"config": config, "rows": rows}, sort_keys=True)
     if out:
-        _atomic_write(out, text)
+        H.atomic_write(out, text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -191,18 +176,7 @@ def _cmd_envelope(p, fmt, out, config):
     rows = []
     for r in r_values:
         point = env.compute_omega(family, t, r, beta, alpha=alpha)
-        if family == "diffusion":
-            ev = (
-                env.envelope_diffusion(d, beta, point, consts)
-                if k == 0
-                else env.envelope_diffusion_deriv(d, beta, point, consts, case=case)
-            )
-        else:
-            ev = (
-                env.envelope_stable(d, float(alpha), beta, point, consts)
-                if k == 0
-                else env.envelope_stable_deriv(d, k, float(alpha), beta, point, consts, case=case)
-            )
+        ev = H.envelope_value(family, d, alpha, beta, k, point, consts, case=case)
         rows.append(
             {"t": t, "r": r, "omega": point.omega, "regime": ev.regime,
              "value": ev.value, "log_value": ev.log_value}
@@ -319,7 +293,7 @@ def _cmd_mc(p, fmt, out, config):
         summary = {"campaign": campaign, "t": t, **rep.summary(), "config": config}
         text = json.dumps(summary, sort_keys=True)
         if out:
-            _atomic_write(out, text)
+            H.atomic_write(out, text)
         else:
             sys.stdout.write(text + "\n")
         return 0 if rep.ordering_holds else 1
@@ -338,13 +312,8 @@ def _cmd_mc(p, fmt, out, config):
     if out:
         base, ext = os.path.splitext(out)
         hist_path = out if fmt == "csv" else base + ".csv"
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["bin_left", "bin_right", "count", "density"])
-        for row in rows:
-            writer.writerow([repr(row["bin_left"]), repr(row["bin_right"]), row["count"], repr(row["density"])])
-        _atomic_write(hist_path, buf.getvalue())
-        _atomic_write(base + "_summary.json", json.dumps(summary, sort_keys=True))
+        H.atomic_write(hist_path, H.csv_text(["bin_left", "bin_right", "count", "density"], rows))
+        H.atomic_write(base + "_summary.json", json.dumps(summary, sort_keys=True))
     else:
         sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
     return 0
@@ -379,7 +348,6 @@ def dispatch(config: RunConfig) -> int:
 
 
 def _add_common(sub):
-    sub.add_argument("--tolerance", type=float, default=None, help="check tolerance where applicable")
     sub.add_argument("--out", type=str, default=None, help="output artifact path")
     sub.add_argument("--format", choices=("csv", "json"), default=None)
     sub.add_argument("--config", type=str, default=None, help="JSON parameter file (flags win)")
@@ -453,6 +421,7 @@ def _parser():
     lp.add_argument("--N", type=float, nargs="*", default=None)
     lp.add_argument("--c", type=float, nargs="*", default=None)
     lp.add_argument("--omega", type=float, nargs="*", default=None)
+    lp.add_argument("--tolerance", type=float, default=None, help="bound on the worst log ratio (default 0.05)")
     _add_common(lp)
 
     mp = subs.add_parser("mc", help="Monte Carlo campaigns")

@@ -5,11 +5,18 @@ estimate ``c * shape <= G <= C * shape``.  Prefactors and the exponential rate
 constant are never assumed; they live in :class:`EnvelopeConstants` and are
 fitted by the harness.  The similarity variable is
 
-    Omega = r**2 * t**(-beta)        (diffusion families)
-    Omega = r**alpha * t**(-beta)    (stable families)
+    Omega = r**a * t**(-beta),   a = alpha (stable families), a = 2 (diffusion)
 
-and the branch tables split at Omega = 1, with extra thresholds for the
-small-time derivative bounds.  All shapes are returned with a log value so
+All four public shape functions read one table.  The ``case`` and the
+point's fine regime (Omega = 1 splits on/off the diagonal; the small-time
+case splits the tail again at a t-dependent threshold) pick a branch and say
+whether the derivative order k adds to the dimension: a derivative bound is
+the value bound with d -> d + k.  On the diagonal every family has the same
+branch in dim = d or d + k: t^{-dim beta/a} while dim < a, a factor
+|log Omega| + 1 at dim = a, and Omega^{1 - dim/a} above it (the large-time
+case writes it in |x - y|).  Only the off-diagonal tail depends on the
+family: exp{-C Omega^{1/(2-beta)}} times a power for diffusion,
+Omega^{-1-dim/alpha} for stable.  All shapes are returned with a log value so
 that exponential branches survive Omega of order 1e4.
 """
 
@@ -20,6 +27,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from .errors import DomainError, RegimeError, SpecError
+from .specfun import _beta_value
 
 __all__ = [
     "RegimePoint",
@@ -114,7 +122,7 @@ def compute_omega(family, t, r, beta, alpha=None) -> RegimePoint:
         raise DomainError("compute_omega requires t > 0")
     if r < 0:
         raise DomainError("compute_omega requires r >= 0")
-    beta = float(beta if not hasattr(beta, "beta") else beta.beta)
+    beta = _beta_value(beta)
     if family == "diffusion":
         omega = r ** 2 * t ** (-beta)
         a = None
@@ -137,7 +145,7 @@ def derivative_regime(point: RegimePoint, beta, kind: str) -> str:
     at the threshold, so a tie is value-neutral; it is resolved to the outer
     branch.
     """
-    beta = float(beta if not hasattr(beta, "beta") else beta.beta)
+    beta = _beta_value(beta)
     if _on_branch(point):
         return ON_DIAG
     if kind == "diffusion":
@@ -173,60 +181,86 @@ def _log_omega_factor(omega: float) -> float:
     return math.log(abs(math.log(omega)) + 1.0)
 
 
-def envelope_diffusion(d, beta, point: RegimePoint, consts: EnvelopeConstants | None = None) -> EnvelopeValue:
-    """Two-sided shape for the time-fractional diffusion Green's function."""
+def _on_diag_omega(dim, a, beta, lt, om, r, c):
+    # flat below a, a log factor at a, Omega^{1 - dim/a} above it
+    if dim < a:
+        return -dim * beta / a * lt
+    if dim == a:
+        return -beta * lt + _log_omega_factor(om)
+    return math.inf if om == 0.0 else -dim * beta / a * lt + (1.0 - dim / a) * math.log(om)
+
+
+def _on_diag_r(dim, a, beta, lt, om, r, c):
+    # |x - y| form of the large-time bounds; k >= 1 makes dim >= 2 >= a, so no flat branch
+    if dim == a:
+        return -beta * lt + _log_omega_factor(om)
+    return math.inf if r == 0.0 else (a - dim) * math.log(r)
+
+
+_ON_DIAG_FORMS = {"omega": _on_diag_omega, "r": _on_diag_r}
+
+# (family, form) -> off-diagonal tail; c is the exponential rate constant
+_TAILS = {
+    ("diffusion", "omega"): lambda dim, a, beta, lt, om, r, c: (
+        -dim * beta / a * lt
+        - (dim / a) * ((1.0 - beta) / (2.0 - beta)) * math.log(om)
+        - c * om ** (1.0 / (2.0 - beta))
+    ),
+    ("diffusion", "r"): lambda dim, a, beta, lt, om, r, c: (
+        -dim * ((1.0 - beta) / (2.0 - beta)) * math.log(r) - c * r ** (2.0 / (2.0 - beta))
+    ),
+    ("stable", "omega"): lambda dim, a, beta, lt, om, r, c: -dim * beta / a * lt + (-1.0 - dim / a) * math.log(om),
+    ("stable", "r"): lambda dim, a, beta, lt, om, r, c: (-a - dim) * math.log(r),
+}
+
+# case -> fine regime -> (form, whether k adds to d)
+_BRANCHES = {
+    "global": {ON_DIAG: ("omega", True), OFF_DIAG: ("omega", True)},
+    "local_small_time": {ON_DIAG: ("omega", True), INTERMEDIATE: ("omega", True), FAR_TAIL: ("omega", False)},
+    "local_large_time": {ON_DIAG: ("r", True), OFF_DIAG: ("r", False)},
+}
+
+
+def _shape(family, d, k, a, beta, point, consts, case):
+    """Shape of one table cell; ``a`` is alpha, or 2 for diffusion, and ``k``
+    the derivative order (None for the value shapes)."""
     consts = consts or EnvelopeConstants()
-    _check_point(point, "diffusion")
-    beta = float(beta if not hasattr(beta, "beta") else beta.beta)
+    _check_point(point, family)
+    beta = _beta_value(beta)
+    a = float(a)
+    if family == "stable" and not (0.0 < a < 2.0):
+        raise DomainError("stable envelopes require alpha in (0, 2)")
     d = int(d)
     if d < 1:
         raise DomainError("dimension must be >= 1")
-    t, om = point.t, point.omega
-    lt = math.log(t)
-    if _on_branch(point):
-        if d == 1:
-            logv = -beta / 2.0 * lt
-        elif d == 2:
-            logv = -beta * lt + _log_omega_factor(om)
-        else:
-            if om == 0.0:
-                logv = math.inf
-            else:
-                logv = -d * beta / 2.0 * lt + (1.0 - d / 2.0) * math.log(om)
-        return _make_value(logv, ON_DIAG, consts)
-    rho = (1.0 - beta) / (2.0 - beta)
-    logv = (
-        -d * beta / 2.0 * lt
-        - (d / 2.0) * rho * math.log(om)
-        - consts.c_beta_exponent * om ** (1.0 / (2.0 - beta))
-    )
-    return _make_value(logv, OFF_DIAG, consts)
+    if k is not None and int(k) < 1:
+        raise DomainError("derivative order k must be >= 1")
+    k = int(k or 0)
+    if case not in _BRANCHES:
+        raise SpecError(f"unknown case {case!r}")
+    if case == "local_small_time" and point.t >= 1.0:
+        raise RegimeError("local_small_time shapes hold for t < 1")
+    if case == "local_large_time" and point.t <= 1.0:
+        raise RegimeError("local_large_time shapes hold for t > 1")
+    if case == "local_small_time":
+        regime = derivative_regime(point, beta, family)
+    else:
+        regime = ON_DIAG if _on_branch(point) else OFF_DIAG
+    form, adds_k = _BRANCHES[case][regime]
+    branch = _ON_DIAG_FORMS[form] if regime == ON_DIAG else _TAILS[family, form]
+    dim = d + k if adds_k else d
+    logv = branch(dim, a, beta, math.log(point.t), point.omega, point.r, consts.c_beta_exponent)
+    return _make_value(logv, regime, consts)
+
+
+def envelope_diffusion(d, beta, point: RegimePoint, consts: EnvelopeConstants | None = None) -> EnvelopeValue:
+    """Two-sided shape for the time-fractional diffusion Green's function."""
+    return _shape("diffusion", d, None, 2.0, beta, point, consts, "global")
 
 
 def envelope_stable(d, alpha, beta, point: RegimePoint, consts: EnvelopeConstants | None = None) -> EnvelopeValue:
     """Two-sided shape for the time-fractional stable Green's function."""
-    consts = consts or EnvelopeConstants()
-    _check_point(point, "stable")
-    beta = float(beta if not hasattr(beta, "beta") else beta.beta)
-    alpha = float(alpha)
-    if not (0.0 < alpha < 2.0):
-        raise DomainError("stable envelopes require alpha in (0, 2)")
-    d = int(d)
-    t, om = point.t, point.omega
-    lt = math.log(t)
-    if _on_branch(point):
-        if d < alpha:
-            logv = -d * beta / alpha * lt
-        elif d == alpha:
-            logv = -beta * lt + _log_omega_factor(om)
-        else:
-            if om == 0.0:
-                logv = math.inf
-            else:
-                logv = -d * beta / alpha * lt + (1.0 - d / alpha) * math.log(om)
-        return _make_value(logv, ON_DIAG, consts)
-    logv = -d * beta / alpha * lt + (-1.0 - d / alpha) * math.log(om)
-    return _make_value(logv, OFF_DIAG, consts)
+    return _shape("stable", d, None, alpha, beta, point, consts, "global")
 
 
 def envelope_diffusion_deriv(
@@ -238,137 +272,14 @@ def envelope_diffusion_deriv(
     (t < 1, three regimes) or "local_large_time" (1 < t < T, bounds in
     |x - y| form).
     """
-    consts = consts or EnvelopeConstants()
-    _check_point(point, "diffusion")
-    beta = float(beta if not hasattr(beta, "beta") else beta.beta)
-    d = int(d)
-    t, r, om = point.t, point.r, point.omega
-    lt = math.log(t)
-    rho = (1.0 - beta) / (2.0 - beta)
-    C = consts.c_beta_exponent
-
-    if case == "global":
-        if _on_branch(point):
-            if d == 1:
-                logv = -beta * lt + _log_omega_factor(om)
-            else:
-                logv = (
-                    math.inf
-                    if om == 0.0
-                    else -(d + 1) * beta / 2.0 * lt + (1.0 - (d + 1) / 2.0) * math.log(om)
-                )
-            return _make_value(logv, ON_DIAG, consts)
-        logv = (
-            -(d + 1) * beta / 2.0 * lt
-            - ((d + 1) / 2.0) * rho * math.log(om)
-            - C * om ** (1.0 / (2.0 - beta))
-        )
-        return _make_value(logv, OFF_DIAG, consts)
-
-    if case == "local_small_time":
-        if t >= 1.0:
-            raise RegimeError("local_small_time shapes hold for t < 1")
-        fine = derivative_regime(point, beta, "diffusion")
-        if fine == ON_DIAG:
-            if d == 1:
-                logv = -beta * lt + _log_omega_factor(om)
-            else:
-                logv = (
-                    math.inf
-                    if om == 0.0
-                    else -(d + 1) * beta / 2.0 * lt + (1.0 - (d + 1) / 2.0) * math.log(om)
-                )
-            return _make_value(logv, ON_DIAG, consts)
-        if fine == INTERMEDIATE:
-            logv = (
-                -(d + 1) * beta / 2.0 * lt
-                - ((d + 1) / 2.0) * rho * math.log(om)
-                - C * om ** (1.0 / (2.0 - beta))
-            )
-            return _make_value(logv, INTERMEDIATE, consts)
-        logv = (
-            -d * beta / 2.0 * lt
-            - (d / 2.0) * rho * math.log(om)
-            - C * om ** (1.0 / (2.0 - beta))
-        )
-        return _make_value(logv, FAR_TAIL, consts)
-
-    if case == "local_large_time":
-        if t <= 1.0:
-            raise RegimeError("local_large_time shapes hold for t > 1")
-        if _on_branch(point):
-            if d == 1:
-                logv = -beta * lt + _log_omega_factor(om)
-            else:
-                logv = math.inf if r == 0.0 else (1.0 - d) * math.log(r)
-            return _make_value(logv, ON_DIAG, consts)
-        logv = -d * rho * math.log(r) - C * r ** (2.0 / (2.0 - beta))
-        return _make_value(logv, OFF_DIAG, consts)
-
-    raise SpecError(f"unknown case {case!r}")
+    return _shape("diffusion", d, 1, 2.0, beta, point, consts, case)
 
 
 def envelope_stable_deriv(
     d, k, alpha, beta, point: RegimePoint, consts: EnvelopeConstants | None = None, case: str = "global"
 ) -> EnvelopeValue:
     """Upper-bound shape for order-k spatial derivatives, stable families."""
-    consts = consts or EnvelopeConstants()
-    _check_point(point, "stable")
-    beta = float(beta if not hasattr(beta, "beta") else beta.beta)
-    alpha = float(alpha)
-    if not (0.0 < alpha < 2.0):
-        raise DomainError("stable envelopes require alpha in (0, 2)")
-    d, k = int(d), int(k)
-    if k < 1:
-        raise DomainError("derivative order k must be >= 1")
-    t, r, om = point.t, point.r, point.omega
-    lt = math.log(t)
-    dk = d + k
-
-    def on_diag_shape(dim_eff):
-        if dim_eff < alpha:
-            return -dim_eff * beta / alpha * lt
-        if dim_eff == alpha:
-            return -beta * lt + _log_omega_factor(om)
-        return (
-            math.inf
-            if om == 0.0
-            else -dim_eff * beta / alpha * lt + (1.0 - dim_eff / alpha) * math.log(om)
-        )
-
-    if case == "global":
-        if _on_branch(point):
-            return _make_value(on_diag_shape(dk), ON_DIAG, consts)
-        logv = -dk * beta / alpha * lt + (-1.0 - dk / alpha) * math.log(om)
-        return _make_value(logv, OFF_DIAG, consts)
-
-    if case == "local_small_time":
-        if t >= 1.0:
-            raise RegimeError("local_small_time shapes hold for t < 1")
-        fine = derivative_regime(point, beta, "stable")
-        if fine == ON_DIAG:
-            return _make_value(on_diag_shape(dk), ON_DIAG, consts)
-        if fine == INTERMEDIATE:
-            logv = -dk * beta / alpha * lt + (-1.0 - dk / alpha) * math.log(om)
-            return _make_value(logv, INTERMEDIATE, consts)
-        logv = -d * beta / alpha * lt + (-1.0 - d / alpha) * math.log(om)
-        return _make_value(logv, FAR_TAIL, consts)
-
-    if case == "local_large_time":
-        if t <= 1.0:
-            raise RegimeError("local_large_time shapes hold for t > 1")
-        if _on_branch(point):
-            if dk < alpha:
-                logv = 0.0
-            elif dk == alpha:
-                logv = -beta * lt + _log_omega_factor(om)
-            else:
-                logv = math.inf if r == 0.0 else (alpha - dk) * math.log(r)
-            return _make_value(logv, ON_DIAG, consts)
-        logv = (-alpha - d) * math.log(r)
-        return _make_value(logv, OFF_DIAG, consts)
-
-    raise SpecError(f"unknown case {case!r}")
+    return _shape("stable", d, k, alpha, beta, point, consts, case)
 
 
 def globalize_local(shape_value, rate_c, tau):

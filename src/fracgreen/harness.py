@@ -17,9 +17,12 @@ they coincide.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import os
+import tempfile
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy import stats as sps
@@ -43,10 +46,13 @@ __all__ = [
     "default_grid",
     "verify_envelope",
     "verify_derivative_envelope",
+    "envelope_value",
     "fit_constants",
     "report_to_json",
     "report_from_json",
     "write_report_files",
+    "csv_text",
+    "atomic_write",
 ]
 
 THEOREM_FAMILY = {
@@ -249,14 +255,15 @@ def _eval_point(kernel, beta, t, r, k):
     return res.log_value, False
 
 
-def _envelope_log(theorem_or_prop, family, d, alpha, beta, k, point, consts, case="global"):
+def envelope_value(family, d, alpha, beta, k, point, consts, case="global"):
+    """The envelope shape for a family and derivative order k (0: the value)."""
     if k == 0:
         if family == "diffusion":
-            return env.envelope_diffusion(d, beta, point, consts).log_value
-        return env.envelope_stable(d, alpha, beta, point, consts).log_value
+            return env.envelope_diffusion(d, beta, point, consts)
+        return env.envelope_stable(d, alpha, beta, point, consts)
     if family == "diffusion":
-        return env.envelope_diffusion_deriv(d, beta, point, consts, case=case).log_value
-    return env.envelope_stable_deriv(d, k, alpha, beta, point, consts, case=case).log_value
+        return env.envelope_diffusion_deriv(d, beta, point, consts, case=case)
+    return env.envelope_stable_deriv(d, k, alpha, beta, point, consts, case=case)
 
 
 def _collect_points(kernel, beta, grid, k, consts, family, d, alpha, case="global", horizon=None):
@@ -293,7 +300,7 @@ def _collect_points(kernel, beta, grid, k, consts, family, d, alpha, case="globa
                 "log_G": math.nan, "log_envelope": math.nan,
                 "log_ratio": math.nan, "flag": f"error:{type(exc).__name__}",
             }
-        log_env = _envelope_log(grid.theorem, family, d, alpha, beta, k, point, consts, case=case)
+        log_env = envelope_value(family, d, alpha, beta, k, point, consts, case=case).log_value
         if skipped:
             flag = "skipped:diagonal-derivative"
             log_ratio = math.nan
@@ -328,33 +335,20 @@ def _refit_exponential_rate(rows, family, d, alpha, beta, k, case, consts):
         return consts, rows
 
     def spread_at(c):
-        cc = env.EnvelopeConstants(
-            c_beta_exponent=c,
-            prefactor_low=consts.prefactor_low,
-            prefactor_high=consts.prefactor_high,
-            horizon_T=consts.horizon_T,
-            globalization_rate=consts.globalization_rate,
-        )
+        cc = replace(consts, c_beta_exponent=c)
         vals = []
         for p in off:
             point = env.RegimePoint(
                 t=p["t"], r=p["r"], omega=p["omega"], regime=env.OFF_DIAG,
                 family=family, alpha=alpha,
             )
-            le = _envelope_log(None, family, d, alpha, beta, k, point, cc, case=case)
+            le = envelope_value(family, d, alpha, beta, k, point, cc, case=case).log_value
             vals.append(p["log_G"] - le)
         return _spread(vals)
 
     res = minimize_scalar(spread_at, bounds=(1e-3, 5.0), method="bounded",
                           options={"xatol": 1e-8})
-    c_fit = float(res.x)
-    fitted = env.EnvelopeConstants(
-        c_beta_exponent=c_fit,
-        prefactor_low=consts.prefactor_low,
-        prefactor_high=consts.prefactor_high,
-        horizon_T=consts.horizon_T,
-        globalization_rate=consts.globalization_rate,
-    )
+    fitted = replace(consts, c_beta_exponent=float(res.x))
     out = []
     for p in rows:
         if p["flag"] != "ok" or p["omega"] <= 1.0:
@@ -364,7 +358,7 @@ def _refit_exponential_rate(rows, family, d, alpha, beta, k, case, consts):
             t=p["t"], r=p["r"], omega=p["omega"], regime=env.OFF_DIAG,
             family=family, alpha=alpha,
         )
-        le = _envelope_log(None, family, d, alpha, beta, k, point, fitted, case=case)
+        le = envelope_value(family, d, alpha, beta, k, point, fitted, case=case).log_value
         q = dict(p)
         q["log_envelope"] = le
         q["log_ratio"] = p["log_G"] - le
@@ -616,23 +610,26 @@ def report_from_json(text: str) -> VerificationReport:
 CSV_COLUMNS = ["t", "r", "omega", "regime", "log_G", "log_envelope", "log_ratio", "flag"]
 
 
+def csv_text(columns, rows):
+    """CSV of row dicts under a header line; floats as repr, so they keep 17 digits."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c] for c in columns])
+    return buf.getvalue()
+
+
+def atomic_write(path, text):
+    """Write text to path through a temporary file in the same directory and a rename."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    with os.fdopen(fd, "w", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def write_report_files(report: VerificationReport, json_path, csv_path=None):
     """Atomic JSON (+ optional per-point CSV) emission; floats keep 17 digits."""
-    import os
-    import tempfile
-
-    payload = report_to_json(report)
-    d = os.path.dirname(os.path.abspath(json_path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(payload)
-    os.replace(tmp, json_path)
+    atomic_write(json_path, report_to_json(report))
     if csv_path is not None:
-        d = os.path.dirname(os.path.abspath(csv_path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for p in report.points:
-                writer.writerow([repr(p[c]) if isinstance(p[c], float) else p[c] for c in CSV_COLUMNS])
-        os.replace(tmp, csv_path)
+        atomic_write(csv_path, csv_text(CSV_COLUMNS, report.points))

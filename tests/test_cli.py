@@ -69,6 +69,20 @@ class TestEnvelope:
         assert float(out.strip()) == pytest.approx(2.0, rel=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--theorem", "3.1", "--beta", "1", "--derivative", "1",
+             "--case", "local_small_time", "--t", "0.5", "--r", "3"),
+            ("--theorem", "3.1", "--beta", "1.5", "--t", "1", "--r", "3"),
+        ],
+    )
+    def test_beta_outside_unit_interval_is_error_record(self, args):
+        code, out, err = run_cli("envelope", *args)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+
 class TestSpecfunKernel:
     def test_specfun_table(self, tmp_path):
         out_path = tmp_path / "sf.csv"
@@ -155,6 +169,11 @@ class TestLaplaceCheck:
         assert lines[0] == "a,N,c,Omega,log_oracle,log_asymptotic,log_ratio"
         assert len(lines) == 3
 
+    def test_tolerance_sets_exit_code(self):
+        args = ("laplace-check", "--a", "1", "--N", "0", "--c", "1", "--omega", "100", "1000")
+        assert run_cli(*args, "--tolerance", "1.0")[0] == 0
+        assert run_cli(*args, "--tolerance", "1e-12")[0] == 1
+
 
 class TestMcCommand:
     def test_seed_determinism(self, tmp_path):
@@ -194,6 +213,11 @@ class TestExitCodes:
             capture_output=True,
         )
         assert proc.returncode == 2
+
+    def test_tolerance_is_laplace_check_only(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("green", "--kernel", "gaussian", "--beta", "0.5", "--t", "1", "--tolerance", "1e-3")
+        assert exc.value.code == 2
 
     def test_unknown_subcommand_is_2(self):
         proc = subprocess.run(

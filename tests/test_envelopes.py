@@ -73,6 +73,11 @@ class TestDiffusionEnvelope:
         v = env.envelope_diffusion(2, 0.5, _dpoint(1.0, 0.0, 0.5))
         assert v.value == math.inf
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_power_divergence_at_zero(self, d):
+        v = env.envelope_diffusion(d, 0.5, _dpoint(1.0, 0.0, 0.5))
+        assert v.log_value == math.inf and v.value == math.inf
+
 
 class TestStableEnvelope:
     def test_off_diagonal(self):
@@ -90,6 +95,24 @@ class TestStableEnvelope:
     def test_alpha_range(self):
         with pytest.raises(DomainError):
             env.envelope_stable(1, 2.0, 0.5, _spoint(1.0, 1.0, 0.5, 2.0))
+
+    @pytest.mark.parametrize(
+        "t,r,expect",
+        [
+            (1.0, 0.5, 1.0 + math.log(2.0)),  # Omega = 1/2: |log Omega| + 1
+            (4.0, 0.5, 0.5 + math.log(2.0)),  # Omega = 1/4: t^{-1/2} (|log Omega| + 1)
+            (4.0, 2.0, 0.5),  # Omega = 1: the log factor is 1
+        ],
+    )
+    def test_d_equals_alpha_log_branch(self, t, r, expect):
+        v = env.envelope_stable(1, 1.0, 0.5, _spoint(t, r, 0.5, 1.0))
+        assert v.regime == env.ON_DIAG
+        assert v.value == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("d,alpha", [(1, 1.0), (2, 1.0), (3, 1.5)])
+    def test_on_diagonal_divergence_at_zero(self, d, alpha):
+        v = env.envelope_stable(d, alpha, 0.5, _spoint(1.0, 0.0, 0.5, alpha))
+        assert v.log_value == math.inf and v.value == math.inf
 
 
 class TestDiffusionDerivativeEnvelope:
@@ -140,6 +163,43 @@ class TestDiffusionDerivativeEnvelope:
         with pytest.raises(RegimeError):
             env.envelope_diffusion_deriv(1, 0.5, _dpoint(0.5, 1.0, 0.5), case="local_large_time")
 
+    # t = 1/4, beta = 1/2: Omega = 2 r^2, rho = 1/3, the far-tail threshold is 8
+    @pytest.mark.parametrize(
+        "d,r,regime,expect",
+        [
+            (1, 0.5, env.ON_DIAG, 2.0 * (1.0 + math.log(2.0))),  # d + 1 = 2: log branch
+            (2, 0.5, env.ON_DIAG, 4.0),  # t^{-3/4} Omega^{-1/2}
+            (1, math.sqrt(2.0), env.INTERMEDIATE, 2.0 * 4.0 ** (-1.0 / 3.0) * math.exp(-(4.0 ** (2.0 / 3.0)))),
+            (1, math.sqrt(8.0), env.FAR_TAIL, math.sqrt(2.0) * 16.0 ** (-1.0 / 6.0) * math.exp(-(16.0 ** (2.0 / 3.0)))),
+        ],
+    )
+    def test_small_time_values(self, d, r, regime, expect):
+        v = env.envelope_diffusion_deriv(d, 0.5, _dpoint(0.25, r, 0.5), case="local_small_time")
+        assert v.regime == regime
+        assert v.value == pytest.approx(expect, rel=1e-12)
+
+    # t = 2, beta = 1/2, C = 0.7: shapes in |x - y| form
+    @pytest.mark.parametrize(
+        "d,r,regime,expect",
+        [
+            (1, 0.5, env.ON_DIAG, 2.0 ** -0.5 * (1.0 + 2.5 * math.log(2.0))),  # Omega = 2^{-5/2}
+            (1, 3.0, env.OFF_DIAG, 3.0 ** (-1.0 / 3.0) * math.exp(-0.7 * 3.0 ** (4.0 / 3.0))),
+            (2, 3.0, env.OFF_DIAG, 3.0 ** (-2.0 / 3.0) * math.exp(-0.7 * 3.0 ** (4.0 / 3.0))),
+        ],
+    )
+    def test_large_time_values(self, d, r, regime, expect):
+        consts = env.EnvelopeConstants(c_beta_exponent=0.7)
+        v = env.envelope_diffusion_deriv(d, 0.5, _dpoint(2.0, r, 0.5), consts, case="local_large_time")
+        assert v.regime == regime
+        assert v.value == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("case,t", [("global", 1.0), ("local_small_time", 0.5), ("local_large_time", 2.0)])
+    def test_divergence_at_zero(self, d, case, t):
+        v = env.envelope_diffusion_deriv(d, 0.5, _dpoint(t, 0.0, 0.5), case=case)
+        assert v.regime == env.ON_DIAG
+        assert v.log_value == math.inf and v.value == math.inf
+
 
 class TestStableDerivativeEnvelope:
     def test_on_diagonal_power(self):
@@ -163,6 +223,80 @@ class TestStableDerivativeEnvelope:
             dv = env.envelope_stable_deriv(1, 1, 1.0, 0.5, p)
             vv = env.envelope_stable(2, 1.0, 0.5, p)
             assert dv.log_value == pytest.approx(vv.log_value, rel=1e-12)
+
+    # alpha = 1, t = 1/4, beta = 1/2: Omega = 2 r, the far-tail threshold is 2
+    @pytest.mark.parametrize(
+        "d,k,r,regime,expect",
+        [
+            (1, 1, 0.25, env.ON_DIAG, 8.0),  # t^{-1} Omega^{-1}
+            (1, 2, 0.25, env.ON_DIAG, 32.0),  # t^{-3/2} Omega^{-2}
+            (1, 1, 0.75, env.INTERMEDIATE, 32.0 / 27.0),  # t^{-1} Omega^{-3}, d + k in the tail
+            (2, 1, 1.5, env.FAR_TAIL, 4.0 / 27.0),  # t^{-1} Omega^{-3}, d alone in the tail
+        ],
+    )
+    def test_small_time_values(self, d, k, r, regime, expect):
+        v = env.envelope_stable_deriv(d, k, 1.0, 0.5, _spoint(0.25, r, 0.5, 1.0), case="local_small_time")
+        assert v.regime == regime
+        assert v.value == pytest.approx(expect, rel=1e-12)
+
+    # alpha = 3/2, t = 2, beta = 1/2: r^{alpha - d - k} on the diagonal, r^{-alpha - d} off it
+    @pytest.mark.parametrize(
+        "d,k,r,regime,expect",
+        [
+            (1, 1, 0.5, env.ON_DIAG, math.sqrt(2.0)),
+            (2, 1, 0.5, env.ON_DIAG, 2.0 * math.sqrt(2.0)),
+            (1, 1, 3.0, env.OFF_DIAG, 3.0 ** -2.5),
+            (2, 2, 3.0, env.OFF_DIAG, 3.0 ** -3.5),
+        ],
+    )
+    def test_large_time_values(self, d, k, r, regime, expect):
+        v = env.envelope_stable_deriv(d, k, 1.5, 0.5, _spoint(2.0, r, 0.5, 1.5), case="local_large_time")
+        assert v.regime == regime
+        assert v.value == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("case,t", [("global", 1.0), ("local_small_time", 0.5), ("local_large_time", 2.0)])
+    def test_divergence_at_zero(self, d, case, t):
+        v = env.envelope_stable_deriv(d, 1, 1.5, 0.5, _spoint(t, 0.0, 0.5, 1.5), case=case)
+        assert v.regime == env.ON_DIAG
+        assert v.log_value == math.inf and v.value == math.inf
+
+
+_SHAPES = {
+    "diffusion": lambda d, beta, p, **kw: env.envelope_diffusion(d, beta, p),
+    "stable": lambda d, beta, p, **kw: env.envelope_stable(d, 1.5, beta, p),
+    "diffusion_deriv": lambda d, beta, p, **kw: env.envelope_diffusion_deriv(d, beta, p, **kw),
+    "stable_deriv": lambda d, beta, p, **kw: env.envelope_stable_deriv(d, 1, 1.5, beta, p, **kw),
+}
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_dimension_below_one(self, shape, d):
+        family = shape.split("_")[0]
+        p = _dpoint(1.0, 0.5, 0.5) if family == "diffusion" else _spoint(1.0, 0.5, 0.5, 1.5)
+        with pytest.raises(DomainError):
+            _SHAPES[shape](d, 0.5, p)
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5])
+    def test_beta_outside_unit_interval(self, shape, beta):
+        family = shape.split("_")[0]
+        # t < 1 and Omega = 3 off the diagonal: the small-time case reaches its threshold
+        p = env.RegimePoint(t=0.5, r=1.0, omega=3.0, regime=env.OFF_DIAG, family=family,
+                            alpha=None if family == "diffusion" else 1.5)
+        kw = {"case": "local_small_time"} if shape.endswith("deriv") else {}
+        with pytest.raises(DomainError):
+            _SHAPES[shape](1, beta, p, **kw)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5])
+    def test_beta_checked_by_regime_helpers(self, beta):
+        with pytest.raises(DomainError):
+            env.compute_omega("diffusion", t=0.5, r=1.0, beta=beta)
+        p = env.RegimePoint(t=0.5, r=1.0, omega=3.0, regime=env.OFF_DIAG, family="diffusion")
+        with pytest.raises(DomainError):
+            env.derivative_regime(p, beta, "diffusion")
 
 
 class TestGlobalize:
