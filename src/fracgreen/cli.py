@@ -140,12 +140,8 @@ def _cmd_green(p, fmt, out, config):
     kernel = _build_kernel(p)
     beta = float(p["beta"])
     t = float(p["t"])
-    d = getattr(kernel, "d", 1)
-    x = p.get("x", [0.0] * d)
-    y = p.get("y", [0.0] * d)
-    if isinstance(kernel, K.VariableDiffusion1D):
-        x = float(np.atleast_1d(np.asarray(x, float))[0])
-        y = float(np.atleast_1d(np.asarray(y, float))[0])
+    x = p.get("x", [0.0] * kernel.d)
+    y = p.get("y", [0.0] * kernel.d)
     k = int(p.get("derivative", 0))
     req = S.FracGreenRequest(kernel=kernel, beta=beta, t=t, x=x, y=y, derivative_order=k)
     res = S.frac_green_detailed(req)
@@ -172,7 +168,7 @@ def _cmd_envelope(p, fmt, out, config):
         c_beta_exponent=float(p.get("c_beta", 1.0)),
         horizon_T=p.get("horizon"),
     )
-    family = "diffusion" if theorem.startswith(("3.1", "4.1")) else "stable"
+    family = H.theorem_family(theorem)
     rows = []
     for r in r_values:
         point = env.compute_omega(family, t, r, beta, alpha=alpha)

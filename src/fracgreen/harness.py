@@ -29,13 +29,7 @@ from scipy import stats as sps
 from scipy.optimize import minimize_scalar
 
 from . import envelopes as env
-from .errors import DomainError, FitError, SpecError
-from .kernels import (
-    AnisotropicStable2D,
-    ConstantDiffusion,
-    IsotropicStable,
-    VariableDiffusion1D,
-)
+from .errors import CapabilityError, DomainError, FitError, SpecError
 from .specfun import _beta_value
 from .subordination import FracGreenRequest, frac_green_detailed
 
@@ -46,6 +40,7 @@ __all__ = [
     "default_grid",
     "verify_envelope",
     "verify_derivative_envelope",
+    "theorem_family",
     "envelope_value",
     "fit_constants",
     "report_to_json",
@@ -88,18 +83,17 @@ class SweepGrid:
             raise SpecError("grid must contain t and r values")
 
 
+def theorem_family(theorem):
+    """The envelope family a theorem selector covers."""
+    if theorem not in THEOREM_FAMILY:
+        raise SpecError(f"unknown theorem selector {theorem!r}")
+    return THEOREM_FAMILY[theorem]
+
+
 def _kernel_traits(kernel):
-    if isinstance(kernel, ConstantDiffusion):
-        return "diffusion", kernel.d, None
-    if isinstance(kernel, IsotropicStable):
-        if kernel.alpha >= 2.0:
-            raise SpecError("envelope verification excludes the alpha = 2 sanity limit")
-        return "stable", kernel.d, kernel.alpha
-    if isinstance(kernel, AnisotropicStable2D):
-        return "stable", 2, kernel.alpha
-    if isinstance(kernel, VariableDiffusion1D):
-        return "diffusion", 1, None
-    raise SpecError(f"unsupported kernel {type(kernel).__name__}")
+    if kernel.alpha is not None and kernel.alpha >= 2.0:
+        raise SpecError("envelope verification excludes the alpha = 2 sanity limit")
+    return kernel.envelope_family, kernel.d, kernel.alpha
 
 
 def default_grid(theorem, kernel, beta, horizon=None, per_decade=5, include_r0=True, k=0):
@@ -108,7 +102,7 @@ def default_grid(theorem, kernel, beta, horizon=None, per_decade=5, include_r0=T
     family, d, alpha = _kernel_traits(kernel)
     expo = 2.0 if family == "diffusion" else alpha
     if theorem in LOCAL_THEOREMS:
-        T = horizon if horizon is not None else getattr(kernel, "horizon", None)
+        T = horizon if horizon is not None else kernel.horizon
         if T is None:
             raise SpecError("local theorems require a horizon")
         ts = np.geomspace(T / 20.0, T, 7)
@@ -237,26 +231,23 @@ class VerificationReport:
 
 def _eval_point(kernel, beta, t, r, k):
     """(log G or log |dG|, skip flag) at radius r along the first axis."""
-    d = getattr(kernel, "d", 1)
-    if isinstance(kernel, VariableDiffusion1D):
-        x, y = r, 0.0
-    else:
-        x = np.zeros(d)
-        x[0] = r
-        y = np.zeros(d)
-    req = FracGreenRequest(kernel=kernel, beta=beta, t=t, x=x, y=y, derivative_order=k)
-    if k == 0:
-        res = frac_green_detailed(req)
-        return res.log_value, False
-    if r == 0.0:
+    x = np.zeros(kernel.d)
+    x[0] = r
+    req = FracGreenRequest(kernel=kernel, beta=beta, t=t, x=x, y=np.zeros(kernel.d), derivative_order=k)
+    if k > 0 and r == 0.0:
         # odd symmetry: first derivative vanishes identically on the diagonal
         return -math.inf, True
-    res = frac_green_detailed(req)
-    return res.log_value, False
+    return frac_green_detailed(req).log_value, False
+
+
+def _check_envelope_order(family, k):
+    if family == "diffusion" and k > 1:
+        raise CapabilityError("diffusion derivative envelopes are first order only")
 
 
 def envelope_value(family, d, alpha, beta, k, point, consts, case="global"):
     """The envelope shape for a family and derivative order k (0: the value)."""
+    _check_envelope_order(family, k)
     if k == 0:
         if family == "diffusion":
             return env.envelope_diffusion(d, beta, point, consts)
@@ -267,7 +258,7 @@ def envelope_value(family, d, alpha, beta, k, point, consts, case="global"):
 
 
 def _collect_points(kernel, beta, grid, k, consts, family, d, alpha, case="global", horizon=None):
-    tasks = []
+    rows = []
     for t in grid.t_values:
         if horizon is not None and t > horizon * (1 + 1e-12):
             continue
@@ -275,48 +266,39 @@ def _collect_points(kernel, beta, grid, k, consts, family, d, alpha, case="globa
             continue
         if case == "local_large_time" and t <= 1.0:
             continue
+        t = float(t)
         for r in grid.r_values:
-            tasks.append((float(t), float(r)))
-
-    def one(tr):
-        t, r = tr
-        point = env.compute_omega(family, t, r, beta, alpha=alpha)
-        regime = point.regime
-        if case == "local_small_time":
-            regime = env.derivative_regime(point, beta, family)
-        try:
-            log_g, skipped = _eval_point(kernel, beta, t, r, k)
-        except DomainError:
-            # known on-diagonal divergence (d >= 2 / d >= alpha); the
-            # envelope shape diverges there too
-            return {
-                "t": t, "r": r, "omega": point.omega, "regime": regime,
-                "log_G": math.inf, "log_envelope": math.inf,
-                "log_ratio": math.nan, "flag": "skipped:diagonal-divergent",
-            }
-        except Exception as exc:  # per-point failures are flagged, not fatal
-            return {
-                "t": t, "r": r, "omega": point.omega, "regime": regime,
-                "log_G": math.nan, "log_envelope": math.nan,
-                "log_ratio": math.nan, "flag": f"error:{type(exc).__name__}",
-            }
-        log_env = envelope_value(family, d, alpha, beta, k, point, consts, case=case).log_value
-        if skipped:
-            flag = "skipped:diagonal-derivative"
-            log_ratio = math.nan
-        elif not np.isfinite(log_env):
-            flag = "skipped:envelope-divergent"
-            log_ratio = math.nan
-        else:
-            flag = "ok"
-            log_ratio = log_g - log_env
-        return {
-            "t": t, "r": r, "omega": point.omega, "regime": regime,
-            "log_G": log_g, "log_envelope": log_env,
-            "log_ratio": log_ratio, "flag": flag,
-        }
-
-    return [one(tr) for tr in tasks]
+            r = float(r)
+            point = env.compute_omega(family, t, r, beta, alpha=alpha)
+            regime = point.regime
+            if case == "local_small_time":
+                regime = env.derivative_regime(point, beta, family)
+            row = {"t": t, "r": r, "omega": point.omega, "regime": regime}
+            try:
+                log_g, skipped = _eval_point(kernel, beta, t, r, k)
+            except DomainError:
+                # known on-diagonal divergence (d >= 2 / d >= alpha); the
+                # envelope shape diverges there too
+                rows.append({**row, "log_G": math.inf, "log_envelope": math.inf,
+                             "log_ratio": math.nan, "flag": "skipped:diagonal-divergent"})
+                continue
+            except Exception as exc:  # per-point failures are flagged, not fatal
+                rows.append({**row, "log_G": math.nan, "log_envelope": math.nan,
+                             "log_ratio": math.nan, "flag": f"error:{type(exc).__name__}"})
+                continue
+            log_env = envelope_value(family, d, alpha, beta, k, point, consts, case=case).log_value
+            if skipped:
+                flag = "skipped:diagonal-derivative"
+                log_ratio = math.nan
+            elif not np.isfinite(log_env):
+                flag = "skipped:envelope-divergent"
+                log_ratio = math.nan
+            else:
+                flag = "ok"
+                log_ratio = log_g - log_env
+            rows.append({**row, "log_G": log_g, "log_envelope": log_env,
+                         "log_ratio": log_ratio, "flag": flag})
+    return rows
 
 
 def _spread(vals):
@@ -402,13 +384,12 @@ def _regime_stats(rows):
 def verify_envelope(theorem, kernel, beta, grid=None, consts=None, ratio_ceiling=1e3, horizon=None, fit_rate=True):
     """Two-sided envelope certification for one theorem/kernel/beta combo."""
     beta = _beta_value(beta)
-    if theorem not in THEOREM_FAMILY:
-        raise SpecError(f"unknown theorem selector {theorem!r}")
+    want_family = theorem_family(theorem)
     family, d, alpha = _kernel_traits(kernel)
-    if family != THEOREM_FAMILY[theorem]:
-        raise SpecError(f"theorem {theorem} expects a {THEOREM_FAMILY[theorem]} kernel")
+    if family != want_family:
+        raise SpecError(f"theorem {theorem} expects a {want_family} kernel")
     if theorem in LOCAL_THEOREMS:
-        horizon = horizon if horizon is not None else getattr(kernel, "horizon", None)
+        horizon = horizon if horizon is not None else kernel.horizon
         if horizon is None:
             raise SpecError("local theorems require a horizon")
     consts = consts or env.EnvelopeConstants(horizon_T=horizon)
@@ -523,8 +504,9 @@ def verify_derivative_envelope(prop, kernel, beta, k=1, grid=None, consts=None, 
     family, d, alpha = _kernel_traits(kernel)
     if family != want_family:
         raise SpecError(f"{prop} expects a {want_family} kernel")
+    _check_envelope_order(family, k)
     if case != "global":
-        horizon = horizon if horizon is not None else getattr(kernel, "horizon", None)
+        horizon = horizon if horizon is not None else kernel.horizon
         if horizon is None:
             raise SpecError("local propositions require a horizon")
     consts = consts or env.EnvelopeConstants(horizon_T=horizon)

@@ -17,6 +17,21 @@ Families:
   solution of ``du/dt = a u'' + b u' + c u`` on a truncated line, with
   Rannacher start-up for the point-mass initial condition and a cached time
   history for subordination quadrature.
+
+Every family answers the subordination rule's questions itself, through
+
+* ``family`` (its name), ``envelope_family`` (``"diffusion"`` or
+  ``"stable"``), ``d``, ``alpha`` (``None`` for the diffusion families) and
+  ``horizon`` (``None`` unless the kernel is only valid up to a finite time);
+* ``max_derivative_order()``;
+* ``base_integrand(x, y, k, s_need)``, which returns the log|d^k G(s, x, y)|
+  and sign as a function of an array of base times s (``None`` where the
+  derivative vanishes identically), the scale ``q_scale`` of the kernel's
+  small-time decay, and the base time the rule must not pass (``None``
+  without a limit; ``s_need`` is the time the rule's window would like to
+  reach).  It raises ``DomainError`` where the fractional kernel is known
+  to diverge on the diagonal (Gaussian: k = 2, or k = 0 with d >= 2;
+  isotropic stable: k = 0 with d >= alpha).
 """
 
 from __future__ import annotations
@@ -68,6 +83,11 @@ def _alpha_value(alpha) -> float:
     return StableOrder(float(alpha)).alpha
 
 
+def _distance(x, y) -> float:
+    dx = np.atleast_1d(np.asarray(x, dtype=float)) - np.atleast_1d(np.asarray(y, dtype=float))
+    return float(np.sqrt((dx * dx).sum()))
+
+
 # ---------------------------------------------------------------------------
 # constant-coefficient diffusion
 # ---------------------------------------------------------------------------
@@ -76,6 +96,8 @@ class ConstantDiffusion:
     """Divergence-form generator with constant SPD diffusion matrix."""
 
     family = "constant_diffusion"
+    envelope_family = "diffusion"
+    alpha = None
 
     def __init__(self, d, matrix=None):
         self.d = int(d)
@@ -129,6 +151,26 @@ class ConstantDiffusion:
         if k == 1:
             return -w[coord] / (2.0 * t) * g
         return ((w[coord] / (2.0 * t)) ** 2 - self._inv[coord, coord] / (2.0 * t)) * g
+
+    def base_integrand(self, x, y, k, s_need):
+        """d^k G / dx_0^k for the subordination rule (see the module docstring)."""
+        if _distance(x, y) == 0.0 and (k == 2 or (k == 0 and self.d >= 2)):
+            raise DomainError("fractional kernel diverges on the diagonal for d + k >= 2")
+        dx, q = self._quad_form(x, y)
+        if k == 0:
+            return (lambda s: (self.log_value(s, x, y), 1.0)), q, None
+        w1 = float((self._inv @ dx)[0])
+        a = float(self._inv[0, 0])
+        if k == 1 and w1 == 0.0:
+            return None, q, None
+
+        def logdk(s):
+            # d^k G = factor * G; for k = 2 the factor changes sign at s = w1^2 / 2a
+            factor = -w1 / (2.0 * s) if k == 1 else (w1 / (2.0 * s)) ** 2 - a / (2.0 * s)
+            with np.errstate(divide="ignore"):  # log 0 at the sign change
+                return np.log(np.abs(factor)) + self.log_value(s, x, y), np.sign(factor)
+
+        return logdk, q, None
 
 
 def gaussian_kernel(spec: ConstantDiffusion, t, x, y) -> float:
@@ -328,6 +370,7 @@ class IsotropicStable:
     """Rotationally invariant stable generator with symbol -|xi|^alpha."""
 
     family = "isotropic_stable"
+    envelope_family = "stable"
 
     def __init__(self, d, alpha):
         self.d = int(d)
@@ -400,6 +443,25 @@ class IsotropicStable:
         mag = np.abs(t ** (-2.0 / self.alpha) * dmag)
         out = math.copysign(1.0, -rr) * mag if rr != 0.0 else np.zeros_like(t)
         return float(out) if out.ndim == 0 else out
+
+    def base_integrand(self, x, y, k, s_need):
+        """G (any d) or dG/dx (d = 1) for the subordination rule (see the module docstring)."""
+        r = _distance(x, y)
+        if r == 0.0 and k == 0 and self.d >= self.alpha:
+            raise DomainError("fractional kernel diverges on the diagonal for d >= alpha")
+        q = r ** self.alpha
+        if k == 0:
+            return (lambda s: (self.log_value(s, r), 1.0)), q, None
+        if r == 0.0:
+            return None, q, None
+        rr = float(np.atleast_1d(x)[0]) - float(np.atleast_1d(y)[0])
+        sign = -math.copysign(1.0, rr)
+
+        def logd1(s):
+            with np.errstate(divide="ignore"):
+                return np.log(np.abs(self.derivative(s, abs(rr), 0.0, k=1))), sign
+
+        return logd1, q, None
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +601,7 @@ class AnisotropicStable2D:
     """2-D stable generator with symbol -|xi|^alpha w_mu(xi/|xi|)."""
 
     family = "anisotropic_stable_2d"
+    envelope_family = "stable"
 
     def __init__(self, alpha, spectral_measure: SpectralMeasure):
         self.alpha = _alpha_value(alpha)
@@ -609,6 +672,29 @@ class AnisotropicStable2D:
 
     def max_derivative_order(self) -> int:
         return 0
+
+    def base_integrand(self, x, y, k, s_need):
+        """G for the subordination rule (see the module docstring)."""
+        xv = np.asarray(x, float) - np.asarray(y, float)
+        rho = float(np.hypot(xv[0], xv[1]))
+        # below s_cap the angular quadrature cannot resolve the narrow
+        # near-axis window; there the kernel is in its linear-in-s small-time
+        # regime, so extend from the value at s_cap with unit log-slope
+        s_cap = 0.0
+        if rho > 0.0:
+            s_cap = rho ** self.alpha / (400.0 ** self.alpha * float(np.min(self.w)))
+        anchor = {}
+
+        def logv(s):
+            if s <= s_cap:
+                if "log_cap" not in anchor:
+                    v_cap = self.value(s_cap, xv)
+                    anchor["log_cap"] = math.log(v_cap) if v_cap > 0 else -math.inf
+                return anchor["log_cap"] + math.log(s / s_cap)
+            v = self.value(s, xv)
+            return math.log(v) if v > 0 else -math.inf
+
+        return (lambda s: (np.array([logv(si) for si in s]), 1.0)), _distance(x, y) ** self.alpha, None
 
     def mass(self, t, half_width=None, n=401) -> float:
         """Numerical mass over a truncated square (tensor trapezoid)."""
@@ -691,7 +777,9 @@ class VariableDiffusion1D:
     """Fundamental solution of du/dt = a(x) u'' + b(x) u' + c(x) u, 0 < t <= horizon."""
 
     family = "variable_diffusion_1d"
+    envelope_family = "diffusion"
     d = 1
+    alpha = None
 
     def __init__(self, a, b=None, c=None, horizon=1.0, *, half_width=None, dx=0.01, dt=0.01):
         self.a = a if callable(a) else COEFFICIENT_BUILTINS[a]
@@ -823,6 +911,21 @@ class VariableDiffusion1D:
 
     def max_derivative_order(self) -> int:
         return 0
+
+    def base_integrand(self, x, y, k, s_need):
+        """G for the subordination rule (see the module docstring), clipped at
+        the time its history is simulated to: the horizon or s_need, whichever
+        is later, with 2 % to spare."""
+        t_sim = max(self.horizon, s_need) * 1.02
+        hist = self.history(float(np.atleast_1d(y)[0]), t_max=t_sim)
+        xf = float(np.atleast_1d(x)[0])
+
+        def log_kernel(s):
+            v = np.array([hist.eval(si, xf) for si in s])
+            with np.errstate(divide="ignore"):
+                return np.where(v > 0.0, np.log(np.abs(v)), -np.inf), 1.0
+
+        return log_kernel, (xf - hist.y) ** 2, t_sim
 
     def grid_mass(self, t, y=0.0) -> float:
         hist = self.history(y, t_max=max(self.horizon, t))

@@ -9,13 +9,14 @@ density integral,
 
 has Laplace transform exp(-lambda^beta), and dt^{1/beta} S is the increment
 over dt.  The inverse subordinator is sampled by first passage of a
-discretized path; the crossing step is refined by rolling back to the last
-pre-crossing state and re-simulating from there with half the step (Markov
-property keeps the law exact as the bracket shrinks).
+discretized path: the step starts at ``McConfig.time_step`` and is halved
+until it is below ``bracket_tol``, every path is marched at that step until
+it crosses the level, and the estimate is the midpoint of the crossing
+bracket.
 
 Randomness comes from counter-based Philox streams: one root key per
-campaign, one jump per task, so parallel runs reproduce bit-for-bit
-independent of scheduling.
+campaign and one jump per task (the three orders of ``comparison_check``), so
+a campaign reproduces bit-for-bit from its seed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, CertificateError, DomainError
-from .kernels import ConstantDiffusion, IsotropicStable
 from .specfun import _beta_value
 
 __all__ = [
@@ -254,23 +254,22 @@ class EmpiricalDensity:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
+def _position_given_time(kernel, e_t, rng):
+    """Samples of X(E_t) given those of E_t, for the d = 1 families simulated
+    directly: Brownian motion with variance 2 a s, and the symmetric
+    alpha-stable process with scale s^{1/alpha}."""
+    if kernel.d == 1 and kernel.family == "constant_diffusion":
+        return np.sqrt(2.0 * float(kernel.matrix[0, 0]) * e_t) * rng.standard_normal(e_t.size)
+    if kernel.d == 1 and kernel.family == "isotropic_stable":
+        return e_t ** (1.0 / kernel.alpha) * sample_symmetric_stable(kernel.alpha, rng, size=e_t.size)
+    raise CapabilityError(f"no direct simulation for {type(kernel).__name__} in d = {kernel.d}")
+
+
 def subordinated_path_samples(kernel, beta, t, cfg: McConfig, rng=None):
     """Samples of X(E_t) for a simulable kernel family (d = 1)."""
     if rng is None:
         rng = rng_stream(cfg.seed)
-    e_t = sample_inverse_subordinator(beta, t, cfg, rng=rng)
-    n = cfg.sample_count
-    if isinstance(kernel, ConstantDiffusion):
-        if kernel.d != 1:
-            raise CapabilityError("direct simulation implemented for d = 1")
-        a = float(kernel.matrix[0, 0])
-        return np.sqrt(2.0 * a * e_t) * rng.standard_normal(n)
-    if isinstance(kernel, IsotropicStable):
-        if kernel.d != 1:
-            raise CapabilityError("direct simulation implemented for d = 1")
-        z = sample_symmetric_stable(kernel.alpha, rng, size=n)
-        return e_t ** (1.0 / kernel.alpha) * z
-    raise CapabilityError(f"no direct simulation for {type(kernel).__name__}")
+    return _position_given_time(kernel, sample_inverse_subordinator(beta, t, cfg, rng=rng), rng)
 
 
 def subordinated_density_mc(kernel, beta, t, cfg: McConfig, rng=None, span=None, pair_quadrature=True) -> EmpiricalDensity:
@@ -337,7 +336,8 @@ def comparison_check(nu: LevyKernelSpec, kernel, t, f, cfg: McConfig) -> Compari
 
     ``f`` must be non-increasing (sampled check); the mixture estimate of
     E[f(X(E_t))] is compared against the two pure stable reference orders of
-    the verified certificate, with 95% confidence intervals.
+    the verified certificate, with 95% confidence intervals.  X is the base
+    process of ``kernel``, one of the d = 1 families simulated directly.
     """
     cert = nu.certificate()
     probe = np.linspace(-10.0, 10.0, 201)
@@ -354,12 +354,7 @@ def comparison_check(nu: LevyKernelSpec, kernel, t, f, cfg: McConfig) -> Compari
         ]
     ):
         rng = rng_stream(cfg.seed, task=task)
-        e_t = sample_inverse_subordinator(beta, t, cfg, rng=rng, levy=levy)
-        if isinstance(kernel, ConstantDiffusion) and kernel.d == 1:
-            a = float(kernel.matrix[0, 0])
-            xs = np.sqrt(2.0 * a * e_t) * rng.standard_normal(cfg.sample_count)
-        else:
-            raise CapabilityError("comparison_check simulates the d = 1 diffusion family")
+        xs = _position_given_time(kernel, sample_inverse_subordinator(beta, t, cfg, rng=rng, levy=levy), rng)
         vals = np.asarray([f(v) for v in xs], dtype=float)
         ests[label] = _mc_mean_ci(vals)
 

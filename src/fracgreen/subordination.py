@@ -9,19 +9,21 @@ In zeta = ln z the integrand is sign * exp(phi), phi(zeta) = log|G(t^beta
 e^zeta, x, y)| + omega_beta(zeta) with omega_beta(zeta) = -zeta/beta +
 log w_beta(e^{-zeta/beta}).  phi is analytic and decays at both ends, so the
 trapezoid rule is spectrally accurate (Trefethen & Weideman, SIAM Review
-2014).  One rule serves every family and derivative order: nodes lie on the
-fixed dyadic lattice zeta = k _H0 / 2^L; a request's window starts from the
-analytic bounds of ``_scan_window`` and is extended, then trimmed, on level 0
-until phi at its ends is ``_DROP`` below the peak; h is then halved until the
-h/2h difference (relative to the sum of |integrand|) is below the family's
-tolerance.  That difference is the reported error estimate; reaching the
+2014).  One rule serves every family and derivative order; each family
+supplies its log|G| through ``base_integrand`` (see ``fracgreen.kernels``).
+Nodes lie on the fixed dyadic lattice zeta = k _H0 / 2^L; a request's window
+starts from the analytic bounds of ``_scan_window`` and is extended, then
+trimmed, on level 0 until phi at its ends is ``_DROP`` below the peak; h is
+then halved until the h/2h difference (relative to the sum of |integrand|) is
+below the family's tolerance.  That difference is the reported error estimate; reaching the
 finest level without it raises ``AccuracyError``.  omega_beta depends on beta
 alone: it is computed in log form and memoised per beta on the lattice in a
 bounded cache, so a sweep at one beta evaluates w_beta about once per node.
 
-The variable-coefficient kernel is only simulated up to a finite time: its
-window is clipped there, an integrand that has not decayed by the clip raises
-``HorizonError``, and the neglected weight mass is reported with the value.
+A family may clip the window at a base time (the variable-coefficient kernel
+is only simulated up to a finite time): an integrand that has not decayed by
+the clip raises ``HorizonError``, and the neglected weight mass is reported
+with the value.
 """
 
 from __future__ import annotations
@@ -34,12 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, CapabilityError, CoverageError, DomainError, HorizonError
-from .kernels import (
-    AnisotropicStable2D,
-    ConstantDiffusion,
-    IsotropicStable,
-    VariableDiffusion1D,
-)
 from .specfun import (
     FracOrder,
     _beta_value,
@@ -98,11 +94,12 @@ _ZETA_LIMIT = 600.0  # |zeta| beyond which a window is not extended
 # that family's own evaluation noise (interpolated profiles, per-node
 # quadratures, the piecewise-smooth Crank-Nicolson history)
 _FAMILY_TOL = {
-    ConstantDiffusion.family: 1e-10,
-    IsotropicStable.family: 1e-8,
-    AnisotropicStable2D.family: 1e-7,
-    VariableDiffusion1D.family: 1e-4,
+    "constant_diffusion": 1e-10,
+    "isotropic_stable": 1e-8,
+    "anisotropic_stable_2d": 1e-7,
+    "variable_diffusion_1d": 1e-4,
 }
+_TRUNC_MASS = 1e-8   # largest neglected weight mass beyond a clipped window
 
 
 class _WeightCache:
@@ -221,72 +218,6 @@ def _lattice_integral(log_kernel, beta, t, q_scale, tol, zeta_clip=None):
     )
 
 
-def _scalar_r(x, y):
-    dx = np.atleast_1d(np.asarray(x, dtype=float)) - np.atleast_1d(np.asarray(y, dtype=float))
-    return float(np.sqrt((dx * dx).sum()))
-
-
-def _base_log_kernel(kernel, x, y, k=0, coord=0):
-    """log|d^k G(s, x, y)| and its sign as a function of an array of base
-    times s, or None where the derivative vanishes identically."""
-    if isinstance(kernel, ConstantDiffusion):
-        if k == 0:
-            return lambda s: (kernel.log_value(s, x, y), 1.0)
-        dxv = np.atleast_1d(np.asarray(x, float)) - np.atleast_1d(np.asarray(y, float))
-        w1 = float((kernel._inv @ dxv)[coord])
-        a = float(kernel._inv[coord, coord])
-        if k == 1 and w1 == 0.0:
-            return None
-
-        def logdk(s):
-            # d^k G = factor * G; for k = 2 the factor changes sign at s = w1^2 / 2a
-            factor = -w1 / (2.0 * s) if k == 1 else (w1 / (2.0 * s)) ** 2 - a / (2.0 * s)
-            with np.errstate(divide="ignore"):  # log 0 at the sign change
-                return np.log(np.abs(factor)) + kernel.log_value(s, x, y), np.sign(factor)
-
-        return logdk
-    if isinstance(kernel, IsotropicStable):
-        r = _scalar_r(x, y)
-        if k == 0:
-            return lambda s: (kernel.log_value(s, r), 1.0)
-        if kernel.d != 1 or k > 1:
-            raise CapabilityError("stable derivatives: d = 1, k = 1")
-        if r == 0.0:
-            return None
-        rr = float(np.atleast_1d(x)[0]) - float(np.atleast_1d(y)[0])
-        sign = -math.copysign(1.0, rr)
-
-        def logd1(s):
-            with np.errstate(divide="ignore"):
-                return np.log(np.abs(kernel.derivative(s, abs(rr), 0.0, k=1))), sign
-
-        return logd1
-    if isinstance(kernel, AnisotropicStable2D):
-        if k > 0:
-            raise CapabilityError("anisotropic derivatives not supported")
-        xv = np.asarray(x, float) - np.asarray(y, float)
-        rho = float(np.hypot(xv[0], xv[1]))
-        # below s_cap the angular quadrature cannot resolve the narrow
-        # near-axis window; there the kernel is in its linear-in-s small-time
-        # regime, so extend from the value at s_cap with unit log-slope
-        s_cap = 0.0
-        if rho > 0.0:
-            s_cap = rho ** kernel.alpha / (400.0 ** kernel.alpha * float(np.min(kernel.w)))
-        anchor = {}
-
-        def logv(s):
-            if s <= s_cap:
-                if "log_cap" not in anchor:
-                    v_cap = kernel.value(s_cap, xv)
-                    anchor["log_cap"] = math.log(v_cap) if v_cap > 0 else -math.inf
-                return anchor["log_cap"] + math.log(s / s_cap)
-            v = kernel.value(s, xv)
-            return math.log(v) if v > 0 else -math.inf
-
-        return lambda s: (np.array([logv(si) for si in s]), 1.0)
-    raise CapabilityError(f"unsupported kernel family {type(kernel).__name__}")
-
-
 def _scan_window(beta, t, q_scale):
     """Generous zeta window: left end from kernel small-time decay, right
     end from the superexponential stable-weight decay."""
@@ -310,32 +241,30 @@ def frac_green_detailed(req: FracGreenRequest) -> FracGreenResult:
     log value, error estimate, node count and truncation bound."""
     beta = _beta_value(req.beta)
     t = float(req.t)
-    kernel = req.kernel
-
-    if isinstance(kernel, VariableDiffusion1D):
-        if req.derivative_order > 0:
-            raise CapabilityError("fd1d derivatives not supported")
-        return _frac_green_fd1d(kernel, beta, t, req.x, req.y)
-
-    if _scalar_r(req.x, req.y) == 0.0:
-        k = req.derivative_order
-        if isinstance(kernel, ConstantDiffusion) and (k == 2 or (k == 0 and kernel.d >= 2)):
-            raise DomainError("fractional kernel diverges on the diagonal for d + k >= 2")
-        if isinstance(kernel, IsotropicStable) and k == 0 and kernel.d >= kernel.alpha:
-            raise DomainError("fractional kernel diverges on the diagonal for d >= alpha")
-
-    log_kernel = _base_log_kernel(kernel, req.x, req.y, k=req.derivative_order)
+    tb = t ** beta
+    # base time by which the stable weight has decayed: the right end of the
+    # z-range a clipped family is asked to cover
+    s_need = tb * (55.0 / stable_exponent_constant(beta)) ** (1.0 - beta)
+    log_kernel, q_scale, s_clip = req.kernel.base_integrand(req.x, req.y, req.derivative_order, s_need)
     if log_kernel is None:
         return FracGreenResult(value=0.0, log_value=-math.inf)
-
-    if isinstance(kernel, ConstantDiffusion):
-        dxv = np.atleast_1d(np.asarray(req.x, float)) - np.atleast_1d(np.asarray(req.y, float))
-        q_scale = float(dxv @ kernel._inv @ dxv)
-    else:
-        q_scale = _scalar_r(req.x, req.y) ** getattr(kernel, "alpha", 2.0)
-
-    log_int, sign, err, nodes = _lattice_integral(log_kernel, beta, t, q_scale, _FAMILY_TOL[kernel.family])
-    return _result(log_int, sign, beta, err, nodes)
+    zeta_clip = None if s_clip is None else math.log(s_clip / tb)
+    log_int, sign, err, nodes = _lattice_integral(
+        log_kernel, beta, t, q_scale, _FAMILY_TOL[req.kernel.family], zeta_clip=zeta_clip
+    )
+    trunc = 0.0
+    if s_clip is not None:
+        # neglected weight beyond the clipped base time: u < u_min
+        u_min = (tb / s_clip) ** (1.0 / beta)
+        lw = stable_density_log(beta, u_min)
+        trunc = u_min * math.exp(lw) if lw > -700.0 else 0.0
+        if trunc > _TRUNC_MASS:
+            raise AccuracyError(
+                "fd1d simulation horizon too short for requested time",
+                estimate=math.exp(log_int - math.log(beta)),
+                achieved=trunc,
+            )
+    return _result(log_int, sign, beta, err, nodes, trunc=trunc)
 
 
 def frac_green(req: FracGreenRequest) -> float:
@@ -350,42 +279,6 @@ def frac_green_derivative(req: FracGreenRequest) -> float:
     if req.derivative_order < 1:
         raise DomainError("derivative_order must be >= 1")
     return frac_green_detailed(req).value
-
-
-_FD1D_TRUNC_MASS = 1e-8
-
-
-def _frac_green_fd1d(kernel: VariableDiffusion1D, beta, t, x, y) -> FracGreenResult:
-    c_beta = stable_exponent_constant(beta)
-    # right end of the z-range from the stable-weight decay; the simulation
-    # horizon is extended so everything up to that end is covered
-    z_hi = (55.0 / c_beta) ** (1.0 - beta)
-    t_sim = max(kernel.horizon, t ** beta * z_hi) * 1.02
-    hist = kernel.history(float(np.atleast_1d(y)[0]), t_max=t_sim)
-    xf = float(np.atleast_1d(x)[0])
-
-    def log_kernel(s):
-        v = np.array([hist.eval(si, xf) for si in s])
-        with np.errstate(divide="ignore"):
-            return np.where(v > 0.0, np.log(np.abs(v)), -np.inf), 1.0
-
-    q_scale = (xf - hist.y) ** 2
-    zeta_clip = math.log(t_sim / t ** beta)
-    log_int, _, err, nodes = _lattice_integral(
-        log_kernel, beta, t, q_scale, _FAMILY_TOL[kernel.family], zeta_clip=zeta_clip
-    )
-
-    # neglected weight beyond the simulated base-time horizon: u < u_min
-    u_min = (t ** beta / t_sim) ** (1.0 / beta)
-    lw = stable_density_log(beta, u_min)
-    trunc = u_min * math.exp(lw) if lw > -700.0 else 0.0
-    if trunc > _FD1D_TRUNC_MASS:
-        raise AccuracyError(
-            "fd1d simulation horizon too short for requested time",
-            estimate=math.exp(log_int - math.log(beta)),
-            achieved=trunc,
-        )
-    return _result(log_int, 1.0, beta, err, nodes, trunc=trunc)
 
 
 def frac_solve(kernel, beta, t, y_grid, y_values, x, mass_threshold=0.999) -> float:

@@ -82,6 +82,22 @@ class TestEnvelope:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "DomainError"
 
+    def test_diffusion_second_derivative_is_error_record(self):
+        code, out, err = run_cli(
+            "envelope", "--theorem", "3.1", "--d", "1", "--beta", "0.5",
+            "--derivative", "2", "--t", "1", "--r", "0.5", "2",
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "CapabilityError"
+
+    def test_unknown_theorem_is_error_record(self):
+        code, out, err = run_cli(
+            "envelope", "--theorem", "9.9", "--d", "1", "--alpha", "1",
+            "--beta", "0.5", "--t", "1", "--r", "2",
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "SpecError"
+
 
 class TestSpecfunKernel:
     def test_specfun_table(self, tmp_path):
@@ -144,6 +160,15 @@ class TestVerifyCommand:
         assert report["passed"] is True
         csv_lines = (tmp_path / "rep.csv").read_text().strip().splitlines()
         assert len(csv_lines) - 1 == len(report["points"])
+
+    def test_diffusion_second_derivative_is_error_record(self, tmp_path):
+        out_path = tmp_path / "rep.json"
+        code, out, err = run_cli(
+            "verify", "--prop", "prop3.1", "--beta", "0.5", "--k", "2", "--out", str(out_path),
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "CapabilityError"
+        assert not out_path.exists()
 
     def test_roundtrip_identity(self, tmp_path):
         out_path = tmp_path / "rep.json"

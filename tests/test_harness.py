@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from fracgreen import envelopes as E
 from fracgreen import harness as H
 from fracgreen import kernels as K
-from fracgreen.errors import FitError, SpecError
+from fracgreen.errors import CapabilityError, FitError, SpecError
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +158,19 @@ class TestVerifyDerivative:
         )
         regimes = {p["regime"] for p in rep.points if p["flag"] == "ok"}
         assert "far_tail" in regimes or "intermediate" in regimes
+
+    def test_diffusion_envelope_is_first_order_only(self):
+        point = E.compute_omega("diffusion", 1.0, 0.5, 0.5)
+        assert H.envelope_value("diffusion", 1, None, 0.5, 1, point, E.EnvelopeConstants()).value > 0
+        with pytest.raises(CapabilityError):
+            H.envelope_value("diffusion", 1, None, 0.5, 2, point, E.EnvelopeConstants())
+
+    def test_diffusion_k2_rejected_before_any_point(self, monkeypatch):
+        evaluated = []
+        monkeypatch.setattr(H, "_eval_point", lambda *args: evaluated.append(args))
+        with pytest.raises(CapabilityError):
+            H.verify_derivative_envelope("prop3.1", K.ConstantDiffusion(1), 0.5, k=2)
+        assert evaluated == []
 
     def test_unknown_prop(self):
         with pytest.raises(SpecError):

@@ -1,11 +1,15 @@
 """Tests for the base spatial Green's function families."""
 
+import ast
+import importlib
+import inspect
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fracgreen import harness as H
 from fracgreen import kernels as K
 from fracgreen.errors import CapabilityError, DomainError, HorizonError
 
@@ -286,3 +290,62 @@ class TestSpectralCsv:
         assert mu.values.shape == (64,)
         an = K.AnisotropicStable2D(1.1, mu)
         assert an.value(1.0, (0.5, 0.5)) > 0
+
+
+def _uniform_aniso():
+    return K.AnisotropicStable2D(1.5, K.SpectralMeasure.uniform(1.5))
+
+
+# (kernel factory, envelope traits, x, y, q_scale at (x, y))
+PROTOCOL_CASES = {
+    "gaussian": (lambda: K.ConstantDiffusion(2, [[2.0, 0.5], [0.5, 1.0]]), ("diffusion", 2, None),
+                 [1.0, 0.5], [0.0, 0.0], 4.0 / 7.0),
+    "stable": (lambda: K.IsotropicStable(1, 1.5), ("stable", 1, 1.5), [2.0], [0.0], 2.0**1.5),
+    "anisotropic": (_uniform_aniso, ("stable", 2, 1.5), [3.0, 4.0], [0.0, 0.0], 5.0**1.5),
+    "fd1d": (lambda: K.VariableDiffusion1D("one", horizon=0.5, dx=0.05, dt=0.05), ("diffusion", 1, None),
+             0.7, 0.2, 0.25),
+}
+
+
+class TestBaseKernelProtocol:
+    @pytest.mark.parametrize("family", sorted(PROTOCOL_CASES))
+    def test_traits_and_integrand(self, family):
+        make, traits, x, y, q_scale = PROTOCOL_CASES[family]
+        kernel = make()
+        assert (kernel.envelope_family, kernel.d, kernel.alpha) == traits
+        assert H._kernel_traits(kernel) == traits
+        log_kernel, q, clip = kernel.base_integrand(x, y, 0, 0.1)
+        assert q == pytest.approx(q_scale, rel=1e-14)
+        log_g, sign = log_kernel(np.array([0.3]))
+        assert np.all(np.isfinite(log_g)) and np.all(np.asarray(sign) == 1.0)
+        if family == "fd1d":
+            # history to the horizon or s_need, whichever is later, plus 2 %
+            assert clip == pytest.approx(0.51, rel=1e-14)
+            assert kernel.base_integrand(x, y, 0, 2.0)[2] == pytest.approx(2.04, rel=1e-14)
+        else:
+            assert clip is None
+
+    @pytest.mark.parametrize(
+        "kernel, k",
+        [(K.ConstantDiffusion(2), 0), (K.ConstantDiffusion(1), 2), (K.IsotropicStable(1, 0.8), 0)],
+    )
+    def test_diagonal_divergence_raised_by_family(self, kernel, k):
+        with pytest.raises(DomainError):
+            kernel.base_integrand([0.0] * kernel.d, [0.0] * kernel.d, k, 1.0)
+
+    @pytest.mark.parametrize(
+        "kernel, k", [(K.ConstantDiffusion(1), 1), (K.IsotropicStable(1, 1.5), 1)]
+    )
+    def test_odd_derivative_vanishes_on_diagonal(self, kernel, k):
+        assert kernel.base_integrand([0.0], [0.0], k, 1.0)[0] is None
+
+    @pytest.mark.parametrize("module", ["subordination", "harness", "mc"])
+    def test_callers_never_name_a_kernel_class(self, module):
+        classes = {"ConstantDiffusion", "IsotropicStable", "AnisotropicStable2D", "VariableDiffusion1D"}
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"fracgreen.{module}")))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+                assert not named & classes, f"{module}: isinstance on a kernel class, line {node.lineno}"
+            if module == "subordination" and isinstance(node, ast.ImportFrom):
+                assert node.module != "kernels", "subordination imports from kernels"

@@ -203,3 +203,17 @@ class TestComparison:
         cfg = M.McConfig(sample_count=1_000, seed=51)
         with pytest.raises(DomainError):
             M.comparison_check(nu, K.ConstantDiffusion(1), 1.0, lambda v: v, cfg)
+
+    def test_stable_base_process(self):
+        nu = M.LevyKernelSpec(components=((0.5, 0.4), (0.5, 0.6)))
+        cfg = M.McConfig(sample_count=2_000, seed=53, bracket_tol=4e-3)
+        f = lambda v: 1.0 if v <= 0.5 else 0.0
+        rep = M.comparison_check(nu, K.IsotropicStable(1, 1.5), 1.0, f, cfg)
+        assert isinstance(rep, M.ComparisonReport)
+        assert 0.5 < rep.estimate_mixture < 1.0
+
+    def test_unsimulated_family(self):
+        nu = M.LevyKernelSpec.pure(0.5)
+        an = K.AnisotropicStable2D(1.0, K.SpectralMeasure.uniform(1.0))
+        with pytest.raises(CapabilityError):
+            M.comparison_check(nu, an, 1.0, lambda v: 1.0, M.McConfig(sample_count=100, seed=1))
