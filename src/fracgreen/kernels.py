@@ -7,12 +7,19 @@ Families:
   exp{-(x-y)' A^{-1} (x-y) / (4t)}``, with closed-form spatial derivatives.
 * ``IsotropicStable(d, alpha)`` - Fourier inversion of ``exp(-t |xi|^alpha)``.
   Self-similarity reduces everything to the unit-time radial profile
-  ``P(rho)``; the profile is evaluated by closed forms (alpha = 1, 2), a
-  rotated-contour non-oscillatory integral, or oscillatory-weight quadrature,
-  and cached on splines for the subordination sweeps.
+  ``P(rho)`` (alpha = 2 is the Gaussian closed form).  The d = 1 profile,
+  its derivative and the d = 3 profile are Fourier moments
+  ``F_{m,trig}(sigma) = Int_0^inf xi^m e^{-xi^alpha} trig(sigma xi) dxi``:
+  ``P_1 = F_{0,cos}/pi``, ``P_1' = -F_{1,sin}/pi`` and
+  ``P_3 = F_{1,sin}/(2 pi^2 rho)``, all from ``_fourier_moment``; d = 2 is
+  a ``j0`` Hankel quadrature.  Far out (rho > 60 in d = 1, rho > 20 in
+  d >= 2) every profile is an inverse-power tail series summed by
+  ``_inverse_power_series``.  The d = 1 profile is cached on splines for
+  the subordination sweeps.
 * ``AnisotropicStable2D(alpha, mu)`` - symbol ``-|xi|^alpha w_mu(xi/|xi|)``
   with ``w_mu`` computed from a spectral density on the unit circle; the 2-D
-  inversion is an angular average of a 1-D radial transform.
+  inversion is an angular average of the radial cosine transform
+  ``C_alpha = F_{1,cos}``, cached on a spline with the tail series beyond.
 * ``VariableDiffusion1D(a, b, c, horizon)`` - Crank-Nicolson fundamental
   solution of ``du/dt = a u'' + b u' + c u`` on a truncated line, with
   Rannacher start-up for the point-mass initial condition and a cached time
@@ -31,7 +38,8 @@ Every family answers the subordination rule's questions itself, through
   without a limit; ``s_need`` is the time the rule's window would like to
   reach).  It raises ``DomainError`` where the fractional kernel is known
   to diverge on the diagonal (Gaussian: k = 2, or k = 0 with d >= 2;
-  isotropic stable: k = 0 with d >= alpha).
+  stable: k = 0 with d >= alpha, which always holds for the anisotropic
+  family).
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
-from scipy.special import dawsn, gammaln, j0
+from scipy.special import gammaln, j0
 
 from .errors import CapabilityError, DomainError, HorizonError
 
@@ -179,105 +187,99 @@ def gaussian_kernel(spec: ConstantDiffusion, t, x, y) -> float:
 
 
 # ---------------------------------------------------------------------------
-# isotropic stable radial profiles
+# stable profiles: one Fourier-moment transform, one tail series
 # ---------------------------------------------------------------------------
 
-def _profile_exact_d1(alpha, rho):
-    """Unit-time symmetric stable density in d=1 at radius rho (exact quad)."""
-    if alpha == 2.0:
-        return math.exp(-rho * rho / 4.0) / math.sqrt(4.0 * math.pi)
-    if alpha == 1.0:
-        return 1.0 / (math.pi * (1.0 + rho * rho))
-    if rho == 0.0:
-        return math.gamma(1.0 + 1.0 / alpha) / math.pi
-    if alpha < 1.0:
-        c, s = math.cos(math.pi * alpha / 2.0), math.sin(math.pi * alpha / 2.0)
-        if rho <= 1.0:
-            f = lambda v: math.exp(-rho * v - c * v ** alpha) * math.sin(s * v ** alpha)
-            val, _ = quad(f, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
-        else:
-            # u = rho v keeps the decay scale O(1)
-            f = lambda u: math.exp(-u - c * (u / rho) ** alpha) * math.sin(s * (u / rho) ** alpha)
-            val, _ = quad(f, 0.0, np.inf, epsabs=1e-14, epsrel=1e-11, limit=400)
-            val /= rho
-        return val / math.pi
-    # alpha in (1, 2): rotated ray for the far field, cosine weight near field
-    if rho <= 4.0:
-        xi_max = 40.0 ** (1.0 / alpha)
-        f = lambda xi: math.exp(-xi ** alpha)
-        val, _ = quad(f, 0.0, xi_max, weight="cos", wvar=rho, epsabs=1e-13, limit=400)
-        return val / math.pi
-    theta = math.pi / (2.0 * alpha)
-    st, ct = math.sin(theta), math.cos(theta)
-    f = lambda v: math.exp(-rho * v * st) * math.cos(theta + rho * v * ct - v ** alpha)
-    val, _ = quad(f, 0.0, np.inf, epsabs=1e-14, epsrel=1e-11, limit=400)
-    return val / math.pi
+def _fourier_moment(alpha, m, trig, sigma):
+    """F(sigma) = Int_0^inf xi^m e^{-xi^alpha} trig(sigma xi) dxi, ``trig`` "cos" or "sin".
 
-
-def _profile_deriv_exact_d1(alpha, rho):
-    """d/drho of the d=1 unit-time profile (exact quad)."""
-    if alpha == 2.0:
-        return -(rho / 2.0) * math.exp(-rho * rho / 4.0) / math.sqrt(4.0 * math.pi)
-    if alpha == 1.0:
-        return -2.0 * rho / (math.pi * (1.0 + rho * rho) ** 2)
-    if rho == 0.0:
-        return 0.0
-    if alpha < 1.0:
-        c, s = math.cos(math.pi * alpha / 2.0), math.sin(math.pi * alpha / 2.0)
-        f = lambda v: v * math.exp(-rho * v - c * v ** alpha) * math.sin(s * v ** alpha)
-        val, _ = quad(f, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
-        return -val / math.pi
-    if rho <= 4.0:
-        xi_max = 42.0 ** (1.0 / alpha)
-        f = lambda xi: xi * math.exp(-xi ** alpha)
-        val, _ = quad(f, 0.0, xi_max, weight="sin", wvar=rho, epsabs=1e-13, limit=400)
-        return -val / math.pi
-    theta = math.pi / (2.0 * alpha)
-    st, ct = math.sin(theta), math.cos(theta)
-    f = lambda v: v * math.exp(-rho * v * st) * math.sin(2.0 * theta + rho * v * ct - v ** alpha)
-    val, _ = quad(f, 0.0, np.inf, epsabs=1e-14, epsrel=1e-11, limit=400)
-    return -val / math.pi
-
-
-def _tail_series_d1(alpha, rho, deriv=False):
-    """Inverse-power tail of the d=1 profile (convergent for alpha < 1,
-    truncation-optimal asymptotic for alpha > 1), vectorised over rho.
-
-    Each row sums its terms in order up to the first that grows (asymptotic
-    regime: stop at the smallest term) or through the first below 1e-17 of
-    the partial sum.
+    Closed forms at sigma = 0 (any m) and at alpha = 1; otherwise m is 0 or
+    1.  For alpha < 1, and for alpha > 1 in the far field (sigma > 4), the
+    integral is taken along the ray xi = v e^{i theta} on which the
+    oscillation no longer fights the decay: the contour theta = pi/2 and
+    the ray theta = pi/(2 alpha), the standard rotations for stable
+    densities (Nolan, Stoch. Models 1997).  Near the origin, alpha > 1 uses
+    oscillatory-weight quadrature on the real axis, cut where
+    xi^m e^{-xi^alpha} falls below e^{-40}.
     """
-    rho = np.asarray(rho, dtype=float).reshape(-1, 1)
-    k = np.arange(1, 200, dtype=float)
-    sk = np.sin(math.pi * k * alpha / 2.0)
-    keep = np.abs(sk) >= 1e-12  # vanishing coefficient (integer k*alpha/2), not convergence
-    k, sk = k[keep], sk[keep]
-    lg = gammaln(k * alpha + 1.0) - gammaln(k + 1.0)
-    terms = np.exp(lg - (k * alpha + 1.0) * np.log(rho)) * (sk * (-1.0) ** (k + 1))
-    if deriv:
-        terms = terms * (-(k * alpha + 1.0) / rho)
-    mag, partial, n = np.abs(terms), np.cumsum(terms, axis=1), k.size
+    sigma = abs(float(sigma))  # a numpy scalar would slow every integrand call
+    if sigma == 0.0:
+        return math.gamma((m + 1.0) / alpha) / alpha if trig == "cos" else 0.0
+    if alpha == 1.0:
+        z = math.factorial(m) / complex(1.0, -sigma) ** (m + 1)
+        return z.real if trig == "cos" else z.imag
+    if alpha > 1.0 and sigma <= 4.0:
+        f = (lambda xi: xi * math.exp(-xi ** alpha)) if m else (lambda xi: math.exp(-xi ** alpha))
+        val, _ = quad(f, 0.0, (40.0 + 2.0 * m) ** (1.0 / alpha), weight=trig, wvar=sigma,
+                      epsabs=1e-13, limit=400)
+        return val
+    theta = math.pi / 2.0 if alpha < 1.0 else math.pi / (2.0 * alpha)
+    # on the ray xi^alpha = v^alpha (a + i b) and i sigma xi = (-damp + i drift) v
+    a, b = math.cos(alpha * theta), math.sin(alpha * theta)
+    damp, drift, phase = sigma * math.sin(theta), sigma * math.cos(theta), (m + 1) * theta
+    wave, exp = getattr(math, trig), math.exp
+
+    def f0(v):
+        va = v ** alpha
+        return exp(-damp * v - a * va) * wave(phase + drift * v - b * va)
+
+    def f1(v):  # v * f0(v) written out: the nested call would cost a third more
+        va = v ** alpha
+        return v * exp(-damp * v - a * va) * wave(phase + drift * v - b * va)
+
+    val, _ = quad(f1 if m else f0, 0.0, np.inf, epsabs=1e-13 if alpha < 1.0 else 1e-14,
+                  epsrel=1e-11, limit=400)
+    return val
+
+
+def _inverse_power_series(log_coef, weight, power, x):
+    """Sum_k weight_k e^{log_coef_k} x^{-power_k}, vectorised over x.
+
+    Terms whose weight vanishes (|weight| < 1e-12: a trig factor at a
+    multiple of pi) are dropped.  The tails below converge for alpha < 1
+    and are asymptotic for alpha > 1, so each x sums its terms in order up
+    to the first that grows (stop at the smallest term) or through the
+    first below 1e-17 of the partial sum.
+    """
+    keep = np.abs(weight) >= 1e-12
+    log_coef, weight, power = log_coef[keep], weight[keep], power[keep]
+    log_x = np.log(np.asarray(x, dtype=float)).reshape(-1, 1)
+    terms = np.exp(log_coef - power * log_x) * weight
+    mag, partial, n = np.abs(terms), np.cumsum(terms, axis=1), weight.size
     grows = np.where(mag[:, 1:] > mag[:, :-1], np.arange(1, n), n).min(axis=1, initial=n)
     tiny = np.where(mag < 1e-17 * np.maximum(np.abs(partial), 1e-300), np.arange(1, n + 1), n).min(axis=1, initial=n)
-    return partial[np.arange(rho.shape[0]), np.minimum(grows, tiny) - 1] / math.pi
+    return partial[np.arange(log_x.shape[0]), np.minimum(grows, tiny) - 1]
+
+
+def _fourier_moment_tail(alpha, m, trig, sigma):
+    """Large-sigma series of ``_fourier_moment``: expanding e^{-xi^alpha} and
+    transforming termwise gives, with p = k alpha + m + 1,
+
+        sum_{k>=0} (-1)^k Gamma(p) / k! * trig(pi p / 2) * sigma^{-p}.
+    """
+    k = np.arange(200, dtype=float)
+    p = k * alpha + m + 1.0
+    weight = (-1.0) ** k * getattr(np, trig)(math.pi * p / 2.0)
+    return _inverse_power_series(gammaln(p) - gammaln(k + 1.0), weight, p, sigma)
 
 
 _TAIL_RHO = 60.0
 
 
 class _StableProfile1D:
-    """Spline-cached unit-time profile P(rho) and P'(rho) for d=1."""
+    """Spline-cached unit-time profile P(rho) = F_{0,cos}/pi and its
+    derivative P'(rho) = -F_{1,sin}/pi for d=1."""
 
     def __init__(self, alpha):
         self.alpha = float(alpha)
+        value = lambda r: _fourier_moment(self.alpha, 0, "cos", r) / math.pi
+        deriv = lambda r: -_fourier_moment(self.alpha, 1, "sin", r) / math.pi
         rho_near = np.linspace(0.0, 2.0, 241)
-        self._near = CubicSpline(rho_near, [_profile_exact_d1(self.alpha, r) for r in rho_near])
-        self._near_d = CubicSpline(rho_near, [_profile_deriv_exact_d1(self.alpha, r) for r in rho_near])
+        self._near = CubicSpline(rho_near, [value(r) for r in rho_near])
+        self._near_d = CubicSpline(rho_near, [deriv(r) for r in rho_near])
         lr = np.linspace(math.log(2.0), math.log(_TAIL_RHO), 220)
-        self._far = CubicSpline(lr, [math.log(_profile_exact_d1(self.alpha, math.exp(s))) for s in lr])
-        self._far_d = CubicSpline(
-            lr, [math.log(-_profile_deriv_exact_d1(self.alpha, math.exp(s))) for s in lr]
-        )
+        self._far = CubicSpline(lr, [math.log(value(math.exp(s))) for s in lr])
+        self._far_d = CubicSpline(lr, [math.log(-deriv(math.exp(s))) for s in lr])
 
     def _piecewise(self, rho, near, far, tail):
         """Near spline in rho, far spline in log rho, tail series beyond _TAIL_RHO."""
@@ -287,14 +289,14 @@ class _StableProfile1D:
 
     def log_value(self, rho):
         return self._piecewise(rho, lambda r: np.log(self._near(r)), self._far,
-                               lambda r: np.log(_tail_series_d1(self.alpha, r)))
+                               lambda r: np.log(_fourier_moment_tail(self.alpha, 0, "cos", r) / math.pi))
 
     def value(self, rho):
         return np.exp(self.log_value(rho))
 
     def deriv(self, rho):
         return self._piecewise(rho, self._near_d, lambda lr: -np.exp(self._far_d(lr)),
-                               lambda r: _tail_series_d1(self.alpha, r, deriv=True))
+                               lambda r: -_fourier_moment_tail(self.alpha, 1, "sin", r) / math.pi)
 
 
 @lru_cache(maxsize=32)
@@ -302,68 +304,47 @@ def _profile_1d(alpha: float) -> _StableProfile1D:
     return _StableProfile1D(alpha)
 
 
-def _tail_series_radial(alpha, d, rho):
-    """Inverse-power tail of the d-dimensional radial profile.
+_RADIAL_TAIL_RHO = 20.0
 
-    Termwise Hankel transform of the symbol expansion gives
+
+def _radial_tail(alpha, d, rho):
+    """Inverse-power tail of the d-dimensional radial profile, vectorised
+    over rho.  d = 3 is P = F_{1,sin}/(2 pi^2 rho); otherwise the termwise
+    Hankel transform of the symbol expansion gives
 
         sum_{k>=1} (-1)^{k+1} 2^{k alpha} Gamma((d + k alpha)/2)
         Gamma(1 + k alpha/2) sin(pi k alpha/2) / (pi^{d/2+1} k!)
-        * rho^{-d - k alpha},
-
-    convergent for alpha < 1 and truncation-optimal asymptotic for alpha > 1.
+        * rho^{-d - k alpha}.
     """
-    total = 0.0
-    prev = math.inf
-    for k in range(1, 200):
-        sk = math.sin(math.pi * k * alpha / 2.0)
-        if abs(sk) < 1e-12:
-            continue
-        lg = (
-            k * alpha * math.log(2.0)
-            + gammaln((d + k * alpha) / 2.0)
-            + gammaln(1.0 + k * alpha / 2.0)
-            - gammaln(k + 1.0)
-            - (d + k * alpha) * math.log(rho)
-        )
-        term = math.exp(lg) * sk * (-1.0) ** (k + 1)
-        if abs(term) > prev:
-            break
-        total += term
-        if abs(term) < 1e-17 * max(abs(total), 1e-300):
-            break
-        prev = abs(term)
-    return total / math.pi ** (d / 2.0 + 1.0)
+    if d == 3:
+        return _fourier_moment_tail(alpha, 1, "sin", rho) / (2.0 * math.pi ** 2 * np.asarray(rho, dtype=float))
+    k = np.arange(1, 200, dtype=float)
+    ka = k * alpha
+    log_coef = ka * math.log(2.0) + gammaln((d + ka) / 2.0) + gammaln(1.0 + ka / 2.0) - gammaln(k + 1.0)
+    weight = (-1.0) ** (k + 1) * np.sin(math.pi * ka / 2.0)
+    return _inverse_power_series(log_coef, weight, d + ka, rho) / math.pi ** (d / 2.0 + 1.0)
 
 
-def _profile_exact_radial(alpha, d, rho):
-    """Unit-time radial profile for d in {2, 3}."""
-    if alpha == 2.0:
-        return math.exp(-rho * rho / 4.0) / (4.0 * math.pi) ** (d / 2.0)
-    if alpha == 1.0:
+def _profile_radial(alpha, d, rho):
+    """Unit-time radial profile for d in {2, 3} at rho <= _RADIAL_TAIL_RHO."""
+    if alpha == 1.0:  # Poisson kernel, any d
         cd = math.gamma((d + 1.0) / 2.0) / math.pi ** ((d + 1.0) / 2.0)
         return cd / (1.0 + rho * rho) ** ((d + 1.0) / 2.0)
-    if rho > 20.0:
-        return _tail_series_radial(alpha, d, rho)
-    xi_max = 40.0 ** (1.0 / alpha)
-    if d == 2:
-        f = lambda xi: math.exp(-xi ** alpha) * j0(xi * rho) * xi
-        pieces = np.unique(np.concatenate([[0.0, xi_max],
-            [(k - 0.25) * math.pi / rho for k in range(1, 60) if rho > 0 and (k - 0.25) * math.pi / rho < xi_max]]))
-        val = 0.0
-        for lo, hi in zip(pieces[:-1], pieces[1:]):
-            v, _ = quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
-            val += v
-        return val / (2.0 * math.pi)
     if d == 3:
-        if rho == 0.0:
-            f0 = lambda xi: math.exp(-xi ** alpha) * xi * xi
-            val, _ = quad(f0, 0.0, xi_max, epsabs=1e-13, limit=300)
-            return val / (2.0 * math.pi ** 2)
-        f = lambda xi: math.exp(-xi ** alpha) * xi
-        val, _ = quad(f, 0.0, xi_max, weight="sin", wvar=rho, epsabs=1e-13, limit=400)
-        return val / (2.0 * math.pi ** 2 * rho)
-    raise CapabilityError("isotropic stable kernels implemented for d in {1, 2, 3}")
+        if rho == 0.0:  # sin(rho xi) / rho -> xi
+            return _fourier_moment(alpha, 2, "cos", 0.0) / (2.0 * math.pi ** 2)
+        return _fourier_moment(alpha, 1, "sin", rho) / (2.0 * math.pi ** 2 * rho)
+    if d != 2:
+        raise CapabilityError("isotropic stable kernels implemented for d in {1, 2, 3}")
+    xi_max = 40.0 ** (1.0 / alpha)
+    f = lambda xi: math.exp(-xi ** alpha) * j0(xi * rho) * xi
+    pieces = np.unique(np.concatenate([[0.0, xi_max],
+        [(k - 0.25) * math.pi / rho for k in range(1, 60) if rho > 0 and (k - 0.25) * math.pi / rho < xi_max]]))
+    val = 0.0
+    for lo, hi in zip(pieces[:-1], pieces[1:]):
+        v, _ = quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
+        val += v
+    return val / (2.0 * math.pi)
 
 
 class IsotropicStable:
@@ -381,34 +362,24 @@ class IsotropicStable:
         # alpha = 2 short-circuits to the Gaussian closed form everywhere
         self._profile = _profile_1d(self.alpha) if (self.d == 1 and self.alpha < 2.0) else None
 
-    def profile(self, rho) -> float:
-        """Unit-time kernel at scaled radius rho."""
-        if self.alpha == 2.0:
-            rho = abs(float(rho))
-            lv = -rho * rho / 4.0 - 0.5 * self.d * math.log(4.0 * math.pi)
-            return math.exp(lv) if lv > -745.0 else 0.0
-        if self.d == 1:
-            return float(self._profile.value(rho))
-        return _profile_exact_radial(self.alpha, self.d, abs(float(rho)))
-
     def log_profile(self, rho):
-        """log P(rho); ``rho`` may be an array (d >= 2 evaluates point by point)."""
+        """log P(rho); ``rho`` may be an array (d >= 2: one quadrature per node
+        up to _RADIAL_TAIL_RHO, one tail-series call for the nodes beyond)."""
         rho = np.abs(np.asarray(rho, dtype=float))
         if self.alpha == 2.0:
             return -rho * rho / 4.0 - 0.5 * self.d * math.log(4.0 * math.pi)
         if self.d == 1:
             return self._profile.log_value(rho)
-        v = np.array([_profile_exact_radial(self.alpha, self.d, r) for r in rho.ravel()]).reshape(rho.shape)
+        v = np.piecewise(rho, [rho > _RADIAL_TAIL_RHO], [
+            lambda r: _radial_tail(self.alpha, self.d, r),
+            lambda r: [_profile_radial(self.alpha, self.d, x) for x in r]])
         if np.any(v <= 0):
             raise CapabilityError("radial quadrature lost positivity; out of validated range")
         return np.log(v)
 
     def value(self, t, r) -> float:
-        if t <= 0:
-            raise DomainError("kernel requires t > 0")
-        r = abs(float(r))
-        s = t ** (-1.0 / self.alpha)
-        return t ** (-self.d / self.alpha) * self.profile(r * s)
+        lv = self.log_value(t, r)
+        return math.exp(lv) if lv > -745.0 else 0.0
 
     def log_value(self, t, r):
         """log G(t, r); ``t`` may be an array of times."""
@@ -468,57 +439,18 @@ class IsotropicStable:
 # anisotropic 2-D stable
 # ---------------------------------------------------------------------------
 
-def _radial_cos_transform(alpha, sigma):
-    """C_alpha(sigma) = Int_0^inf rho e^{-rho^alpha} cos(sigma rho) drho."""
-    sigma = abs(float(sigma))
-    if alpha == 1.0:
-        return (1.0 - sigma * sigma) / (1.0 + sigma * sigma) ** 2
-    if alpha == 2.0:
-        # integration by parts against the Dawson integral
-        return 0.5 - 0.5 * sigma * dawsn(0.5 * sigma)
-    if alpha < 1.0:
-        c, s = math.cos(math.pi * alpha / 2.0), math.sin(math.pi * alpha / 2.0)
-        f = lambda v: v * math.exp(-sigma * v - c * v ** alpha) * math.cos(s * v ** alpha)
-        val, _ = quad(f, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
-        return -val
-    if sigma <= 4.0:
-        xi_max = 42.0 ** (1.0 / alpha)
-        f = lambda xi: xi * math.exp(-xi ** alpha)
-        val, _ = quad(f, 0.0, xi_max, weight="cos", wvar=sigma, epsabs=1e-13, limit=400)
-        return val
-    theta = math.pi / (2.0 * alpha)
-    st, ct = math.sin(theta), math.cos(theta)
-    f = lambda v: v * math.exp(-sigma * v * st) * math.cos(2.0 * theta + sigma * v * ct - v ** alpha)
-    val, _ = quad(f, 0.0, np.inf, epsabs=1e-14, epsrel=1e-11, limit=400)
-    return val
-
-
-def _radial_cos_tail(alpha, sigma):
-    """Large-sigma expansion of C_alpha: -sigma^{-2} plus the symbol-series
-    correction terms (boundary term of double integration by parts)."""
-    sigma = np.asarray(sigma, dtype=float)
-    out = -(sigma ** -2.0)
-    for k in range(1, 40):
-        ck = math.cos(math.pi * k * alpha / 2.0)
-        if abs(ck) < 1e-12:
-            continue
-        coeff = (-1.0) ** (k + 1) * math.exp(gammaln(k * alpha + 2.0) - gammaln(k + 1.0)) * ck
-        term = coeff * sigma ** (-k * alpha - 2.0)
-        out = out + term
-        if np.max(np.abs(term)) < 1e-18 * np.max(np.abs(out)):
-            break
-    return out
-
-
 _COS_SPLINE_CAP = 400.0
 
 
 @lru_cache(maxsize=32)
 class _RadialCosSpline:
+    """C_alpha(sigma) = Int_0^inf rho e^{-rho^alpha} cos(sigma rho) drho = F_{1,cos}:
+    a spline up to _COS_SPLINE_CAP, the tail series beyond."""
+
     def __init__(self, alpha):
         self.alpha = float(alpha)
         grid = np.concatenate([np.linspace(0.0, 8.0, 481), np.geomspace(8.1, _COS_SPLINE_CAP, 320)])
-        self._spline = CubicSpline(grid, [_radial_cos_transform(self.alpha, s) for s in grid])
+        self._spline = CubicSpline(grid, [_fourier_moment(self.alpha, 1, "cos", s) for s in grid])
 
     def __call__(self, sigma):
         sigma = np.abs(np.asarray(sigma, dtype=float))
@@ -526,7 +458,7 @@ class _RadialCosSpline:
         out = np.empty_like(sigma)
         out[inside] = self._spline(sigma[inside])
         if np.any(~inside):
-            out[~inside] = _radial_cos_tail(self.alpha, sigma[~inside])
+            out[~inside] = _fourier_moment_tail(self.alpha, 1, "cos", sigma[~inside])
         return out
 
 
@@ -677,12 +609,12 @@ class AnisotropicStable2D:
         """G for the subordination rule (see the module docstring)."""
         xv = np.asarray(x, float) - np.asarray(y, float)
         rho = float(np.hypot(xv[0], xv[1]))
+        if rho == 0.0:
+            raise DomainError("fractional kernel diverges on the diagonal for d = 2 >= alpha")
         # below s_cap the angular quadrature cannot resolve the narrow
         # near-axis window; there the kernel is in its linear-in-s small-time
         # regime, so extend from the value at s_cap with unit log-slope
-        s_cap = 0.0
-        if rho > 0.0:
-            s_cap = rho ** self.alpha / (400.0 ** self.alpha * float(np.min(self.w)))
+        s_cap = rho ** self.alpha / (400.0 ** self.alpha * float(np.min(self.w)))
         anchor = {}
 
         def logv(s):

@@ -284,33 +284,22 @@ def stable_density_eval(beta, x, switch=None) -> StableDensityEval:
 
 
 def stable_density_envelope(beta, x, consts: StableEnvelopeConstants | None = None):
-    """Two-sided envelope shape for w_beta.
+    """Two-sided envelope shape for w_beta, ``exp`` of :func:`stable_density_envelope_log`.
 
     Returns ``(lower_shape, upper_shape)``; both sides share the same shape
     (constants are the caller's business), i.e. lower = c_tilde * shape and
     upper = c_tilde * shape with the same c_tilde unless fitted otherwise.
-    For beta < 1/2 the shape is min(x^{-1-beta}, f_beta(x)); for beta >= 1/2
-    it is the piecewise form: power branch on (1, inf), f_beta on (0, 1].
     """
-    b = _beta_value(beta)
-    xf = float(x)
-    if not xf > 0.0:
-        raise DomainError("envelope requires x > 0")
-    if consts is None:
-        consts = StableEnvelopeConstants.from_order(b)
-    power = xf ** (-1.0 - b)
-    f_val = xf ** (-(2.0 - b) / (2.0 * (1.0 - b))) * math.exp(
-        -consts.c_beta * xf ** (-b / (1.0 - b))
-    )
-    if b < 0.5:
-        shape = min(power, f_val)
-    else:
-        shape = power if xf > 1.0 else f_val
-    return consts.c_tilde * shape, consts.c_tilde * shape
+    shape = math.exp(stable_density_envelope_log(beta, x, consts))
+    return shape, shape
 
 
 def stable_density_envelope_log(beta, x, consts: StableEnvelopeConstants | None = None) -> float:
-    """log of the envelope shape; survives where f_beta underflows."""
+    """log of the envelope shape; survives where f_beta underflows.
+
+    For beta < 1/2 the shape is min(x^{-1-beta}, f_beta(x)); for beta >= 1/2
+    it is the piecewise form: power branch on (1, inf), f_beta on (0, 1].
+    """
     b = _beta_value(beta)
     xf = float(x)
     if not xf > 0.0:
@@ -459,7 +448,14 @@ def _ml_spectral(z, b, deriv=False):
     return out
 
 
-def _ml_ladder(z, b, tol, deriv):
+def _ml_ladder(beta, z, tol, deriv):
+    """E_beta(z) or E'_beta(z) for |z| <= ML_SERIES_GUARD (see the module docstring)."""
+    b = _beta_value(beta)
+    z = float(z)
+    if abs(z) > ML_SERIES_GUARD:
+        raise RangeGuardError(
+            f"|z| = {abs(z):g} beyond the series guard {ML_SERIES_GUARD:g}; use ml_pz"
+        )
     if z == 0.0:
         return 1.0 / math.gamma(1.0 + b) if deriv else 1.0
     if z > 0.0:
@@ -477,24 +473,12 @@ def ml_series(beta, z, tol=1e-12) -> float:
 
     Guarded at |z| <= ML_SERIES_GUARD; beyond the guard use :func:`ml_pz`.
     """
-    b = _beta_value(beta)
-    zf = float(z)
-    if abs(zf) > ML_SERIES_GUARD:
-        raise RangeGuardError(
-            f"|z| = {abs(zf):g} beyond the series guard {ML_SERIES_GUARD:g}; use ml_pz"
-        )
-    return _ml_ladder(zf, b, tol, deriv=False)
+    return _ml_ladder(beta, z, tol, deriv=False)
 
 
 def ml_series_deriv(beta, z, tol=1e-12) -> float:
     """Term-wise differentiated series E'_beta(z), same guard as ml_series."""
-    b = _beta_value(beta)
-    zf = float(z)
-    if abs(zf) > ML_SERIES_GUARD:
-        raise RangeGuardError(
-            f"|z| = {abs(zf):g} beyond the series guard {ML_SERIES_GUARD:g}; use ml_pz"
-        )
-    return _ml_ladder(zf, b, tol, deriv=True)
+    return _ml_ladder(beta, z, tol, deriv=True)
 
 
 def ml_pz(beta, s) -> float:

@@ -222,3 +222,11 @@ class TestCrossTheorem:
             if p1["flag"] == "ok" == p2["flag"]
         ]
         assert diffs and max(diffs) < 2e-3
+
+
+def test_anisotropic_diagonal_row_is_skipped():
+    # d = 2 >= alpha: the r = 0 row diverges and is skipped, not an error row
+    kernel = K.AnisotropicStable2D(1.5, K.SpectralMeasure.uniform(1.5))
+    grid = H.SweepGrid(t_values=(1.0,), r_values=(0.0, 1.0), theorem="3.2")
+    rows = H._collect_points(kernel, 0.5, grid, 0, E.EnvelopeConstants(), "stable", 2, 1.5)
+    assert [row["flag"] for row in rows] == ["skipped:diagonal-divergent", "ok"]

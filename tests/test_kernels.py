@@ -154,21 +154,36 @@ class TestIsotropicStable:
     def test_far_tail_series_consistency(self):
         for alpha in (0.8, 1.5):
             p = K._profile_1d(alpha)
-            lo = K._profile_exact_d1(alpha, 59.0)
+            lo = K._fourier_moment(alpha, 0, "cos", 59.0) / math.pi
             assert p.value(59.0) == pytest.approx(lo, rel=1e-8)
-            assert p.value(61.0) == pytest.approx(K._tail_series_d1(alpha, 61.0), rel=1e-12)
+            tail = K._fourier_moment_tail(alpha, 0, "cos", 61.0) / math.pi
+            assert p.value(61.0) == pytest.approx(tail, rel=1e-12)
 
     def test_radial_tail_series_handoff(self):
         for alpha, d in [(1.2, 2), (0.7, 3)]:
             s = K.IsotropicStable(d, alpha)
-            below = K._profile_exact_radial(alpha, d, 19.5)
-            above = K._tail_series_radial(alpha, d, 19.5)
+            below = K._profile_radial(alpha, d, 19.5)
+            above = K._radial_tail(alpha, d, 19.5)
             assert above == pytest.approx(below, rel=1e-8)
             assert s.value(1.0, 100.0) > 0
 
     def test_capability_limits(self):
         with pytest.raises(CapabilityError):
             K.IsotropicStable(1, 1.5).derivative(1.0, 1.0, 0.0, k=2)
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.5])
+    def test_dimension_walk_d3_from_d1(self, alpha):
+        # P_3(rho) = -P_1'(rho) / (2 pi rho): the d = 3 quadrature and tail
+        # against the d = 1 derivative splines
+        s1, s3 = K.IsotropicStable(1, alpha), K.IsotropicStable(3, alpha)
+        for rho in (0.05, 0.5, 2.0, 10.0, 19.5):
+            walked = -s1.derivative(1.0, rho, 0.0, k=1) / (2 * math.pi * rho)
+            assert s3.value(1.0, rho) == pytest.approx(walked, rel=1e-7)
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.5])
+    def test_d3_origin_closed_form(self, alpha):
+        expect = math.gamma(3 / alpha) / (2 * math.pi**2 * alpha)
+        assert K.IsotropicStable(3, alpha).value(1.0, 0.0) == pytest.approx(expect, rel=1e-12)
 
 
 class TestAnisotropic:
@@ -209,6 +224,15 @@ class TestAnisotropic:
         an = K.AnisotropicStable2D(1.0, K.SpectralMeasure.uniform(1.0))
         with pytest.raises(DomainError):
             an.value(-1.0, (0.0, 0.0))
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.5])
+    def test_cos_spline_meets_tail_at_cap(self, alpha):
+        cap = K._COS_SPLINE_CAP
+        cos = K._RadialCosSpline(alpha)
+        tail = K._fourier_moment_tail(alpha, 1, "cos", cap)
+        assert cos(np.array([cap])) == pytest.approx(tail, rel=1e-10)
+        below, above = cos(np.array([cap * (1 - 1e-9), cap * (1 + 1e-9)]))  # spline, then tail
+        assert above == pytest.approx(below, rel=1e-8)
 
 
 class TestVariableDiffusion:
@@ -327,7 +351,8 @@ class TestBaseKernelProtocol:
 
     @pytest.mark.parametrize(
         "kernel, k",
-        [(K.ConstantDiffusion(2), 0), (K.ConstantDiffusion(1), 2), (K.IsotropicStable(1, 0.8), 0)],
+        [(K.ConstantDiffusion(2), 0), (K.ConstantDiffusion(1), 2), (K.IsotropicStable(1, 0.8), 0),
+         (_uniform_aniso(), 0)],
     )
     def test_diagonal_divergence_raised_by_family(self, kernel, k):
         with pytest.raises(DomainError):
