@@ -426,8 +426,10 @@ def _parser():
     mp.add_argument("--t", type=float, default=None)
     mp.add_argument("--n", type=int, default=None)
     mp.add_argument("--seed", type=int, default=None)
-    mp.add_argument("--time-step", dest="time_step", type=float, default=None)
-    mp.add_argument("--bracket-tol", dest="bracket_tol", type=float, default=None)
+    mp.add_argument("--time-step", dest="time_step", type=float, default=None,
+                    help="accepted and validated; exact sampling ignores it")
+    mp.add_argument("--bracket-tol", dest="bracket_tol", type=float, default=None,
+                    help="accepted and validated; exact sampling ignores it")
     mp.add_argument("--bins", type=int, default=None)
     mp.add_argument("--threshold", type=float, default=None)
     _add_common(mp)

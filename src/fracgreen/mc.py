@@ -8,11 +8,9 @@ density integral,
     S = (A(pi U) / W)^{(1-beta)/beta},  U ~ U(0,1), W ~ Exp(1),
 
 has Laplace transform exp(-lambda^beta), and dt^{1/beta} S is the increment
-over dt.  The inverse subordinator is sampled by first passage of a
-discretized path: the step starts at ``McConfig.time_step`` and is halved
-until it is below ``bracket_tol``, every path is marched at that step until
-it crosses the level, and the estimate is the midpoint of the crossing
-bracket.
+over dt.  The inverse subordinator E_t is sampled exactly from one such
+draw per mixture component: E_t is the root of a monotone function of those
+draws, found by bisection in log u (a closed form for a pure order).
 
 Randomness comes from counter-based Philox streams: one root key per
 campaign and one jump per task (the three orders of ``comparison_check``), so
@@ -45,7 +43,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class McConfig:
-    """Campaign configuration; acceptance-grade runs need >= 1000 samples."""
+    """Campaign configuration; acceptance-grade runs need >= 1000 samples.
+
+    ``time_step`` and ``bracket_tol`` are validated but unused: the inverse
+    subordinator is sampled exactly, with no time step and no passage
+    bracket.
+    """
 
     sample_count: int = 100_000
     seed: int = 20_250_101
@@ -178,64 +181,41 @@ class LevyKernelSpec:
             "C_high_large": hi_large,
         }
 
-    def increment(self, dt, rng, size):
-        """Exact mixture-subordinator increment: independent stable parts."""
-        out = np.zeros(size)
-        for w, b in self.components:
-            out += sample_stable_increment(b, w * dt, rng, size=size)
-        return out
 
-
-_MARCH_BLOCK = 64
-
-
-def _first_passage_refine(draw, t, cfg, rng):
-    """Vectorised first passage at a bracket width below tolerance.
-
-    The working step starts at cfg.time_step and halves until it is below
-    cfg.bracket_tol; the path population is then marched at that step (in
-    blocks, with exact increments) until every path crosses level t.  The
-    returned estimate is the bracket midpoint, so the resolution bias is
-    bounded by half the final step.
-    """
-    dt = cfg.time_step
-    while dt > cfg.bracket_tol:
-        dt *= 0.5
-    n = cfg.sample_count
-    passage = np.empty(n)
-    alive = np.arange(n)
-    s = np.zeros(n)
-    x = np.zeros(n)
-    while alive.size:
-        J = draw(dt, alive.size * _MARCH_BLOCK).reshape(alive.size, _MARCH_BLOCK)
-        np.cumsum(J, axis=1, out=J)
-        levels = x[alive, None] + J
-        crossed = levels[:, -1] >= t
-        if crossed.any():
-            rows = np.where(crossed)[0]
-            first = np.argmax(levels[rows] >= t, axis=1)
-            idx = alive[rows]
-            passage[idx] = s[idx] + first * dt + 0.5 * dt
-        keep_rows = np.where(~crossed)[0]
-        keep = alive[keep_rows]
-        x[keep] = levels[keep_rows, -1]
-        s[keep] += _MARCH_BLOCK * dt
-        alive = keep
-    return passage
+# relative width in log u at which the bisection stops: a few units of rounding
+_LOG_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 def sample_inverse_subordinator(beta, t, cfg: McConfig, rng=None, levy: LevyKernelSpec | None = None):
-    """Samples of the inverse subordinator E_t (first passage over level t)."""
+    """Exact samples of the inverse subordinator E_t = inf{u : D_u > t}.
+
+    ``levy`` defaults to the pure order ``beta``.  For fixed u, D_u has the
+    law of g(u) = sum_i (w_i u)^{1/beta_i} S_i with one unit draw S_i per
+    mixture component; g increases in u, so the root of g(u) = t has the law
+    of E_t.  The component roots u_i(s) = (s/S_i)^{beta_i}/w_i bracket it in
+    [min_i u_i(t/k), min_i u_i(t)] for k components, and bisection in log u
+    closes the bracket to rounding.  For k = 1 the bracket has zero width and
+    is the closed form (t/S)^beta (Meerschaert & Scheffler 2004).
+    """
     if t <= 0:
         raise DomainError("t must be positive")
     if rng is None:
         rng = rng_stream(cfg.seed)
     if levy is None:
-        beta = _beta_value(beta)
-        draw = lambda dt, size: sample_stable_increment(beta, dt, rng, size=size)
-    else:
-        draw = lambda dt, size: levy.increment(dt, rng, size)
-    return _first_passage_refine(draw, t, cfg, rng)
+        levy = LevyKernelSpec.pure(beta)
+    log_w = np.log([[w] for w, _ in levy.components])
+    betas = np.array([[b] for _, b in levy.components])
+    log_s = np.log([sample_stable_increment(b, 1.0, rng, size=cfg.sample_count) for _, b in levy.components])
+
+    def log_root(level):
+        return np.min(betas * (math.log(level) - log_s) - log_w, axis=0)
+
+    lo, hi = log_root(t / len(betas)), log_root(t)
+    while np.any(hi - lo > _LOG_ROUNDING * np.maximum(1.0, np.abs(hi))):
+        mid = 0.5 * (lo + hi)
+        below = np.exp((log_w + mid) / betas + log_s).sum(axis=0) < t
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.exp(0.5 * (lo + hi))
 
 
 @dataclass
@@ -346,15 +326,15 @@ def comparison_check(nu: LevyKernelSpec, kernel, t, f, cfg: McConfig) -> Compari
         raise DomainError("test function must be non-increasing")
 
     ests = {}
-    for task, (label, levy, beta) in enumerate(
+    for task, (label, levy) in enumerate(
         [
-            ("mixture", nu, None),
-            ("lower", None, cert["beta_lower"]),
-            ("upper", None, cert["beta_upper"]),
+            ("mixture", nu),
+            ("lower", LevyKernelSpec.pure(cert["beta_lower"])),
+            ("upper", LevyKernelSpec.pure(cert["beta_upper"])),
         ]
     ):
         rng = rng_stream(cfg.seed, task=task)
-        xs = _position_given_time(kernel, sample_inverse_subordinator(beta, t, cfg, rng=rng, levy=levy), rng)
+        xs = _position_given_time(kernel, sample_inverse_subordinator(None, t, cfg, rng=rng, levy=levy), rng)
         vals = np.asarray([f(v) for v in xs], dtype=float)
         ests[label] = _mc_mean_ci(vals)
 

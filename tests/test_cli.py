@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -231,11 +233,18 @@ class TestMcCommand:
         assert summary["mean_exp"] == pytest.approx(math.exp(-1.0), abs=0.05)
 
 
+def _src_on_path():
+    """The environment with the package's source directory first on PYTHONPATH."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "fracgreen.cli", "green", "--beta"],
             capture_output=True,
+            env=_src_on_path(),
         )
         assert proc.returncode == 2
 
@@ -248,5 +257,6 @@ class TestExitCodes:
         proc = subprocess.run(
             [sys.executable, "-m", "fracgreen.cli", "bogus"],
             capture_output=True,
+            env=_src_on_path(),
         )
         assert proc.returncode == 2

@@ -5,12 +5,43 @@ import math
 import numpy as np
 import pytest
 from scipy.special import erf
-from scipy.stats import kstest
+from scipy.stats import ks_2samp, kstest
 
 from fracgreen import kernels as K
 from fracgreen import mc as M
 from fracgreen import subordination as S
 from fracgreen.errors import CapabilityError, CertificateError, DomainError
+
+MIXTURE = M.LevyKernelSpec(components=((0.5, 0.4), (0.5, 0.6)))
+
+
+def _march_first_passage(levy, t, cfg, rng, block=64):
+    """Reference E_t by first passage of a marched path: exact mixture
+    increments at the first halving of cfg.time_step below cfg.bracket_tol,
+    marched in blocks until every path crosses t; the estimate is the
+    midpoint of the crossing step."""
+    dt = cfg.time_step
+    while dt > cfg.bracket_tol:
+        dt *= 0.5
+    n = cfg.sample_count
+    passage = np.empty(n)
+    alive = np.arange(n)
+    s = np.zeros(n)
+    x = np.zeros(n)
+    while alive.size:
+        size = alive.size * block
+        J = sum(M.sample_stable_increment(b, w * dt, rng, size=size) for w, b in levy.components)
+        levels = x[alive, None] + np.cumsum(J.reshape(alive.size, block), axis=1)
+        crossed = levels[:, -1] >= t
+        rows = np.where(crossed)[0]
+        first = np.argmax(levels[rows] >= t, axis=1)
+        passage[alive[rows]] = s[alive[rows]] + (first + 0.5) * dt
+        keep_rows = np.where(~crossed)[0]
+        keep = alive[keep_rows]
+        x[keep] = levels[keep_rows, -1]
+        s[keep] += block * dt
+        alive = keep
+    return passage
 
 
 class TestStableIncrement:
@@ -92,6 +123,44 @@ class TestInverseSubordinator:
     def test_domain(self):
         with pytest.raises(DomainError):
             M.sample_inverse_subordinator(0.5, 0.0, M.McConfig(sample_count=10, seed=1))
+
+    @pytest.mark.parametrize("beta,t", [(0.4, 0.5), (0.7, 3.0)])
+    def test_pure_order_closed_form(self, beta, t):
+        cfg = M.McConfig(sample_count=10_000, seed=61)
+        e = M.sample_inverse_subordinator(beta, t, cfg, rng=M.rng_stream(61))
+        s = M.sample_stable_increment(beta, 1.0, M.rng_stream(61), size=cfg.sample_count)
+        np.testing.assert_allclose(e, (t / s) ** beta, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "levy",
+        [None, MIXTURE, M.LevyKernelSpec(components=((0.2, 0.3), (1.0, 0.5), (2.0, 0.9)))],
+    )
+    def test_one_draw_per_component_per_path(self, levy, monkeypatch):
+        draws = []
+        real = M.sample_stable_increment
+
+        def counted(beta, dt, rng, size=None):
+            draws.append(1 if size is None else int(size))
+            return real(beta, dt, rng, size=size)
+
+        monkeypatch.setattr(M, "sample_stable_increment", counted)
+        cfg = M.McConfig(sample_count=1_000, seed=67)
+        M.sample_inverse_subordinator(0.5, 1.0, cfg, levy=levy)
+        k = 1 if levy is None else len(levy.components)
+        assert sum(draws) == k * cfg.sample_count
+
+    def test_mixture_monotone_in_t(self):
+        cfg = M.McConfig(sample_count=20_000, seed=71)
+        es = [M.sample_inverse_subordinator(None, t, cfg, levy=MIXTURE) for t in (1e-6, 1.0, 1e6)]
+        for e in es:
+            assert np.isfinite(e).all() and (e > 0).all()
+        assert (np.diff(es, axis=0) >= 0).all()
+
+    def test_mixture_matches_marcher(self):
+        cfg = M.McConfig(sample_count=20_000, seed=73, bracket_tol=2e-3)
+        exact = M.sample_inverse_subordinator(None, 1.0, cfg, rng=M.rng_stream(73, task=0), levy=MIXTURE)
+        marched = _march_first_passage(MIXTURE, 1.0, cfg, M.rng_stream(73, task=1))
+        assert ks_2samp(exact, marched).pvalue > 0.01
 
 
 class TestSubordinatedDensity:
