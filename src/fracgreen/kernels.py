@@ -7,15 +7,16 @@ Families:
   exp{-(x-y)' A^{-1} (x-y) / (4t)}``, with closed-form spatial derivatives.
 * ``IsotropicStable(d, alpha)`` - Fourier inversion of ``exp(-t |xi|^alpha)``.
   Self-similarity reduces everything to the unit-time radial profile
-  ``P(rho)`` (alpha = 2 is the Gaussian closed form).  The d = 1 profile,
-  its derivative and the d = 3 profile are Fourier moments
-  ``F_{m,trig}(sigma) = Int_0^inf xi^m e^{-xi^alpha} trig(sigma xi) dxi``:
-  ``P_1 = F_{0,cos}/pi``, ``P_1' = -F_{1,sin}/pi`` and
-  ``P_3 = F_{1,sin}/(2 pi^2 rho)``, all from ``_fourier_moment``; d = 2 is
-  a ``j0`` Hankel quadrature.  Far out (rho > 60 in d = 1, rho > 20 in
-  d >= 2) every profile is an inverse-power tail series summed by
-  ``_inverse_power_series``.  The d = 1 profile is cached on splines for
-  the subordination sweeps.
+  ``P_d(rho)`` (alpha = 2 is the Gaussian closed form).  Only the d = 1
+  profile and its derivative are computed directly, as Fourier moments
+  ``F_{m,trig}(sigma) = Int_0^inf xi^m e^{-xi^alpha} trig(sigma xi) dxi``
+  (``P_1 = F_{0,cos}/pi``, ``P_1' = -F_{1,sin}/pi``, from
+  ``_fourier_moment``), and cached on splines once per alpha.  Every other
+  dimension walks from them: ``P_3 = -P_1'/(2 pi rho)``, and ``P_2`` is
+  the inverse Abel transform ``-(1/pi) Int_0^inf P_1'(rho cosh u) du``,
+  cached on its own splines.  Far out (rho > 60 in d = 1 and 3, rho > 20
+  in d = 2) the profiles are inverse-power tail series summed by
+  ``_inverse_power_series``.
 * ``AnisotropicStable2D(alpha, mu)`` - symbol ``-|xi|^alpha w_mu(xi/|xi|)``
   with ``w_mu`` computed from a spectral density on the unit circle; the 2-D
   inversion is an angular average of the radial cosine transform
@@ -46,13 +47,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
-from scipy.special import gammaln, j0
+from scipy.special import betainc, gammaln
 
 from .errors import CapabilityError, DomainError, HorizonError
 
@@ -214,9 +215,12 @@ def _fourier_moment(alpha, m, trig, sigma):
                       epsabs=1e-13, limit=400)
         return val
     theta = math.pi / 2.0 if alpha < 1.0 else math.pi / (2.0 * alpha)
-    # on the ray xi^alpha = v^alpha (a + i b) and i sigma xi = (-damp + i drift) v
-    a, b = math.cos(alpha * theta), math.sin(alpha * theta)
-    damp, drift, phase = sigma * math.sin(theta), sigma * math.cos(theta), (m + 1) * theta
+    # on the ray xi^alpha = v^alpha (a + i b) and i sigma xi = (-damp + i drift) v;
+    # v is measured in units of the decay length 1/(sigma sin theta) once
+    # that is below 1, so quad sees an O(1) scale however far out sigma is
+    scale = max(1.0, sigma * math.sin(theta))
+    a, b = math.cos(alpha * theta) / scale ** alpha, math.sin(alpha * theta) / scale ** alpha
+    damp, drift, phase = sigma * math.sin(theta) / scale, sigma * math.cos(theta) / scale, (m + 1) * theta
     wave, exp = getattr(math, trig), math.exp
 
     def f0(v):
@@ -229,122 +233,178 @@ def _fourier_moment(alpha, m, trig, sigma):
 
     val, _ = quad(f1 if m else f0, 0.0, np.inf, epsabs=1e-13 if alpha < 1.0 else 1e-14,
                   epsrel=1e-11, limit=400)
-    return val
+    return val / scale ** (m + 1)
+
+
+def _smallest_term_sum(terms):
+    """Sum each row of a series in order, up to its first growing term (the
+    tails converge for alpha < 1 and are asymptotic for alpha > 1) or
+    through its first term below 1e-17 of the partial sum.  ``terms(n)``
+    returns the first n columns; they are built in blocks until every row
+    has stopped, which leaves the prefix sums, and so the result, as with
+    all columns built."""
+    n = 16
+    while True:
+        t = terms(n)
+        rows, cols = t.shape
+        mag, partial = np.abs(t), np.cumsum(t, axis=1)
+        grows = np.where(mag[:, 1:] > mag[:, :-1], np.arange(1, cols), cols).min(axis=1, initial=cols)
+        tiny = np.where(mag < 1e-17 * np.maximum(np.abs(partial), 1e-300), np.arange(1, cols + 1), cols).min(axis=1, initial=cols)
+        stop = np.minimum(grows, tiny)
+        if cols < n or stop.max() < cols:
+            return partial[np.arange(rows), stop - 1]
+        n *= 4
 
 
 def _inverse_power_series(log_coef, weight, power, x):
-    """Sum_k weight_k e^{log_coef_k} x^{-power_k}, vectorised over x.
-
-    Terms whose weight vanishes (|weight| < 1e-12: a trig factor at a
-    multiple of pi) are dropped.  The tails below converge for alpha < 1
-    and are asymptotic for alpha > 1, so each x sums its terms in order up
-    to the first that grows (stop at the smallest term) or through the
-    first below 1e-17 of the partial sum.
-    """
-    keep = np.abs(weight) >= 1e-12
-    log_coef, weight, power = log_coef[keep], weight[keep], power[keep]
+    """Sum_k weight_k e^{log_coef_k} x^{-power_k}, vectorised over x."""
     log_x = np.log(np.asarray(x, dtype=float)).reshape(-1, 1)
-    terms = np.exp(log_coef - power * log_x) * weight
-    mag, partial, n = np.abs(terms), np.cumsum(terms, axis=1), weight.size
-    grows = np.where(mag[:, 1:] > mag[:, :-1], np.arange(1, n), n).min(axis=1, initial=n)
-    tiny = np.where(mag < 1e-17 * np.maximum(np.abs(partial), 1e-300), np.arange(1, n + 1), n).min(axis=1, initial=n)
-    return partial[np.arange(log_x.shape[0]), np.minimum(grows, tiny) - 1]
+    return _smallest_term_sum(lambda n: np.exp(log_coef[:n] - power[:n] * log_x) * weight[:n])
 
 
-def _fourier_moment_tail(alpha, m, trig, sigma):
-    """Large-sigma series of ``_fourier_moment``: expanding e^{-xi^alpha} and
-    transforming termwise gives, with p = k alpha + m + 1,
-
-        sum_{k>=0} (-1)^k Gamma(p) / k! * trig(pi p / 2) * sigma^{-p}.
-    """
+@lru_cache(maxsize=64)
+def _tail_coefficients(alpha, m, trig):
+    """(log_coef, weight, power) of the large-sigma series of ``_fourier_moment``,
+    sum_{k>=0} (-1)^k Gamma(p) / k! * trig(pi p / 2) * sigma^{-p} with
+    p = k alpha + m + 1, without the terms whose trig factor vanishes."""
     k = np.arange(200, dtype=float)
     p = k * alpha + m + 1.0
     weight = (-1.0) ** k * getattr(np, trig)(math.pi * p / 2.0)
-    return _inverse_power_series(gammaln(p) - gammaln(k + 1.0), weight, p, sigma)
+    keep = np.abs(weight) >= 1e-12
+    return _frozen((gammaln(p) - gammaln(k + 1.0))[keep], weight[keep], p[keep])
+
+
+def _frozen(*arrays):
+    """The arrays made read-only: a cached result is shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _fourier_moment_tail(alpha, m, trig, sigma):
+    """Large-sigma series of ``_fourier_moment``, vectorised over sigma."""
+    return _inverse_power_series(*_tail_coefficients(alpha, m, trig), sigma)
 
 
 _TAIL_RHO = 60.0
+_RADIAL_TAIL_RHO = 20.0
+# twice as fine up to rho = 0.5, where the high derivatives of the profiles
+# gather as alpha falls
+_NEAR_RHO = np.concatenate([np.linspace(0.0, 0.5, 121), np.linspace(0.5, 2.0, 181)[1:]])
 
 
-class _StableProfile1D:
-    """Spline-cached unit-time profile P(rho) = F_{0,cos}/pi and its
-    derivative P'(rho) = -F_{1,sin}/pi for d=1."""
+def _piecewise(rho, cap, near, far, tail):
+    """Near piece in rho up to 2, far piece in log rho up to cap, tail beyond."""
+    rho = np.abs(np.asarray(rho, dtype=float))
+    pieces = [rho <= 2.0, (rho > 2.0) & (rho <= cap), rho > cap]
+    return np.piecewise(rho, pieces, [near, lambda r: far(np.log(r)), tail])
+
+
+def _near_spline(values):
+    """Spline on _NEAR_RHO of a profile that is even in rho."""
+    return CubicSpline(_NEAR_RHO, values, bc_type=((1, 0.0), "not-a-knot"))
+
+
+def _far_spline(log_rho, log_values):
+    """Spline of log|f| in log rho from rho = 2 out; clamping its slope there to
+    a five-point difference makes the first interval ten times more
+    accurate than a not-a-knot end."""
+    f, h = log_values[:5], log_rho[1] - log_rho[0]
+    slope = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
+    return CubicSpline(log_rho, log_values, bc_type=((1, slope), "not-a-knot"))
+
+
+@lru_cache(maxsize=32)
+class _profile_1d:
+    """Spline-cached unit-time profile P(rho) = F_{0,cos}/pi for d = 1 and its
+    derivative P' = -F_{1,sin}/pi, kept as P'/rho: even, -F_{2,cos}(0)/pi at
+    rho = 0, and the d = 3 profile times -2 pi.  Each is built on first use,
+    so d = 2 and d = 3 never build the value splines."""
 
     def __init__(self, alpha):
         self.alpha = float(alpha)
-        value = lambda r: _fourier_moment(self.alpha, 0, "cos", r) / math.pi
-        deriv = lambda r: -_fourier_moment(self.alpha, 1, "sin", r) / math.pi
-        rho_near = np.linspace(0.0, 2.0, 241)
-        self._near = CubicSpline(rho_near, [value(r) for r in rho_near])
-        self._near_d = CubicSpline(rho_near, [deriv(r) for r in rho_near])
-        lr = np.linspace(math.log(2.0), math.log(_TAIL_RHO), 220)
-        self._far = CubicSpline(lr, [math.log(value(math.exp(s))) for s in lr])
-        self._far_d = CubicSpline(lr, [math.log(-deriv(math.exp(s))) for s in lr])
 
-    def _piecewise(self, rho, near, far, tail):
-        """Near spline in rho, far spline in log rho, tail series beyond _TAIL_RHO."""
-        rho = np.abs(np.asarray(rho, dtype=float))
-        pieces = [rho <= 2.0, (rho > 2.0) & (rho <= _TAIL_RHO), rho > _TAIL_RHO]
-        return np.piecewise(rho, pieces, [near, lambda r: far(np.log(r)), tail])
+    @staticmethod
+    def _splines(f):
+        """Near spline of f and far spline of log|f|, f of one sign."""
+        lr = np.linspace(math.log(2.0), math.log(_TAIL_RHO), 220)
+        return _near_spline([f(r) for r in _NEAR_RHO]), _far_spline(lr, [math.log(abs(f(math.exp(s)))) for s in lr])
+
+    @cached_property
+    def _value(self):
+        return self._splines(lambda r: _fourier_moment(self.alpha, 0, "cos", r) / math.pi)
+
+    @cached_property
+    def _over_rho(self):
+        return self._splines(lambda r: -(_fourier_moment(self.alpha, 1, "sin", r) / r if r else
+                                         _fourier_moment(self.alpha, 2, "cos", 0.0)) / math.pi)
 
     def log_value(self, rho):
-        return self._piecewise(rho, lambda r: np.log(self._near(r)), self._far,
-                               lambda r: np.log(_fourier_moment_tail(self.alpha, 0, "cos", r) / math.pi))
+        near, far = self._value
+        return _piecewise(rho, _TAIL_RHO, lambda r: np.log(near(r)), far,
+                          lambda r: np.log(_fourier_moment_tail(self.alpha, 0, "cos", r) / math.pi))
 
     def value(self, rho):
         return np.exp(self.log_value(rho))
 
+    def deriv_over_rho(self, rho):
+        near, far = self._over_rho
+        return _piecewise(rho, _TAIL_RHO, near, lambda lr: -np.exp(far(lr)),
+                          lambda r: -_fourier_moment_tail(self.alpha, 1, "sin", r) / (math.pi * r))
+
     def deriv(self, rho):
-        return self._piecewise(rho, self._near_d, lambda lr: -np.exp(self._far_d(lr)),
-                               lambda r: -_fourier_moment_tail(self.alpha, 1, "sin", r) / math.pi)
+        return np.abs(np.asarray(rho, dtype=float)) * self.deriv_over_rho(rho)
+
+    def log_value_3d(self, rho):
+        """log P_3 = log(-P'/(2 pi rho)), the dimension walk."""
+        return np.log(-self.deriv_over_rho(rho) / (2.0 * math.pi))
 
 
 @lru_cache(maxsize=32)
-def _profile_1d(alpha: float) -> _StableProfile1D:
-    return _StableProfile1D(alpha)
+def _abel_coefficients(alpha):
+    """Tail series of P_2 = Int_0^inf F_{1,sin}(rho cosh u) du / pi^2, the
+    inverse Abel transform of P_1' = -F_{1,sin}/pi: each F_{1,sin} tail term
+    times Int_0^inf cosh(u)^{-p} du = sqrt(pi) Gamma(p/2) / (2 Gamma((p+1)/2))."""
+    log_coef, weight, p = _tail_coefficients(alpha, 1, "sin")
+    log_abel = math.log(math.sqrt(math.pi) / (2.0 * math.pi ** 2)) + gammaln(p / 2.0) - gammaln((p + 1.0) / 2.0)
+    return _frozen(log_coef + log_abel, weight, p)
 
 
-_RADIAL_TAIL_RHO = 20.0
+def _radial_tail(alpha, rho):
+    """Inverse-power tail of the d = 2 profile, vectorised over rho."""
+    return _inverse_power_series(*_abel_coefficients(alpha), rho)
 
 
-def _radial_tail(alpha, d, rho):
-    """Inverse-power tail of the d-dimensional radial profile, vectorised
-    over rho.  d = 3 is P = F_{1,sin}/(2 pi^2 rho); otherwise the termwise
-    Hankel transform of the symbol expansion gives
+@lru_cache(maxsize=32)
+class _profile_2d:
+    """Spline-cached unit-time profile P_2(rho) for d = 2: near and far splines
+    up to _RADIAL_TAIL_RHO, the tail series beyond.  The nodes are the
+    inverse Abel transform P_2(rho) = -(1/pi) Int_0^inf P_1'(rho cosh u) du:
+    Gauss-Legendre in u on the d = 1 splines up to rho cosh u = _TAIL_RHO,
+    the P_1' tail integrated termwise beyond, Int_U^inf cosh(u)^{-p} du =
+    B(p/2, 1/2) I_{1/cosh^2 U}(p/2, 1/2) / 2, and Gamma(2/alpha)/(2 pi alpha)
+    at rho = 0."""
 
-        sum_{k>=1} (-1)^{k+1} 2^{k alpha} Gamma((d + k alpha)/2)
-        Gamma(1 + k alpha/2) sin(pi k alpha/2) / (pi^{d/2+1} k!)
-        * rho^{-d - k alpha}.
-    """
-    if d == 3:
-        return _fourier_moment_tail(alpha, 1, "sin", rho) / (2.0 * math.pi ** 2 * np.asarray(rho, dtype=float))
-    k = np.arange(1, 200, dtype=float)
-    ka = k * alpha
-    log_coef = ka * math.log(2.0) + gammaln((d + ka) / 2.0) + gammaln(1.0 + ka / 2.0) - gammaln(k + 1.0)
-    weight = (-1.0) ** (k + 1) * np.sin(math.pi * ka / 2.0)
-    return _inverse_power_series(log_coef, weight, d + ka, rho) / math.pi ** (d / 2.0 + 1.0)
+    def __init__(self, alpha):
+        self.alpha = float(alpha)
+        lr = np.linspace(math.log(2.0), math.log(_RADIAL_TAIL_RHO), 150)
+        rho = np.concatenate([_NEAR_RHO[1:], np.exp(lr)]).reshape(-1, 1)
+        x, w = np.polynomial.legendre.leggauss(64)
+        top = np.arccosh(_TAIL_RHO / rho)
+        body = -0.5 * top[:, 0] * (_profile_1d(self.alpha).deriv(rho * np.cosh(0.5 * top * (x + 1.0))) @ w) / math.pi
+        log_coef, weight, p = _abel_coefficients(self.alpha)
+        with np.errstate(divide="ignore"):  # I_T underflows to 0 in the high terms at small rho
+            nodes = body + _smallest_term_sum(lambda n: weight[:n] * np.exp(
+                log_coef[:n] - p[:n] * np.log(rho) + np.log(betainc(p[:n] / 2.0, 0.5, (rho / _TAIL_RHO) ** 2))))
+        if np.any(nodes <= 0.0):
+            raise CapabilityError("Abel transform lost positivity; out of validated range")
+        origin = math.gamma(2.0 / self.alpha) / (2.0 * math.pi * self.alpha)
+        self._near = _near_spline(np.concatenate([[origin], nodes[:_NEAR_RHO.size - 1]]))
+        self._far = _far_spline(lr, np.log(nodes[_NEAR_RHO.size - 1:]))
 
-
-def _profile_radial(alpha, d, rho):
-    """Unit-time radial profile for d in {2, 3} at rho <= _RADIAL_TAIL_RHO."""
-    if alpha == 1.0:  # Poisson kernel, any d
-        cd = math.gamma((d + 1.0) / 2.0) / math.pi ** ((d + 1.0) / 2.0)
-        return cd / (1.0 + rho * rho) ** ((d + 1.0) / 2.0)
-    if d == 3:
-        if rho == 0.0:  # sin(rho xi) / rho -> xi
-            return _fourier_moment(alpha, 2, "cos", 0.0) / (2.0 * math.pi ** 2)
-        return _fourier_moment(alpha, 1, "sin", rho) / (2.0 * math.pi ** 2 * rho)
-    if d != 2:
-        raise CapabilityError("isotropic stable kernels implemented for d in {1, 2, 3}")
-    xi_max = 40.0 ** (1.0 / alpha)
-    f = lambda xi: math.exp(-xi ** alpha) * j0(xi * rho) * xi
-    pieces = np.unique(np.concatenate([[0.0, xi_max],
-        [(k - 0.25) * math.pi / rho for k in range(1, 60) if rho > 0 and (k - 0.25) * math.pi / rho < xi_max]]))
-    val = 0.0
-    for lo, hi in zip(pieces[:-1], pieces[1:]):
-        v, _ = quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
-        val += v
-    return val / (2.0 * math.pi)
+    def log_value(self, rho):
+        return _piecewise(rho, _RADIAL_TAIL_RHO, lambda r: np.log(self._near(r)), self._far,
+                          lambda r: np.log(_radial_tail(self.alpha, r)))
 
 
 class IsotropicStable:
@@ -360,22 +420,18 @@ class IsotropicStable:
         self.alpha = _alpha_value(alpha)
         self.horizon = None
         # alpha = 2 short-circuits to the Gaussian closed form everywhere
-        self._profile = _profile_1d(self.alpha) if (self.d == 1 and self.alpha < 2.0) else None
+        self._profile = _profile_1d(self.alpha) if self.alpha < 2.0 else None
 
     def log_profile(self, rho):
-        """log P(rho); ``rho`` may be an array (d >= 2: one quadrature per node
-        up to _RADIAL_TAIL_RHO, one tail-series call for the nodes beyond)."""
+        """log P(rho), vectorised over an array of rho."""
         rho = np.abs(np.asarray(rho, dtype=float))
         if self.alpha == 2.0:
             return -rho * rho / 4.0 - 0.5 * self.d * math.log(4.0 * math.pi)
-        if self.d == 1:
-            return self._profile.log_value(rho)
-        v = np.piecewise(rho, [rho > _RADIAL_TAIL_RHO], [
-            lambda r: _radial_tail(self.alpha, self.d, r),
-            lambda r: [_profile_radial(self.alpha, self.d, x) for x in r]])
-        if np.any(v <= 0):
-            raise CapabilityError("radial quadrature lost positivity; out of validated range")
-        return np.log(v)
+        if self.d > 3:
+            raise CapabilityError("isotropic stable kernels implemented for d in {1, 2, 3}")
+        if self.d == 2:
+            return _profile_2d(self.alpha).log_value(rho)
+        return self._profile.log_value_3d(rho) if self.d == 3 else self._profile.log_value(rho)
 
     def value(self, t, r) -> float:
         lv = self.log_value(t, r)

@@ -4,10 +4,13 @@ import ast
 import importlib
 import inspect
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
+from scipy.special import gammaln
 
 from fracgreen import harness as H
 from fracgreen import kernels as K
@@ -21,6 +24,49 @@ def cauchy_1d(t, r):
 def poisson_kernel(d, t, r):
     cd = math.gamma((d + 1.0) / 2.0) / math.pi ** ((d + 1.0) / 2.0)
     return cd * t / (t * t + r * r) ** ((d + 1.0) / 2.0)
+
+
+def mp_profile(alpha, d, rho):
+    """Unit-time radial stable profile P_d(rho) from an 80-digit series.
+
+    The power series in rho^2 is summed while its terms stay below 1e60
+    times the first (it converges for alpha > 1); otherwise the
+    inverse-power series in rho^{-d - k alpha} is (it converges for
+    alpha < 1).  Where the chosen series is only asymptotic it stops before
+    its first growing term, which must lie below 1e-20 of the sum.
+    """
+    with mp.workdps(80):
+        a, r, dd = mp.mpf(alpha), mp.mpf(rho), mp.mpf(d)
+
+        def power(k):
+            return ((2 * mp.pi) ** (-dd / 2) * 2 ** (1 - dd / 2) * (-1) ** k * mp.gamma((2 * k + dd) / a)
+                    / (a * mp.factorial(k) * mp.gamma(k + dd / 2)) * (r / 2) ** (2 * k))
+
+        def inverse(k):
+            ka = (k + 1) * a
+            return ((-1) ** k * 2 ** ka * mp.gamma((dd + ka) / 2) * mp.gamma(1 + ka / 2) * mp.sin(mp.pi * ka / 2)
+                    / (mp.pi ** (dd / 2 + 1) * mp.factorial(k + 1)) * r ** (-dd - ka))
+
+        if rho == 0:
+            return float(power(0))
+        first_power = alpha > 1 or rho < 0.1
+        for term in ((power, inverse) if first_power else (inverse, power)):
+            asymptotic = (term is power) == (alpha < 1)
+            total, prev, lead = mp.mpf(0), mp.inf, abs(term(0))
+            for k in range(20000):
+                t = term(k)
+                if k and abs(t) < 1e-10 * prev:  # a vanishing sine factor
+                    total += t
+                    continue
+                if abs(t) > 1e60 * lead:  # too much cancellation for 80 digits
+                    break
+                if asymptotic and abs(t) > prev:
+                    assert prev < 1e-20 * abs(total)
+                    return float(total)
+                total, prev = total + t, abs(t)
+                if prev < mp.mpf(10) ** -80 * abs(total):
+                    return float(total)
+        raise AssertionError(f"no 80-digit series for alpha={alpha}, d={d}, rho={rho}")
 
 
 class TestGaussian:
@@ -160,12 +206,71 @@ class TestIsotropicStable:
             assert p.value(61.0) == pytest.approx(tail, rel=1e-12)
 
     def test_radial_tail_series_handoff(self):
-        for alpha, d in [(1.2, 2), (0.7, 3)]:
-            s = K.IsotropicStable(d, alpha)
-            below = K._profile_radial(alpha, d, 19.5)
-            above = K._radial_tail(alpha, d, 19.5)
-            assert above == pytest.approx(below, rel=1e-8)
+        # the d = 2 spline hands over to the tail series at _RADIAL_TAIL_RHO = 20
+        for alpha in (0.7, 1.2):
+            s = K.IsotropicStable(2, alpha)
+            tail = K._radial_tail(alpha, np.array([19.5, 20.0 + 1e-9]))
+            spline = np.exp(s.log_profile(np.array([19.5, 20.0 - 1e-9])))
+            assert spline == pytest.approx(tail, rel=1e-8, abs=0.0)
             assert s.value(1.0, 100.0) > 0
+
+    def test_d2_tail_is_abel_transform_of_hankel_series(self):
+        # termwise Hankel transform of the symbol expansion, the d = 2 tail
+        # before it was derived from the P_1' tail
+        for alpha in (0.7, 1.2, 1.5):
+            k = np.arange(1, 200, dtype=float)
+            ka = k * alpha
+            log_coef = ka * math.log(2.0) + 2.0 * gammaln(1.0 + ka / 2.0) - gammaln(k + 1.0) - 2.0 * math.log(math.pi)
+            weight = (-1.0) ** (k + 1) * np.sin(math.pi * ka / 2.0)
+            keep = np.abs(weight) >= 1e-12
+            got_coef, got_weight, got_power = K._abel_coefficients(alpha)
+            np.testing.assert_allclose(got_coef, log_coef[keep], rtol=1e-13)
+            np.testing.assert_allclose(got_weight, weight[keep], rtol=0, atol=1e-13)  # sines of order 1
+            np.testing.assert_allclose(got_power, 2.0 + ka[keep], rtol=1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.5])
+    def test_tail_cache_matches_full_term_matrix(self, alpha):
+        # the parent's summation: all 200 terms rebuilt on every call
+        def full(m, trig, x):
+            k = np.arange(200, dtype=float)
+            p = k * alpha + m + 1.0
+            weight = (-1.0) ** k * getattr(np, trig)(math.pi * p / 2.0)
+            keep = np.abs(weight) >= 1e-12
+            log_coef, weight, power = (gammaln(p) - gammaln(k + 1.0))[keep], weight[keep], p[keep]
+            log_x = np.log(x).reshape(-1, 1)
+            terms = np.exp(log_coef - power * log_x) * weight
+            mag, partial, n = np.abs(terms), np.cumsum(terms, axis=1), weight.size
+            grows = np.where(mag[:, 1:] > mag[:, :-1], np.arange(1, n), n).min(axis=1, initial=n)
+            tiny = np.where(mag < 1e-17 * np.maximum(np.abs(partial), 1e-300), np.arange(1, n + 1), n).min(axis=1, initial=n)
+            return partial[np.arange(x.size), np.minimum(grows, tiny) - 1]
+
+        x = np.geomspace(2.0, 1e4, 400)
+        for m, trig in ((0, "cos"), (1, "sin"), (1, "cos")):
+            assert np.array_equal(K._fourier_moment_tail(alpha, m, trig, x), full(m, trig, x))
+
+    @pytest.mark.parametrize("alpha, deriv", [(1.8, False), (0.7, True), (1.5, True)])
+    def test_fourier_moment_far_field(self, alpha, deriv):
+        # P_1 = F_{0,cos}/pi and P_1' = -F_{1,sin}/pi = -2 pi rho P_3 on the rotated ray
+        for sigma in (5.0, 7.3, 11.0, 23.0, 47.0, 90.0, 150.0, 390.0):
+            if deriv:
+                got = -K._fourier_moment(alpha, 1, "sin", sigma) / math.pi
+                want = -2.0 * math.pi * sigma * mp_profile(alpha, 3, sigma)
+            else:
+                got, want = K._fourier_moment(alpha, 0, "cos", sigma) / math.pi, mp_profile(alpha, 1, sigma)
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("alpha", [0.7, 1.2, 1.5])
+    def test_radial_profile_against_series(self, d, alpha):
+        s = K.IsotropicStable(d, alpha)
+        for rho in (0.0, 0.05, 0.5, 2.0, 10.0, 19.5, 25.0, 0.0137, 0.77, 2.01, 4.3):
+            assert math.exp(s.log_profile(rho)) == pytest.approx(mp_profile(alpha, d, rho), rel=1e-8, abs=0.0)
+
+    def test_d2_far_profile_emits_no_integration_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K._profile_2d.cache_clear()  # build the splines under the filter too
+            K.IsotropicStable(2, 0.7).log_profile(np.linspace(16.85, 20.0, 401))
 
     def test_capability_limits(self):
         with pytest.raises(CapabilityError):
@@ -173,8 +278,8 @@ class TestIsotropicStable:
 
     @pytest.mark.parametrize("alpha", [0.7, 1.5])
     def test_dimension_walk_d3_from_d1(self, alpha):
-        # P_3(rho) = -P_1'(rho) / (2 pi rho): the d = 3 quadrature and tail
-        # against the d = 1 derivative splines
+        # P_3(rho) = -P_1'(rho) / (2 pi rho), the identity the d = 3 profile
+        # is built on; test_radial_profile_against_series checks both
         s1, s3 = K.IsotropicStable(1, alpha), K.IsotropicStable(3, alpha)
         for rho in (0.05, 0.5, 2.0, 10.0, 19.5):
             walked = -s1.derivative(1.0, rho, 0.0, k=1) / (2 * math.pi * rho)
