@@ -11,12 +11,13 @@ Families:
   profile and its derivative are computed directly, as Fourier moments
   ``F_{m,trig}(sigma) = Int_0^inf xi^m e^{-xi^alpha} trig(sigma xi) dxi``
   (``P_1 = F_{0,cos}/pi``, ``P_1' = -F_{1,sin}/pi``, from
-  ``_fourier_moment``), and cached on splines once per alpha.  Every other
-  dimension walks from them: ``P_3 = -P_1'/(2 pi rho)``, and ``P_2`` is
-  the inverse Abel transform ``-(1/pi) Int_0^inf P_1'(rho cosh u) du``,
-  cached on its own splines.  Far out (rho > 60 in d = 1 and 3, rho > 20
-  in d = 2) the profiles are inverse-power tail series summed by
-  ``_inverse_power_series``.
+  ``_fourier_moment``), and cached on log-splines once per alpha, on nodes
+  sized from alpha (``_LogSpline``).  Every other dimension walks from
+  them: ``P_3 = -P_1'/(2 pi rho)``, and ``P_2`` is the inverse Abel
+  transform ``-(1/pi) Int_0^inf P_1'(rho cosh u) du``, cached on its own
+  log-spline.  Far out (rho > 60 in d = 1 and 3, rho > 20 in d = 2) the
+  profiles are inverse-power tail series summed by
+  ``_inverse_power_series``.  Profiles are validated for alpha >= 0.2.
 * ``AnisotropicStable2D(alpha, mu)`` - symbol ``-|xi|^alpha w_mu(xi/|xi|)``
   with ``w_mu`` computed from a spectral density on the unit circle; the 2-D
   inversion is an angular average of the radial cosine transform
@@ -199,9 +200,11 @@ def _fourier_moment(alpha, m, trig, sigma):
     integral is taken along the ray xi = v e^{i theta} on which the
     oscillation no longer fights the decay: the contour theta = pi/2 and
     the ray theta = pi/(2 alpha), the standard rotations for stable
-    densities (Nolan, Stoch. Models 1997).  Near the origin, alpha > 1 uses
-    oscillatory-weight quadrature on the real axis, cut where
-    xi^m e^{-xi^alpha} falls below e^{-40}.
+    densities (Nolan, Stoch. Models 1997).  For alpha < 1 and sigma < 1 the
+    ray is theta = pi/4: on pi/2 the decay e^{-v^alpha cos(alpha theta)}
+    is so slow that quad loses the integral to roundoff.  Near the origin,
+    alpha > 1 uses oscillatory-weight quadrature on the real axis, cut
+    where xi^m e^{-xi^alpha} falls below e^{-40}.
     """
     sigma = abs(float(sigma))  # a numpy scalar would slow every integrand call
     if sigma == 0.0:
@@ -214,7 +217,7 @@ def _fourier_moment(alpha, m, trig, sigma):
         val, _ = quad(f, 0.0, (40.0 + 2.0 * m) ** (1.0 / alpha), weight=trig, wvar=sigma,
                       epsabs=1e-13, limit=400)
         return val
-    theta = math.pi / 2.0 if alpha < 1.0 else math.pi / (2.0 * alpha)
+    theta = math.pi / (2.0 * alpha) if alpha > 1.0 else math.pi / 2.0 if sigma >= 1.0 else math.pi / 4.0
     # on the ray xi^alpha = v^alpha (a + i b) and i sigma xi = (-damp + i drift) v;
     # v is measured in units of the decay length 1/(sigma sin theta) once
     # that is below 1, so quad sees an O(1) scale however far out sigma is
@@ -236,20 +239,22 @@ def _fourier_moment(alpha, m, trig, sigma):
     return val / scale ** (m + 1)
 
 
-def _smallest_term_sum(terms):
-    """Sum each row of a series in order, up to its first growing term (the
-    tails converge for alpha < 1 and are asymptotic for alpha > 1) or
-    through its first term below 1e-17 of the partial sum.  ``terms(n)``
-    returns the first n columns; they are built in blocks until every row
-    has stopped, which leaves the prefix sums, and so the result, as with
-    all columns built."""
+def _smallest_term_sum(weight, log_envelope):
+    """Sum_k weight_k e^{log_envelope_k} along each row, in order, up to the
+    smallest term of the envelope (the tails converge for alpha < 1 and are
+    asymptotic for alpha > 1) or through its first term below 1e-17 of the
+    partial sum.  The envelope decides, not the terms: a trig weight near 0
+    (sin(pi k alpha / 2) = 0.03 at alpha = 0.99, k = 2) must not end the sum.
+    ``log_envelope(n)`` returns its first n columns; they are built in
+    blocks until every row has stopped, which leaves the prefix sums, and
+    so the result, as with all columns built."""
     n = 16
     while True:
-        t = terms(n)
-        rows, cols = t.shape
-        mag, partial = np.abs(t), np.cumsum(t, axis=1)
-        grows = np.where(mag[:, 1:] > mag[:, :-1], np.arange(1, cols), cols).min(axis=1, initial=cols)
-        tiny = np.where(mag < 1e-17 * np.maximum(np.abs(partial), 1e-300), np.arange(1, cols + 1), cols).min(axis=1, initial=cols)
+        env = np.exp(log_envelope(n))
+        rows, cols = env.shape
+        partial = np.cumsum(weight[:cols] * env, axis=1)
+        grows = np.where(env[:, 1:] > env[:, :-1], np.arange(1, cols), cols).min(axis=1, initial=cols)
+        tiny = np.where(env < 1e-17 * np.maximum(np.abs(partial), 1e-300), np.arange(1, cols + 1), cols).min(axis=1, initial=cols)
         stop = np.minimum(grows, tiny)
         if cols < n or stop.max() < cols:
             return partial[np.arange(rows), stop - 1]
@@ -259,7 +264,7 @@ def _smallest_term_sum(terms):
 def _inverse_power_series(log_coef, weight, power, x):
     """Sum_k weight_k e^{log_coef_k} x^{-power_k}, vectorised over x."""
     log_x = np.log(np.asarray(x, dtype=float)).reshape(-1, 1)
-    return _smallest_term_sum(lambda n: np.exp(log_coef[:n] - power[:n] * log_x) * weight[:n])
+    return _smallest_term_sum(weight, lambda n: log_coef[:n] - power[:n] * log_x)
 
 
 @lru_cache(maxsize=64)
@@ -288,76 +293,81 @@ def _fourier_moment_tail(alpha, m, trig, sigma):
 
 _TAIL_RHO = 60.0
 _RADIAL_TAIL_RHO = 20.0
-# twice as fine up to rho = 0.5, where the high derivatives of the profiles
-# gather as alpha falls
-_NEAR_RHO = np.concatenate([np.linspace(0.0, 0.5, 121), np.linspace(0.5, 2.0, 181)[1:]])
+_MIN_ALPHA = 0.2  # below it some spline nodes of _fourier_moment are not finite
 
 
-def _piecewise(rho, cap, near, far, tail):
-    """Near piece in rho up to 2, far piece in log rho up to cap, tail beyond."""
+class _LogSpline:
+    """log|f| of a profile f, even in rho and of one sign, splined up to rho =
+    cap with zero slope at 0, on nodes uniform in u = log(1 + rho/L).  The
+    width L = sqrt(Gamma(3/alpha)/Gamma(5/alpha)) of the peak of P_1'/rho
+    (0.4 at alpha = 1.2, 2e-4 at 0.3) makes u uniform in rho across the peak
+    and in log rho along the power tail.  Above alpha = 1.5 log|f| bends from
+    a Gaussian-like core to the tail near rho = 5 within a width in u that
+    shrinks like 1/log(1/(2 - alpha)), and so does the spacing."""
+
+    def __init__(self, alpha, cap, log_abs):
+        self.width = math.exp(0.5 * (gammaln(3.0 / alpha) - gammaln(5.0 / alpha)))
+        top = math.log1p(cap / self.width)
+        step = 0.01 / (1.0 + max(0.0, math.log(0.5 / (2.0 - alpha))))
+        u = np.linspace(0.0, top, int(math.ceil(top / step)) + 1)
+        self._spline = CubicSpline(u, log_abs(self.width * np.expm1(u)), bc_type=((1, 0.0), "not-a-knot"))
+
+    def __call__(self, rho):
+        return self._spline(np.log1p(rho / self.width))
+
+
+def _spline_or_tail(rho, cap, spline, tail):
+    """The spline up to cap, the tail series beyond."""
     rho = np.abs(np.asarray(rho, dtype=float))
-    pieces = [rho <= 2.0, (rho > 2.0) & (rho <= cap), rho > cap]
-    return np.piecewise(rho, pieces, [near, lambda r: far(np.log(r)), tail])
-
-
-def _near_spline(values):
-    """Spline on _NEAR_RHO of a profile that is even in rho."""
-    return CubicSpline(_NEAR_RHO, values, bc_type=((1, 0.0), "not-a-knot"))
-
-
-def _far_spline(log_rho, log_values):
-    """Spline of log|f| in log rho from rho = 2 out; clamping its slope there to
-    a five-point difference makes the first interval ten times more
-    accurate than a not-a-knot end."""
-    f, h = log_values[:5], log_rho[1] - log_rho[0]
-    slope = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
-    return CubicSpline(log_rho, log_values, bc_type=((1, slope), "not-a-knot"))
+    return np.piecewise(rho, [rho <= cap], [spline, tail])
 
 
 @lru_cache(maxsize=32)
 class _profile_1d:
     """Spline-cached unit-time profile P(rho) = F_{0,cos}/pi for d = 1 and its
-    derivative P' = -F_{1,sin}/pi, kept as P'/rho: even, -F_{2,cos}(0)/pi at
-    rho = 0, and the d = 3 profile times -2 pi.  Each is built on first use,
-    so d = 2 and d = 3 never build the value splines."""
+    derivative P' = -F_{1,sin}/pi, kept as -P'/rho: even, F_{2,cos}(0)/pi at
+    rho = 0, and the d = 3 profile times 2 pi.  Each is built on first use,
+    so d = 2 and d = 3 never build the value spline."""
 
     def __init__(self, alpha):
         self.alpha = float(alpha)
 
-    @staticmethod
-    def _splines(f):
-        """Near spline of f and far spline of log|f|, f of one sign."""
-        lr = np.linspace(math.log(2.0), math.log(_TAIL_RHO), 220)
-        return _near_spline([f(r) for r in _NEAR_RHO]), _far_spline(lr, [math.log(abs(f(math.exp(s)))) for s in lr])
+    def _spline(self, f):
+        return _LogSpline(self.alpha, _TAIL_RHO, lambda rho: np.log([f(r) for r in rho]))
 
     @cached_property
-    def _value(self):
-        return self._splines(lambda r: _fourier_moment(self.alpha, 0, "cos", r) / math.pi)
+    def _log_value(self):
+        return self._spline(lambda r: _fourier_moment(self.alpha, 0, "cos", r) / math.pi)
 
     @cached_property
-    def _over_rho(self):
-        return self._splines(lambda r: -(_fourier_moment(self.alpha, 1, "sin", r) / r if r else
-                                         _fourier_moment(self.alpha, 2, "cos", 0.0)) / math.pi)
+    def _log_minus_over_rho(self):
+        return self._spline(lambda r: (_fourier_moment(self.alpha, 1, "sin", r) / r if r else
+                                       _fourier_moment(self.alpha, 2, "cos", 0.0)) / math.pi)
 
     def log_value(self, rho):
-        near, far = self._value
-        return _piecewise(rho, _TAIL_RHO, lambda r: np.log(near(r)), far,
-                          lambda r: np.log(_fourier_moment_tail(self.alpha, 0, "cos", r) / math.pi))
+        return _spline_or_tail(rho, _TAIL_RHO, self._log_value,
+                               lambda r: np.log(_fourier_moment_tail(self.alpha, 0, "cos", r) / math.pi))
 
     def value(self, rho):
         return np.exp(self.log_value(rho))
 
-    def deriv_over_rho(self, rho):
-        near, far = self._over_rho
-        return _piecewise(rho, _TAIL_RHO, near, lambda lr: -np.exp(far(lr)),
-                          lambda r: -_fourier_moment_tail(self.alpha, 1, "sin", r) / (math.pi * r))
+    def log_minus_deriv_over_rho(self, rho):
+        """log(-P'(rho)/rho)."""
+        return _spline_or_tail(rho, _TAIL_RHO, self._log_minus_over_rho,
+                               lambda r: np.log(_fourier_moment_tail(self.alpha, 1, "sin", r) / (math.pi * r)))
 
     def deriv(self, rho):
-        return np.abs(np.asarray(rho, dtype=float)) * self.deriv_over_rho(rho)
+        return -np.abs(np.asarray(rho, dtype=float)) * np.exp(self.log_minus_deriv_over_rho(rho))
 
-    def log_value_3d(self, rho):
-        """log P_3 = log(-P'/(2 pi rho)), the dimension walk."""
-        return np.log(-self.deriv_over_rho(rho) / (2.0 * math.pi))
+
+class _profile_3d:
+    """P_3 = -P_1'/(2 pi rho), the dimension walk from the d = 1 derivative spline."""
+
+    def __init__(self, alpha):
+        self._walk = _profile_1d(alpha)
+
+    def log_value(self, rho):
+        return self._walk.log_minus_deriv_over_rho(rho) - math.log(2.0 * math.pi)
 
 
 @lru_cache(maxsize=32)
@@ -377,34 +387,40 @@ def _radial_tail(alpha, rho):
 
 @lru_cache(maxsize=32)
 class _profile_2d:
-    """Spline-cached unit-time profile P_2(rho) for d = 2: near and far splines
-    up to _RADIAL_TAIL_RHO, the tail series beyond.  The nodes are the
-    inverse Abel transform P_2(rho) = -(1/pi) Int_0^inf P_1'(rho cosh u) du:
-    Gauss-Legendre in u on the d = 1 splines up to rho cosh u = _TAIL_RHO,
-    the P_1' tail integrated termwise beyond, Int_U^inf cosh(u)^{-p} du =
+    """Spline-cached unit-time profile P_2(rho) for d = 2, built on first use:
+    the spline up to _RADIAL_TAIL_RHO, the tail series beyond.  The nodes are
+    the inverse Abel transform P_2(rho) = -(1/pi) Int_0^inf P_1'(rho cosh u) du:
+    Gauss-Legendre in u on the d = 1 spline up to rho cosh u = _TAIL_RHO, the
+    P_1' tail integrated termwise beyond, Int_U^inf cosh(u)^{-p} du =
     B(p/2, 1/2) I_{1/cosh^2 U}(p/2, 1/2) / 2, and Gamma(2/alpha)/(2 pi alpha)
     at rho = 0."""
 
     def __init__(self, alpha):
         self.alpha = float(alpha)
-        lr = np.linspace(math.log(2.0), math.log(_RADIAL_TAIL_RHO), 150)
-        rho = np.concatenate([_NEAR_RHO[1:], np.exp(lr)]).reshape(-1, 1)
+
+    @cached_property
+    def _log_value(self):
+        return _LogSpline(self.alpha, _RADIAL_TAIL_RHO, self._abel)
+
+    def _abel(self, nodes):
+        rho = nodes[1:].reshape(-1, 1)  # nodes[0] = 0
         x, w = np.polynomial.legendre.leggauss(64)
         top = np.arccosh(_TAIL_RHO / rho)
         body = -0.5 * top[:, 0] * (_profile_1d(self.alpha).deriv(rho * np.cosh(0.5 * top * (x + 1.0))) @ w) / math.pi
         log_coef, weight, p = _abel_coefficients(self.alpha)
         with np.errstate(divide="ignore"):  # I_T underflows to 0 in the high terms at small rho
-            nodes = body + _smallest_term_sum(lambda n: weight[:n] * np.exp(
-                log_coef[:n] - p[:n] * np.log(rho) + np.log(betainc(p[:n] / 2.0, 0.5, (rho / _TAIL_RHO) ** 2))))
-        if np.any(nodes <= 0.0):
+            log_env = log_coef - p * np.log(rho) + np.log(betainc(p / 2.0, 0.5, (rho / _TAIL_RHO) ** 2))
+        values = body + _smallest_term_sum(weight, lambda n: log_env[:, :n])
+        if np.any(values <= 0.0):
             raise CapabilityError("Abel transform lost positivity; out of validated range")
         origin = math.gamma(2.0 / self.alpha) / (2.0 * math.pi * self.alpha)
-        self._near = _near_spline(np.concatenate([[origin], nodes[:_NEAR_RHO.size - 1]]))
-        self._far = _far_spline(lr, np.log(nodes[_NEAR_RHO.size - 1:]))
+        return np.log(np.concatenate([[origin], values]))
 
     def log_value(self, rho):
-        return _piecewise(rho, _RADIAL_TAIL_RHO, lambda r: np.log(self._near(r)), self._far,
-                          lambda r: np.log(_radial_tail(self.alpha, r)))
+        return _spline_or_tail(rho, _RADIAL_TAIL_RHO, self._log_value, lambda r: np.log(_radial_tail(self.alpha, r)))
+
+
+_PROFILES = {1: _profile_1d, 2: _profile_2d, 3: _profile_3d}
 
 
 class IsotropicStable:
@@ -419,19 +435,19 @@ class IsotropicStable:
             raise DomainError("dimension must be >= 1")
         self.alpha = _alpha_value(alpha)
         self.horizon = None
+        if self.alpha < _MIN_ALPHA:
+            raise CapabilityError(f"isotropic stable profiles validated for alpha >= {_MIN_ALPHA}")
         # alpha = 2 short-circuits to the Gaussian closed form everywhere
-        self._profile = _profile_1d(self.alpha) if self.alpha < 2.0 else None
+        self._profile = _PROFILES[self.d](self.alpha) if self.alpha < 2.0 and self.d in _PROFILES else None
 
     def log_profile(self, rho):
         """log P(rho), vectorised over an array of rho."""
         rho = np.abs(np.asarray(rho, dtype=float))
         if self.alpha == 2.0:
             return -rho * rho / 4.0 - 0.5 * self.d * math.log(4.0 * math.pi)
-        if self.d > 3:
+        if self._profile is None:
             raise CapabilityError("isotropic stable kernels implemented for d in {1, 2, 3}")
-        if self.d == 2:
-            return _profile_2d(self.alpha).log_value(rho)
-        return self._profile.log_value_3d(rho) if self.d == 3 else self._profile.log_value(rho)
+        return self._profile.log_value(rho)
 
     def value(self, t, r) -> float:
         lv = self.log_value(t, r)

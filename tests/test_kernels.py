@@ -33,7 +33,8 @@ def mp_profile(alpha, d, rho):
     times the first (it converges for alpha > 1); otherwise the
     inverse-power series in rho^{-d - k alpha} is (it converges for
     alpha < 1).  Where the chosen series is only asymptotic it stops before
-    its first growing term, which must lie below 1e-20 of the sum.
+    its first growing term, which must lie below 1e-20 of the sum; if it
+    does not, the other series is tried.
     """
     with mp.workdps(80):
         a, r, dd = mp.mpf(alpha), mp.mpf(rho), mp.mpf(d)
@@ -60,9 +61,10 @@ def mp_profile(alpha, d, rho):
                     continue
                 if abs(t) > 1e60 * lead:  # too much cancellation for 80 digits
                     break
-                if asymptotic and abs(t) > prev:
-                    assert prev < 1e-20 * abs(total)
-                    return float(total)
+                if asymptotic and abs(t) > prev:  # the smallest term: done, or try the other series
+                    if prev < 1e-20 * abs(total):
+                        return float(total)
+                    break
                 total, prev = total + t, abs(t)
                 if prev < mp.mpf(10) ** -80 * abs(total):
                     return float(total)
@@ -228,20 +230,20 @@ class TestIsotropicStable:
             np.testing.assert_allclose(got_weight, weight[keep], rtol=0, atol=1e-13)  # sines of order 1
             np.testing.assert_allclose(got_power, 2.0 + ka[keep], rtol=1e-15)
 
-    @pytest.mark.parametrize("alpha", [0.7, 1.5])
+    @pytest.mark.parametrize("alpha", [0.7, 0.99, 1.5])
     def test_tail_cache_matches_full_term_matrix(self, alpha):
-        # the parent's summation: all 200 terms rebuilt on every call
+        # all 200 terms rebuilt and summed at once, up to the smallest
+        # envelope term: the cached coefficients summed in blocks agree bit for bit
         def full(m, trig, x):
             k = np.arange(200, dtype=float)
             p = k * alpha + m + 1.0
             weight = (-1.0) ** k * getattr(np, trig)(math.pi * p / 2.0)
             keep = np.abs(weight) >= 1e-12
             log_coef, weight, power = (gammaln(p) - gammaln(k + 1.0))[keep], weight[keep], p[keep]
-            log_x = np.log(x).reshape(-1, 1)
-            terms = np.exp(log_coef - power * log_x) * weight
-            mag, partial, n = np.abs(terms), np.cumsum(terms, axis=1), weight.size
-            grows = np.where(mag[:, 1:] > mag[:, :-1], np.arange(1, n), n).min(axis=1, initial=n)
-            tiny = np.where(mag < 1e-17 * np.maximum(np.abs(partial), 1e-300), np.arange(1, n + 1), n).min(axis=1, initial=n)
+            env = np.exp(log_coef - power * np.log(x).reshape(-1, 1))
+            partial, n = np.cumsum(env * weight, axis=1), weight.size
+            grows = np.where(env[:, 1:] > env[:, :-1], np.arange(1, n), n).min(axis=1, initial=n)
+            tiny = np.where(env < 1e-17 * np.maximum(np.abs(partial), 1e-300), np.arange(1, n + 1), n).min(axis=1, initial=n)
             return partial[np.arange(x.size), np.minimum(grows, tiny) - 1]
 
         x = np.geomspace(2.0, 1e4, 400)
@@ -259,22 +261,38 @@ class TestIsotropicStable:
                 got, want = K._fourier_moment(alpha, 0, "cos", sigma) / math.pi, mp_profile(alpha, 1, sigma)
             assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
-    @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("alpha", [0.7, 1.2, 1.5])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.2, 0.3, 0.5, 0.7, 1.2, 1.5, 1.9, 1.99])
     def test_radial_profile_against_series(self, d, alpha):
+        # off the spline nodes, across the peak, the bend near rho = 5 as
+        # alpha nears 2, and both tail hand-overs (20 in d = 2, 60 in d = 1 and 3)
         s = K.IsotropicStable(d, alpha)
-        for rho in (0.0, 0.05, 0.5, 2.0, 10.0, 19.5, 25.0, 0.0137, 0.77, 2.01, 4.3):
+        for rho in (0.0, 1e-4, 0.002, 0.0137, 0.05, 0.5, 0.77, 2.0, 2.01, 4.3, 5.6, 10.0, 19.5, 25.0, 40.0, 59.5, 61.0):
             assert math.exp(s.log_profile(rho)) == pytest.approx(mp_profile(alpha, d, rho), rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tail_series_near_alpha_one(self, d):
+        # sin(pi k alpha / 2) = 0.003 at k = 2: a sum stopped by its first
+        # growing term, weight included, was off by up to 3e-3
+        s = K.IsotropicStable(d, 0.999)
+        for rho in (25.0, 40.0, 61.0, 128.0):
+            assert math.exp(s.log_profile(rho)) == pytest.approx(mp_profile(0.999, d, rho), rel=1e-8, abs=0.0)
 
     def test_d2_far_profile_emits_no_integration_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            K._profile_2d.cache_clear()  # build the splines under the filter too
+            K._profile_1d.cache_clear()  # build the splines under the filter too
+            K._profile_2d.cache_clear()
             K.IsotropicStable(2, 0.7).log_profile(np.linspace(16.85, 20.0, 401))
 
     def test_capability_limits(self):
         with pytest.raises(CapabilityError):
             K.IsotropicStable(1, 1.5).derivative(1.0, 1.0, 0.0, k=2)
+        with pytest.raises(CapabilityError):
+            K.IsotropicStable(4, 1.5).value(1.0, 1.0)
+        for d in (1, 2, 3):  # below the alpha the profiles are validated for
+            with pytest.raises(CapabilityError):
+                K.IsotropicStable(d, 0.19)
 
     @pytest.mark.parametrize("alpha", [0.7, 1.5])
     def test_dimension_walk_d3_from_d1(self, alpha):
