@@ -186,29 +186,22 @@ def _cmd_envelope(p, fmt, out, config):
 
 def _cmd_verify(p, fmt, out, config):
     beta = float(p["beta"])
-    theorem = str(p.get("theorem", "3.1"))
-    prop = p.get("prop")
-    kernel_name = p.get("kernel")
-    if kernel_name is None:
-        kernel_name = {"3.1": "gaussian", "3.2": "stable", "4.1": "fd1d", "4.2": "stable"}.get(
-            theorem if prop is None else {"diffusion": "3.1", "stable": "3.2"}[H.DERIV_PROPS[prop][0]],
-            "gaussian",
-        )
+    selector = str(p["prop"] if p.get("prop") is not None else p.get("theorem", "3.1"))
+    family = H.theorem_family(selector)
+    if p.get("kernel") is None:
         p = dict(p)
-        p["kernel"] = kernel_name
+        p["kernel"] = "fd1d" if selector == "4.1" else {"diffusion": "gaussian", "stable": "stable"}[family]
     kernel = _build_kernel(p)
     horizon = p.get("horizon")
     if horizon is not None:
         horizon = float(horizon)
     ceiling = float(p.get("ratio_ceiling", 1e3))
-    if prop is not None:
-        rep = H.verify_derivative_envelope(
-            prop, kernel, beta, k=int(p.get("k", 1)), horizon=horizon
-        )
+    if H.SELECTORS[selector].one_sided:
+        rep = H.verify_derivative_envelope(selector, kernel, beta, k=int(p.get("k", 1)), horizon=horizon)
     else:
-        rep = H.verify_envelope(theorem, kernel, beta, ratio_ceiling=ceiling, horizon=horizon)
+        rep = H.verify_envelope(selector, kernel, beta, ratio_ceiling=ceiling, horizon=horizon)
     rep.config["cli"] = config
-    out_json = out or f"verify_{(prop or theorem).replace('.', '_')}_beta{beta}.json"
+    out_json = out or f"verify_{selector.replace('.', '_')}_beta{beta}.json"
     csv_path = os.path.splitext(out_json)[0] + ".csv"
     H.write_report_files(rep, out_json, csv_path)
     sys.stdout.write(f"report: {out_json}\npoints: {len(rep.points)}\npassed: {rep.passed}\n")

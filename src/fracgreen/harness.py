@@ -1,8 +1,12 @@
 """Envelope certification: sweep grids, ratio fields, constant fitting.
 
-A verification run evaluates the fractional kernel and the matching envelope
-shape over a (t, r) grid, classifies every point's regime, and certifies the
-two-sided estimate by
+A verification run evaluates the fractional kernel, or its order-k spatial
+derivative, and the matching envelope shape over a (t, r) grid, and classifies
+every point's regime.  One table, ``SELECTORS``, says what each theorem or
+proposition selector certifies (envelope family, case, one- or two-sided,
+horizon or not), and one core serves :func:`verify_envelope` (Theorems 3.1,
+3.2, 4.1, 4.2) and :func:`verify_derivative_envelope` (Props 3.1, 3.2, 4.1,
+4.3).  A two-sided estimate is certified by
 
 * bounded per-regime log-ratio spread (the paper guarantees existence of
   constants, not their size; the ceiling is configurable), and
@@ -10,8 +14,11 @@ two-sided estimate by
   linear in Omega^{1/(2-beta)} (R^2 >= 0.99, slope CI excluding zero); for
   stable families the log-log slope must match the theorem exponent.
 
-Upper and lower exponential constants are fitted separately; nothing assumes
-they coincide.
+A one-sided bound needs a finite fitted constant C with |d^k G| <= C shape,
+and for global stable bounds the off-diagonal slope.  The diffusion rate C in
+exp{-C ...} is fitted, not trusted: the off-diagonal log shape is affine in C,
+so its values at C = 1 and C = 2 give every trial rate.  Upper and lower
+exponential constants are fitted separately; nothing assumes they coincide.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats as sps
@@ -50,22 +58,27 @@ __all__ = [
     "atomic_write",
 ]
 
-THEOREM_FAMILY = {
-    "3.1": "diffusion",
-    "3.2": "stable",
-    "4.1": "diffusion",
-    "4.2": "stable",
-}
 
-LOCAL_THEOREMS = {"4.1", "4.2"}
+class Selector(NamedTuple):
+    """What a theorem or proposition selector certifies."""
 
-DERIV_PROPS = {
-    "prop3.1": ("diffusion", "global"),
-    "prop3.2": ("stable", "global"),
-    "prop4.1-small": ("diffusion", "local_small_time"),
-    "prop4.1-large": ("diffusion", "local_large_time"),
-    "prop4.3-small": ("stable", "local_small_time"),
-    "prop4.3-large": ("stable", "local_large_time"),
+    family: str  # envelope family the kernel must have
+    case: str  # envelope case: "global", "local_small_time" or "local_large_time"
+    one_sided: bool  # |d^k G| <= C shape (k >= 1), or the two-sided value estimate
+    local: bool  # needs a horizon T
+
+
+SELECTORS = {
+    "3.1": Selector("diffusion", "global", False, False),
+    "3.2": Selector("stable", "global", False, False),
+    "4.1": Selector("diffusion", "global", False, True),
+    "4.2": Selector("stable", "global", False, True),
+    "prop3.1": Selector("diffusion", "global", True, False),
+    "prop3.2": Selector("stable", "global", True, False),
+    "prop4.1-small": Selector("diffusion", "local_small_time", True, True),
+    "prop4.1-large": Selector("diffusion", "local_large_time", True, True),
+    "prop4.3-small": Selector("stable", "local_small_time", True, True),
+    "prop4.3-large": Selector("stable", "local_large_time", True, True),
 }
 
 
@@ -83,11 +96,15 @@ class SweepGrid:
             raise SpecError("grid must contain t and r values")
 
 
+def _selector(name):
+    if name not in SELECTORS:
+        raise SpecError(f"unknown theorem or proposition selector {name!r}")
+    return SELECTORS[name]
+
+
 def theorem_family(theorem):
-    """The envelope family a theorem selector covers."""
-    if theorem not in THEOREM_FAMILY:
-        raise SpecError(f"unknown theorem selector {theorem!r}")
-    return THEOREM_FAMILY[theorem]
+    """The envelope family a theorem or proposition selector covers."""
+    return _selector(theorem).family
 
 
 def _kernel_traits(kernel):
@@ -99,9 +116,11 @@ def _kernel_traits(kernel):
 def default_grid(theorem, kernel, beta, horizon=None, per_decade=5, include_r0=True, k=0):
     """Grid covering both Omega <= 1 and Omega >= 1 with >= 5 points/decade."""
     beta = _beta_value(beta)
+    spec = _selector(theorem)
     family, d, alpha = _kernel_traits(kernel)
     expo = 2.0 if family == "diffusion" else alpha
-    if theorem in LOCAL_THEOREMS:
+    # the local derivative cases keep their side of t = 1 out of the global sweep
+    if spec.local and spec.case == "global":
         T = horizon if horizon is not None else kernel.horizon
         if T is None:
             raise SpecError("local theorems require a horizon")
@@ -257,14 +276,12 @@ def envelope_value(family, d, alpha, beta, k, point, consts, case="global"):
     return env.envelope_stable_deriv(d, k, alpha, beta, point, consts, case=case)
 
 
-def _collect_points(kernel, beta, grid, k, consts, family, d, alpha, case="global", horizon=None):
+def _collect_points(kernel, beta, grid, k, consts, case, horizon):
+    family, d, alpha = _kernel_traits(kernel)
     rows = []
     for t in grid.t_values:
-        if horizon is not None and t > horizon * (1 + 1e-12):
-            continue
-        if case == "local_small_time" and t >= 1.0:
-            continue
-        if case == "local_large_time" and t <= 1.0:
+        if ((horizon is not None and t > horizon * (1 + 1e-12))
+                or (case == "local_small_time" and t >= 1.0) or (case == "local_large_time" and t <= 1.0)):
             continue
         t = float(t)
         for r in grid.r_values:
@@ -273,85 +290,62 @@ def _collect_points(kernel, beta, grid, k, consts, family, d, alpha, case="globa
             regime = point.regime
             if case == "local_small_time":
                 regime = env.derivative_regime(point, beta, family)
-            row = {"t": t, "r": r, "omega": point.omega, "regime": regime}
             try:
                 log_g, skipped = _eval_point(kernel, beta, t, r, k)
             except DomainError:
                 # known on-diagonal divergence (d >= 2 / d >= alpha); the
                 # envelope shape diverges there too
-                rows.append({**row, "log_G": math.inf, "log_envelope": math.inf,
-                             "log_ratio": math.nan, "flag": "skipped:diagonal-divergent"})
-                continue
+                log_g = log_env = math.inf
+                flag = "skipped:diagonal-divergent"
             except Exception as exc:  # per-point failures are flagged, not fatal
-                rows.append({**row, "log_G": math.nan, "log_envelope": math.nan,
-                             "log_ratio": math.nan, "flag": f"error:{type(exc).__name__}"})
-                continue
-            log_env = envelope_value(family, d, alpha, beta, k, point, consts, case=case).log_value
-            if skipped:
-                flag = "skipped:diagonal-derivative"
-                log_ratio = math.nan
-            elif not np.isfinite(log_env):
-                flag = "skipped:envelope-divergent"
-                log_ratio = math.nan
+                log_g = log_env = math.nan
+                flag = f"error:{type(exc).__name__}"
             else:
-                flag = "ok"
-                log_ratio = log_g - log_env
-            rows.append({**row, "log_G": log_g, "log_envelope": log_env,
-                         "log_ratio": log_ratio, "flag": flag})
+                log_env = envelope_value(family, d, alpha, beta, k, point, consts, case=case).log_value
+                if skipped:
+                    flag = "skipped:diagonal-derivative"
+                else:
+                    flag = "ok" if np.isfinite(log_env) else "skipped:envelope-divergent"
+            rows.append({"t": t, "r": r, "omega": point.omega, "regime": regime, "log_G": log_g,
+                         "log_envelope": log_env, "log_ratio": log_g - log_env if flag == "ok" else math.nan,
+                         "flag": flag})
     return rows
 
 
-def _spread(vals):
-    return max(vals) - min(vals) if vals else 0.0
-
-
-def _refit_exponential_rate(rows, family, d, alpha, beta, k, case, consts):
+def _refit_exponential_rate(rows, kernel, beta, k, case, consts):
     """Choose the exponential rate minimising the off-diagonal ratio spread.
 
-    The paper's estimates leave the rate constant unspecified; the default
-    1.0 is never trusted.  Only branches carrying exp{-C ...} react to the
-    rate, so the on-diagonal rows are untouched by construction.
+    The paper's estimates leave the rate constant C unspecified; the default
+    1.0 is never trusted.  Only the off-diagonal branches carry exp{-C ...},
+    so the on-diagonal rows are untouched, and there the log shape is affine
+    in C: its values at C = 1 and C = 2 give it at every trial rate.
     """
-    off = [p for p in rows if p["flag"] == "ok" and p["omega"] > 1.0]
-    if len(off) < 4:
+    idx = [i for i, p in enumerate(rows) if p["flag"] == "ok" and p["omega"] > 1.0]
+    if len(idx) < 4:
         return consts, rows
-
-    def spread_at(c):
-        cc = replace(consts, c_beta_exponent=c)
-        vals = []
-        for p in off:
-            point = env.RegimePoint(
-                t=p["t"], r=p["r"], omega=p["omega"], regime=env.OFF_DIAG,
-                family=family, alpha=alpha,
-            )
-            le = envelope_value(family, d, alpha, beta, k, point, cc, case=case).log_value
-            vals.append(p["log_G"] - le)
-        return _spread(vals)
-
-    res = minimize_scalar(spread_at, bounds=(1e-3, 5.0), method="bounded",
-                          options={"xatol": 1e-8})
-    fitted = replace(consts, c_beta_exponent=float(res.x))
-    out = []
-    for p in rows:
-        if p["flag"] != "ok" or p["omega"] <= 1.0:
-            out.append(p)
-            continue
-        point = env.RegimePoint(
-            t=p["t"], r=p["r"], omega=p["omega"], regime=env.OFF_DIAG,
-            family=family, alpha=alpha,
-        )
-        le = envelope_value(family, d, alpha, beta, k, point, fitted, case=case).log_value
-        q = dict(p)
-        q["log_envelope"] = le
-        q["log_ratio"] = p["log_G"] - le
-        out.append(q)
-    return fitted, out
+    family, d, alpha = _kernel_traits(kernel)
+    points = [env.compute_omega(family, rows[i]["t"], rows[i]["r"], beta, alpha=alpha) for i in idx]
+    le1, le2 = (
+        np.array([envelope_value(family, d, alpha, beta, k, point, replace(consts, c_beta_exponent=c),
+                                 case=case).log_value for point in points])
+        for c in (1.0, 2.0)
+    )
+    slope = le2 - le1
+    log_g = np.array([rows[i]["log_G"] for i in idx])
+    res = minimize_scalar(lambda c: np.ptp(log_g - le1 - (c - 1.0) * slope), bounds=(1e-3, 5.0),
+                          method="bounded", options={"xatol": 1e-8})
+    rate = float(res.x)
+    out = list(rows)
+    for i, le in zip(idx, le1 + (rate - 1.0) * slope):
+        le = float(le)
+        out[i] = {**rows[i], "log_envelope": le, "log_ratio": rows[i]["log_G"] - le}
+    return replace(consts, c_beta_exponent=rate), out
 
 
-def _per_side_rates(rows, beta, family):
+def _per_side_rates(rows, beta):
     """Separate upper/lower exponential rates from the residual hulls."""
     off = [p for p in rows if p["flag"] == "ok" and p["omega"] > 1.0]
-    if len(off) < 8 or family != "diffusion":
+    if len(off) < 8:
         return None
     xi = np.array([p["omega"] ** (1.0 / (2.0 - beta)) for p in off])
     resid = np.array([p["log_ratio"] for p in off])
@@ -381,26 +375,44 @@ def _regime_stats(rows):
     return out
 
 
-def verify_envelope(theorem, kernel, beta, grid=None, consts=None, ratio_ceiling=1e3, horizon=None, fit_rate=True):
-    """Two-sided envelope certification for one theorem/kernel/beta combo."""
+def _power_slope(rows, dim, beta, alpha, expected, tol):
+    """Fit G t^{dim beta/alpha} = c Omega^p over the rows.
+
+    Returns the fit with its expected exponent and whether |p - expected| <= tol,
+    or None with fewer than 8 rows.
+    """
+    if len(rows) < 8:
+        return None
+    xs = np.array([p["omega"] for p in rows])
+    ys = np.array([math.exp(p["log_G"] + dim * beta / alpha * math.log(p["t"])) for p in rows])
+    fr = fit_constants(xs, ys, model="power")
+    return {**fr.as_dict(), "expected_exponent": expected}, bool(abs(fr.params["exponent"] - expected) <= tol)
+
+
+def _certify(selector, kernel, beta, k, grid, consts, ratio_ceiling, horizon, fit_rate):
+    """The certification behind both public entry points (see the module docstring)."""
     beta = _beta_value(beta)
-    want_family = theorem_family(theorem)
+    spec = _selector(selector)
+    if spec.one_sided != (k > 0):
+        kind = "derivative" if spec.one_sided else "value"
+        raise SpecError(f"{selector} is a {kind} estimate; derivative order {k} does not apply")
     family, d, alpha = _kernel_traits(kernel)
-    if family != want_family:
-        raise SpecError(f"theorem {theorem} expects a {want_family} kernel")
-    if theorem in LOCAL_THEOREMS:
+    if family != spec.family:
+        raise SpecError(f"{selector} expects a {spec.family} kernel")
+    _check_envelope_order(family, k)
+    if spec.local:
         horizon = horizon if horizon is not None else kernel.horizon
         if horizon is None:
-            raise SpecError("local theorems require a horizon")
+            raise SpecError(f"{selector} requires a horizon")
     consts = consts or env.EnvelopeConstants(horizon_T=horizon)
-    grid = grid or default_grid(theorem, kernel, beta, horizon=horizon)
+    grid = grid or default_grid(selector, kernel, beta, horizon=horizon, k=k)
 
-    rows = _collect_points(kernel, beta, grid, 0, consts, family, d, alpha, horizon=horizon)
+    rows = _collect_points(kernel, beta, grid, k, consts, spec.case, horizon)
     fits = {}
-    if family == "diffusion" and fit_rate:
-        consts, rows = _refit_exponential_rate(rows, family, d, alpha, beta, 0, "global", consts)
+    if family == "diffusion" and fit_rate and spec.case != "local_large_time":
+        consts, rows = _refit_exponential_rate(rows, kernel, beta, k, spec.case, consts)
         fits["exponential_rate_fitted"] = consts.c_beta_exponent
-        sides = _per_side_rates(rows, beta, family)
+        sides = None if spec.one_sided else _per_side_rates(rows, beta)
         if sides:
             fits["per_side_rates"] = {
                 "upper": consts.c_beta_exponent + sides.get("rate_offset_upper", 0.0),
@@ -408,170 +420,69 @@ def verify_envelope(theorem, kernel, beta, grid=None, consts=None, ratio_ceiling
                 "detail": sides,
             }
     stats = _regime_stats(rows)
-    flags = {}
-    tolerances = {"ratio_ceiling": ratio_ceiling, "r_squared_min": 0.99, "slope_tol": 0.1}
-
     ok_rows = [p for p in rows if p["flag"] == "ok"]
-    flags["regime_coverage"] = len(stats) >= 2
-    flags["all_ratios_finite"] = all(np.isfinite(p["log_ratio"]) for p in ok_rows)
-    flags["ratio_ceiling"] = all(
-        s["spread"] < math.log(ratio_ceiling) for s in stats.values()
-    )
+    log_ratios = [p["log_ratio"] for p in ok_rows]
+    flags = {}
+    if spec.one_sided:
+        tolerances = {"slope_tol": 0.15}
+        flags["fitted_constant_finite"] = bool(log_ratios) and np.isfinite(max(log_ratios))
+        if log_ratios:
+            fits["fitted_C"] = float(math.exp(max(log_ratios)))
+    else:
+        tolerances = {"ratio_ceiling": ratio_ceiling, "r_squared_min": 0.99, "slope_tol": 0.1}
+        flags["regime_coverage"] = len(stats) >= 2
+        flags["all_ratios_finite"] = all(np.isfinite(log_ratios))
+        if log_ratios:
+            # realized prefactor window (the fitted two-sided constants)
+            fits["prefactors"] = {"low": float(math.exp(min(log_ratios))), "high": float(math.exp(max(log_ratios)))}
+    if ratio_ceiling is not None:
+        flags["ratio_ceiling"] = all(s["spread"] < math.log(ratio_ceiling) for s in stats.values())
 
-    off = [p for p in ok_rows if p["omega"] > 1.0]
-    if family == "diffusion":
+    if family == "diffusion" and not spec.one_sided:
         # log G + (d beta / 2) log t should be linear in Omega^{1/(2-beta)}
+        off = [p for p in ok_rows if p["omega"] > 1.0]
         xs = np.array([p["omega"] ** (1.0 / (2.0 - beta)) for p in off])
         ys = np.array([p["log_G"] + d * beta / 2.0 * math.log(p["t"]) for p in off])
+        flags["tail_linear_r2"] = flags["tail_slope_nonzero"] = False
         if xs.size >= 8:
-            X = np.column_stack([np.ones_like(xs), xs])
-            coef, half, r2 = _ols(X, ys)
-            fits["exponential_tail"] = {
-                "rate": float(-coef[1]),
-                "rate_conf95": float(half[1]),
-                "r_squared": float(r2),
-            }
+            coef, half, r2 = _ols(np.column_stack([np.ones_like(xs), xs]), ys)
+            fits["exponential_tail"] = {"rate": float(-coef[1]), "rate_conf95": float(half[1]), "r_squared": float(r2)}
             flags["tail_linear_r2"] = r2 >= 0.99
             flags["tail_slope_nonzero"] = bool((-coef[1] - half[1]) > 0.0)
-        else:
-            flags["tail_linear_r2"] = False
-            flags["tail_slope_nonzero"] = False
-    else:
-        expected = -1.0 - d / alpha
-        far = [p for p in off if p["omega"] >= 3.0]
-        xs = np.array([math.log(p["omega"]) for p in far])
-        ys = np.array([p["log_G"] + d * beta / alpha * math.log(p["t"]) for p in far])
-        if xs.size >= 8:
-            fr = fit_constants(np.exp(xs), np.exp(ys), model="power")
-            fits["off_diagonal_power"] = fr.as_dict()
-            fits["off_diagonal_power"]["expected_exponent"] = expected
-            flags["off_diagonal_slope"] = bool(abs(fr.params["exponent"] - expected) <= 0.1)
-        else:
+    elif family == "stable" and spec.case == "global":
+        tol = tolerances["slope_tol"]
+        dim = d + k
+        far = [p for p in ok_rows if p["omega"] >= 3.0]
+        fit = _power_slope(far, dim, beta, alpha, -1.0 - dim / alpha, tol)
+        if fit:
+            fits["off_diagonal_power"], flags["off_diagonal_slope"] = fit
+        elif not spec.one_sided:
             flags["off_diagonal_slope"] = False
-        if d > alpha:
-            on = [p for p in ok_rows if p["omega"] <= 3e-3 and p["r"] > 0]
-            xs_on = np.array([p["omega"] for p in on])
-            ys_on = np.array([math.exp(p["log_G"] + d * beta / alpha * math.log(p["t"])) for p in on])
-            if xs_on.size >= 8:
-                fr_on = fit_constants(xs_on, ys_on, model="power")
-                fits["on_diagonal_power"] = fr_on.as_dict()
-                fits["on_diagonal_power"]["expected_exponent"] = 1.0 - d / alpha
-                flags["on_diagonal_slope"] = bool(abs(fr_on.params["exponent"] - (1.0 - d / alpha)) <= 0.1)
+        if d > alpha and not spec.one_sided:
+            near = [p for p in ok_rows if p["omega"] <= 3e-3 and p["r"] > 0]
+            fit = _power_slope(near, d, beta, alpha, 1.0 - d / alpha, tol)
+            if fit:
+                fits["on_diagonal_power"], flags["on_diagonal_slope"] = fit
 
-    # realized prefactor window (the fitted two-sided constants)
-    if ok_rows:
-        lr = [p["log_ratio"] for p in ok_rows]
-        fits["prefactors"] = {
-            "low": float(math.exp(min(lr))),
-            "high": float(math.exp(max(lr))),
-        }
-
-    passed = all(flags.values())
+    config = {("prop" if spec.one_sided else "theorem"): selector, "beta": beta, "d": d, "alpha": alpha,
+              "horizon": horizon, "t_values": list(grid.t_values), "r_values": list(grid.r_values),
+              "constants": asdict(consts), **({"k": k, "case": spec.case} if spec.one_sided else {})}
     return VerificationReport(
-        theorem=theorem,
-        family=family,
-        d=d,
-        alpha=alpha,
-        beta=beta,
-        derivative_order=0,
-        one_sided=False,
-        ratio_ceiling=ratio_ceiling,
-        points=rows,
-        regime_stats=stats,
-        fits=fits,
-        flags=flags,
-        tolerances=tolerances,
-        passed=bool(passed),
-        config={
-            "theorem": theorem,
-            "beta": beta,
-            "d": d,
-            "alpha": alpha,
-            "horizon": horizon,
-            "t_values": list(grid.t_values),
-            "r_values": list(grid.r_values),
-            "constants": asdict(consts),
-        },
+        theorem=selector, family=family, d=d, alpha=alpha, beta=beta, derivative_order=k,
+        one_sided=spec.one_sided, ratio_ceiling=math.inf if ratio_ceiling is None else ratio_ceiling,
+        points=rows, regime_stats=stats, fits=fits, flags=flags, tolerances=tolerances,
+        passed=all(flags.values()), config=config,
     )
+
+
+def verify_envelope(theorem, kernel, beta, grid=None, consts=None, ratio_ceiling=1e3, horizon=None, fit_rate=True):
+    """Two-sided envelope certification for one theorem/kernel/beta combo."""
+    return _certify(theorem, kernel, beta, 0, grid, consts, ratio_ceiling, horizon, fit_rate)
 
 
 def verify_derivative_envelope(prop, kernel, beta, k=1, grid=None, consts=None, ratio_ceiling=None, horizon=None):
     """One-sided certification: |d^k G| <= fitted_C x shape at every point."""
-    beta = _beta_value(beta)
-    if prop not in DERIV_PROPS:
-        raise SpecError(f"unknown derivative proposition selector {prop!r}")
-    want_family, case = DERIV_PROPS[prop]
-    family, d, alpha = _kernel_traits(kernel)
-    if family != want_family:
-        raise SpecError(f"{prop} expects a {want_family} kernel")
-    _check_envelope_order(family, k)
-    if case != "global":
-        horizon = horizon if horizon is not None else kernel.horizon
-        if horizon is None:
-            raise SpecError("local propositions require a horizon")
-    consts = consts or env.EnvelopeConstants(horizon_T=horizon)
-    theorem = "3.1" if family == "diffusion" else "3.2"
-    grid = grid or default_grid(theorem, kernel, beta, horizon=horizon, k=k)
-
-    rows = _collect_points(
-        kernel, beta, grid, k, consts, family, d, alpha, case=case, horizon=horizon
-    )
-    fits = {}
-    if family == "diffusion" and case != "local_large_time":
-        consts, rows = _refit_exponential_rate(rows, family, d, alpha, beta, k, case, consts)
-        fits["exponential_rate_fitted"] = consts.c_beta_exponent
-    stats = _regime_stats(rows)
-    flags = {}
-    tolerances = {"slope_tol": 0.15}
-
-    ok_rows = [p for p in rows if p["flag"] == "ok"]
-    finite = [p["log_ratio"] for p in ok_rows]
-    flags["fitted_constant_finite"] = bool(finite) and np.isfinite(max(finite))
-    if finite:
-        fits["fitted_C"] = float(math.exp(max(finite)))
-    if ratio_ceiling is not None:
-        flags["ratio_ceiling"] = all(s["spread"] < math.log(ratio_ceiling) for s in stats.values())
-
-    if family == "stable" and case == "global":
-        expected = -1.0 - (d + k) / alpha
-        off = [p for p in ok_rows if p["omega"] >= 3.0]
-        xs = np.array([p["omega"] for p in off])
-        ys = np.array([math.exp(p["log_G"] + (d + k) * beta / alpha * math.log(p["t"])) for p in off])
-        if xs.size >= 8:
-            fr = fit_constants(xs, ys, model="power")
-            fits["off_diagonal_power"] = fr.as_dict()
-            fits["off_diagonal_power"]["expected_exponent"] = expected
-            flags["off_diagonal_slope"] = bool(abs(fr.params["exponent"] - expected) <= 0.15)
-
-    passed = all(flags.values())
-    return VerificationReport(
-        theorem=prop,
-        family=family,
-        d=d,
-        alpha=alpha,
-        beta=beta,
-        derivative_order=k,
-        one_sided=True,
-        ratio_ceiling=ratio_ceiling if ratio_ceiling is not None else math.inf,
-        points=rows,
-        regime_stats=stats,
-        fits=fits,
-        flags=flags,
-        tolerances=tolerances,
-        passed=bool(passed),
-        config={
-            "prop": prop,
-            "beta": beta,
-            "d": d,
-            "alpha": alpha,
-            "k": k,
-            "case": case,
-            "horizon": horizon,
-            "t_values": list(grid.t_values),
-            "r_values": list(grid.r_values),
-            "constants": asdict(consts),
-        },
-    )
+    return _certify(prop, kernel, beta, k, grid, consts, ratio_ceiling, horizon, True)
 
 
 def _json_default(obj):

@@ -525,13 +525,8 @@ class _RadialCosSpline:
         self._spline = CubicSpline(grid, [_fourier_moment(self.alpha, 1, "cos", s) for s in grid])
 
     def __call__(self, sigma):
-        sigma = np.abs(np.asarray(sigma, dtype=float))
-        inside = sigma <= _COS_SPLINE_CAP
-        out = np.empty_like(sigma)
-        out[inside] = self._spline(sigma[inside])
-        if np.any(~inside):
-            out[~inside] = _fourier_moment_tail(self.alpha, 1, "cos", sigma[~inside])
-        return out
+        return _spline_or_tail(sigma, _COS_SPLINE_CAP, self._spline,
+                               lambda s: _fourier_moment_tail(self.alpha, 1, "cos", s))
 
 
 class SpectralMeasure:
@@ -869,26 +864,24 @@ class VariableDiffusion1D:
             t += dt0 / 2.0
         # geometric ramp up to the working step; dt is kept a small
         # fraction of elapsed time so the Crank-Nicolson truncation error
-        # (dt/t)^2 stays uniformly small through the transient
+        # (dt/t)^2 stays uniformly small through the transient.  The time
+        # ladder comes first, so the history is filled in place.
         dtv = dt0
-        times = [t]
-        profiles = [u.copy()]
+        times, steps = [t], []
         while dtv < self.dt * 0.999:
-            dtv = min(dtv * 1.05, 0.05 * t, self.dt)
-            dtv = max(dtv, dt0)
-            u = implicit_step(u, dtv, 0.5)
+            dtv = max(min(dtv * 1.05, 0.05 * t, self.dt), dt0)
             t += dtv
             times.append(t)
-            profiles.append(u.copy())
+            steps.append(dtv)
         while t < t_max:
-            u = implicit_step(u, self.dt, 0.5)
             t += self.dt
             times.append(t)
-            profiles.append(u.copy())
-        return _History(
-            xs, np.array(times), np.array(profiles), self.t_splice,
-            self.a, self.c, y,
-        )
+            steps.append(self.dt)
+        profiles = np.empty((len(times), n))
+        profiles[0] = u
+        for i, dtv in enumerate(steps, 1):
+            profiles[i] = u = implicit_step(u, dtv, 0.5)
+        return _History(xs, np.array(times), profiles, self.t_splice, self.a, self.c, y)
 
     def history(self, y, t_max=None) -> _History:
         """Cached evolution from a point source at y, stored to t_max."""

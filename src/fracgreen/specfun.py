@@ -16,10 +16,9 @@ beta-stable subordinator, and the Mittag-Leffler function ``E_beta``.
 
 ``E_beta`` on the negative axis is a completely monotone function whose
 alternating power series suffers cancellation of order ``exp(|z|**(1/beta))``.
-``ml_series`` therefore escalates: compensated float summation while rounding
-stays below tolerance, exact summation in adaptive-precision arithmetic up to
-a precision cap, and past the cap the equivalent completely-monotone integral
-representation.  ``ml_pz`` is the independent route through the subordinator
+``ml_series`` therefore uses compensated float summation while rounding
+stays below tolerance, and past that the equivalent completely monotone
+integral representation.  ``ml_pz`` is the independent route through the subordinator
 density and is kept free of any series machinery.
 """
 
@@ -29,7 +28,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
@@ -58,8 +56,6 @@ _EPS = np.finfo(float).eps
 SWITCH_POINT = 1.0          # series for x >= switch, integral below
 ML_SERIES_GUARD = 50.0      # hard |z| guard for ml_series
 _ML_FLOAT_MAXLOG = 7.0      # float summation safe while max term < e^7
-_ML_DPS_LEVELS = (30, 60, 100, 160, 240, 320)
-_ML_DPS_CAP = 320
 
 
 @dataclass(frozen=True)
@@ -387,44 +383,6 @@ def _ml_series_float(z, b, tol, deriv=False):
     return _neumaier_sum(terms)
 
 
-_MP_GAMMA_CACHE: dict = {}
-
-
-def _mp_gamma(b, k, dps):
-    key = (b, k, dps)
-    g = _MP_GAMMA_CACHE.get(key)
-    if g is None:
-        g = mpmath.gamma(mpmath.mpf(b) * k + 1)
-        _MP_GAMMA_CACHE[key] = g
-    return g
-
-
-def _ml_series_mp(z, b, maxlog, deriv=False):
-    need = int(maxlog / math.log(10.0)) + 25
-    dps = next(d for d in _ML_DPS_LEVELS if d >= need)
-    old = mpmath.mp.dps
-    mpmath.mp.dps = dps
-    try:
-        zz = mpmath.mpf(z)
-        s = mpmath.mpf(0)
-        k = 1 if deriv else 0
-        floor = mpmath.mpf(10) ** (-dps + 12)
-        while True:
-            if deriv:
-                term = k * zz ** (k - 1) / _mp_gamma(b, k, dps)
-            else:
-                term = zz ** k / _mp_gamma(b, k, dps)
-            s += term
-            if k > 3 and abs(term) < floor:
-                break
-            k += 1
-            if k > 500000:
-                break
-        return float(s)
-    finally:
-        mpmath.mp.dps = old
-
-
 def _ml_spectral(z, b, deriv=False):
     """Completely monotone integral for E_beta(z) (or E'_beta) on z < 0.
 
@@ -463,8 +421,6 @@ def _ml_ladder(beta, z, tol, deriv):
     maxlog = _ml_maxlog(z, b)
     if maxlog <= _ML_FLOAT_MAXLOG:
         return _ml_series_float(z, b, tol, deriv=deriv)
-    if maxlog / math.log(10.0) + 25 <= _ML_DPS_CAP:
-        return _ml_series_mp(z, b, maxlog, deriv=deriv)
     return _ml_spectral(z, b, deriv=deriv)
 
 

@@ -172,6 +172,13 @@ class TestVerifyCommand:
         assert json.loads(err)["error"] == "CapabilityError"
         assert not out_path.exists()
 
+    def test_unknown_prop_is_error_record(self, tmp_path):
+        out_path = tmp_path / "rep.json"
+        code, out, err = run_cli("verify", "--prop", "prop7", "--beta", "0.5", "--out", str(out_path))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "SpecError"
+        assert not out_path.exists()
+
     def test_roundtrip_identity(self, tmp_path):
         out_path = tmp_path / "rep.json"
         run_cli(

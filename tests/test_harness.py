@@ -106,6 +106,18 @@ class TestVerifyEnvelope:
         sides = small_diffusion_report.fits["per_side_rates"]
         assert sides["upper"] > 0 and sides["lower"] > 0
 
+    def test_refit_matches_direct_envelopes(self, small_diffusion_report):
+        # the refit reads every trial rate off the shapes at C = 1 and C = 2
+        rate = small_diffusion_report.fits["exponential_rate_fitted"]
+        assert rate != 1.0
+        consts = E.EnvelopeConstants(c_beta_exponent=rate)
+        off = [p for p in small_diffusion_report.points if p["flag"] == "ok" and p["omega"] > 1.0]
+        assert len(off) >= 8
+        for p in off:
+            point = E.compute_omega("diffusion", p["t"], p["r"], 0.5)
+            direct = H.envelope_value("diffusion", 3, None, 0.5, 0, point, consts).log_value
+            assert p["log_envelope"] == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
     def test_family_mismatch(self):
         with pytest.raises(SpecError):
             H.verify_envelope("3.1", K.IsotropicStable(1, 1.0), 0.5)
@@ -228,5 +240,5 @@ def test_anisotropic_diagonal_row_is_skipped():
     # d = 2 >= alpha: the r = 0 row diverges and is skipped, not an error row
     kernel = K.AnisotropicStable2D(1.5, K.SpectralMeasure.uniform(1.5))
     grid = H.SweepGrid(t_values=(1.0,), r_values=(0.0, 1.0), theorem="3.2")
-    rows = H._collect_points(kernel, 0.5, grid, 0, E.EnvelopeConstants(), "stable", 2, 1.5)
+    rows = H._collect_points(kernel, 0.5, grid, 0, E.EnvelopeConstants(), "global", None)
     assert [row["flag"] for row in rows] == ["skipped:diagonal-divergent", "ok"]

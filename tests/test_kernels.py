@@ -75,7 +75,7 @@ class TestGaussian:
     def test_on_diagonal_d3(self):
         g = K.ConstantDiffusion(3)
         assert K.gaussian_kernel(g, 1.0, [0, 0, 0], [0, 0, 0]) == pytest.approx(
-            (4 * math.pi) ** -1.5, rel=1e-14
+            (4 * math.pi) ** -1.5, rel=1e-14, abs=0.0
         )
 
     def test_mass_d1(self):
@@ -86,7 +86,7 @@ class TestGaussian:
     def test_off_diagonal_d2(self):
         g = K.ConstantDiffusion(2)
         assert K.gaussian_kernel(g, 0.5, [1.0, 0.0], [0.0, 0.0]) == pytest.approx(
-            (2 * math.pi) ** -1 * math.exp(-0.5), rel=1e-14
+            (2 * math.pi) ** -1 * math.exp(-0.5), rel=1e-14, abs=0.0
         )
 
     def test_anisotropic_matrix(self):
@@ -95,7 +95,7 @@ class TestGaussian:
         x, y = np.array([0.7, -0.2]), np.array([0.0, 0.0])
         q = (x - y) @ np.linalg.inv(A) @ (x - y)
         expect = (4 * math.pi) ** -1 * np.linalg.det(A) ** -0.5 * math.exp(-q / 4.0)
-        assert g.value(1.0, x, y) == pytest.approx(expect, rel=1e-13)
+        assert g.value(1.0, x, y) == pytest.approx(expect, rel=1e-13, abs=0.0)
 
     def test_spd_validation(self):
         with pytest.raises(DomainError):
@@ -112,7 +112,7 @@ class TestGaussian:
         g = K.ConstantDiffusion(1)
         h = 1e-6
         fd = (g.value(1.0, [0.5 + h], [0.0]) - g.value(1.0, [0.5 - h], [0.0])) / (2 * h)
-        assert g.derivative(1.0, [0.5], [0.0], k=1) == pytest.approx(fd, rel=1e-8)
+        assert g.derivative(1.0, [0.5], [0.0], k=1) == pytest.approx(fd, rel=1e-8, abs=0.0)
 
     def test_second_derivative_matches_fd(self):
         g = K.ConstantDiffusion(1)
@@ -122,21 +122,21 @@ class TestGaussian:
             - 2 * g.value(1.0, [0.5], [0.0])
             + g.value(1.0, [0.5 - h], [0.0])
         ) / h**2
-        assert g.derivative(1.0, [0.5], [0.0], k=2) == pytest.approx(fd, rel=1e-6)
+        assert g.derivative(1.0, [0.5], [0.0], k=2) == pytest.approx(fd, rel=1e-6, abs=0.0)
 
 
 class TestIsotropicStable:
     def test_cauchy_closed_form(self):
         c = K.IsotropicStable(1, 1.0)
-        assert c.value(1.0, 0.0) == pytest.approx(1 / math.pi, rel=1e-9)
-        assert c.value(2.0, 2.0) == pytest.approx(cauchy_1d(2.0, 2.0), rel=1e-9)
+        assert c.value(1.0, 0.0) == pytest.approx(1 / math.pi, rel=1e-9, abs=0.0)
+        assert c.value(2.0, 2.0) == pytest.approx(cauchy_1d(2.0, 2.0), rel=1e-9, abs=0.0)
 
     def test_gaussian_limit(self):
         g = K.IsotropicStable(1, 2.0)
-        assert g.value(1.0, 0.0) == pytest.approx((4 * math.pi) ** -0.5, rel=1e-9)
+        assert g.value(1.0, 0.0) == pytest.approx((4 * math.pi) ** -0.5, rel=1e-9, abs=0.0)
         ref = K.ConstantDiffusion(1)
         for r in (0.0, 0.5, 2.0):
-            assert g.value(0.7, r) == pytest.approx(ref.value(0.7, [r], [0.0]), rel=1e-7)
+            assert g.value(0.7, r) == pytest.approx(ref.value(0.7, [r], [0.0]), rel=1e-7, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.8, 1.5])
     def test_self_similarity(self, alpha):
@@ -144,7 +144,7 @@ class TestIsotropicStable:
         for t, r in [(0.3, 0.4), (2.5, 1.2), (7.0, 0.0)]:
             direct = s.value(t, r)
             scaled = t ** (-1.0 / alpha) * s.value(1.0, r * t ** (-1.0 / alpha))
-            assert direct == pytest.approx(scaled, rel=1e-8)
+            assert direct == pytest.approx(scaled, rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5])
     def test_mass(self, alpha):
@@ -155,8 +155,8 @@ class TestIsotropicStable:
     def test_poisson_d2_d3(self):
         for d in (2, 3):
             s = K.IsotropicStable(d, 1.0)
-            assert s.value(1.0, 0.0) == pytest.approx(poisson_kernel(d, 1.0, 0.0), rel=1e-9)
-            assert s.value(1.5, 2.0) == pytest.approx(poisson_kernel(d, 1.5, 2.0), rel=1e-9)
+            assert s.value(1.0, 0.0) == pytest.approx(poisson_kernel(d, 1.0, 0.0), rel=1e-9, abs=0.0)
+            assert s.value(1.5, 2.0) == pytest.approx(poisson_kernel(d, 1.5, 2.0), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_radial_quadrature_vs_closed_form_alpha1(self, d):
@@ -194,7 +194,7 @@ class TestIsotropicStable:
         h = 1e-5
         fd = (s.value(1.0, 1.0 + h) - s.value(1.0, 1.0 - h)) / (2 * h)
         got = s.derivative(1.0, 1.0, 0.0, k=1)
-        assert got == pytest.approx(fd, rel=1e-5)
+        assert got == pytest.approx(fd, rel=1e-5, abs=0.0)
         assert got < 0
         assert s.derivative(1.0, 0.0, 1.0, k=1) > 0
         assert s.derivative(1.0, 0.5, 0.5, k=1) == 0.0
@@ -203,9 +203,9 @@ class TestIsotropicStable:
         for alpha in (0.8, 1.5):
             p = K._profile_1d(alpha)
             lo = K._fourier_moment(alpha, 0, "cos", 59.0) / math.pi
-            assert p.value(59.0) == pytest.approx(lo, rel=1e-8)
+            assert p.value(59.0) == pytest.approx(lo, rel=1e-8, abs=0.0)
             tail = K._fourier_moment_tail(alpha, 0, "cos", 61.0) / math.pi
-            assert p.value(61.0) == pytest.approx(tail, rel=1e-12)
+            assert p.value(61.0) == pytest.approx(tail, rel=1e-12, abs=0.0)
 
     def test_radial_tail_series_handoff(self):
         # the d = 2 spline hands over to the tail series at _RADIAL_TAIL_RHO = 20
@@ -301,31 +301,31 @@ class TestIsotropicStable:
         s1, s3 = K.IsotropicStable(1, alpha), K.IsotropicStable(3, alpha)
         for rho in (0.05, 0.5, 2.0, 10.0, 19.5):
             walked = -s1.derivative(1.0, rho, 0.0, k=1) / (2 * math.pi * rho)
-            assert s3.value(1.0, rho) == pytest.approx(walked, rel=1e-7)
+            assert s3.value(1.0, rho) == pytest.approx(walked, rel=1e-7, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.7, 1.5])
     def test_d3_origin_closed_form(self, alpha):
         expect = math.gamma(3 / alpha) / (2 * math.pi**2 * alpha)
-        assert K.IsotropicStable(3, alpha).value(1.0, 0.0) == pytest.approx(expect, rel=1e-12)
+        assert K.IsotropicStable(3, alpha).value(1.0, 0.0) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 class TestAnisotropic:
     def test_uniform_reduces_to_isotropic(self):
         an = K.AnisotropicStable2D(1.0, K.SpectralMeasure.uniform(1.0))
         assert np.allclose(an.w, 1.0, atol=1e-12)
-        assert an.value(1.0, (0.0, 0.0)) == pytest.approx(1 / (2 * math.pi), rel=1e-8)
+        assert an.value(1.0, (0.0, 0.0)) == pytest.approx(1 / (2 * math.pi), rel=1e-8, abs=0.0)
         assert an.value(1.0, (1.0, 0.0)) == pytest.approx(
-            1 / (2 * math.pi * 2**1.5), rel=1e-7
+            1 / (2 * math.pi * 2**1.5), rel=1e-7, abs=0.0
         )
         assert an.value(1.0, (0.6, -0.8)) == pytest.approx(
-            1 / (2 * math.pi * 2**1.5), rel=1e-7
+            1 / (2 * math.pi * 2**1.5), rel=1e-7, abs=0.0
         )
 
     def test_uniform_noninteger_alpha_matches_radial(self):
         an = K.AnisotropicStable2D(0.7, K.SpectralMeasure.uniform(0.7))
         iso = K.IsotropicStable(2, 0.7)
         for r in (0.0, 0.7, 1.3):
-            assert an.value(1.0, (r, 0.0)) == pytest.approx(iso.value(1.0, r), rel=1e-6)
+            assert an.value(1.0, (r, 0.0)) == pytest.approx(iso.value(1.0, r), rel=1e-6, abs=0.0)
 
     def test_two_bump_positive_and_anisotropic(self):
         mu = K.SpectralMeasure.from_callable(K.SPECTRAL_BUILTINS["two_bump"])
@@ -353,9 +353,9 @@ class TestAnisotropic:
         cap = K._COS_SPLINE_CAP
         cos = K._RadialCosSpline(alpha)
         tail = K._fourier_moment_tail(alpha, 1, "cos", cap)
-        assert cos(np.array([cap])) == pytest.approx(tail, rel=1e-10)
+        assert cos(np.array([cap])) == pytest.approx(tail, rel=1e-10, abs=0.0)
         below, above = cos(np.array([cap * (1 - 1e-9), cap * (1 + 1e-9)]))  # spline, then tail
-        assert above == pytest.approx(below, rel=1e-8)
+        assert above == pytest.approx(below, rel=1e-8, abs=0.0)
 
 
 class TestVariableDiffusion:
@@ -462,13 +462,13 @@ class TestBaseKernelProtocol:
         assert (kernel.envelope_family, kernel.d, kernel.alpha) == traits
         assert H._kernel_traits(kernel) == traits
         log_kernel, q, clip = kernel.base_integrand(x, y, 0, 0.1)
-        assert q == pytest.approx(q_scale, rel=1e-14)
+        assert q == pytest.approx(q_scale, rel=1e-14, abs=0.0)
         log_g, sign = log_kernel(np.array([0.3]))
         assert np.all(np.isfinite(log_g)) and np.all(np.asarray(sign) == 1.0)
         if family == "fd1d":
             # history to the horizon or s_need, whichever is later, plus 2 %
-            assert clip == pytest.approx(0.51, rel=1e-14)
-            assert kernel.base_integrand(x, y, 0, 2.0)[2] == pytest.approx(2.04, rel=1e-14)
+            assert clip == pytest.approx(0.51, rel=1e-14, abs=0.0)
+            assert kernel.base_integrand(x, y, 0, 2.0)[2] == pytest.approx(2.04, rel=1e-14, abs=0.0)
         else:
             assert clip is None
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erfc
+from scipy.special import erfc, erfcx
 
 from fracgreen import specfun as sf
 from fracgreen.errors import DomainError, RangeGuardError
@@ -175,6 +175,12 @@ class TestMittagLeffler:
         # E_{1/2}(-x) = e^{x^2} erfc(x)
         assert sf.ml_series(0.5, -1.0) == pytest.approx(math.e * erfc(1.0), abs=1e-12)
         assert sf.ml_series(0.5, -9.0) == pytest.approx(math.exp(81) * erfc(9.0), rel=1e-10)
+
+    def test_erfcx_identity_across_the_ladder(self):
+        # E_{1/2}(-x) = erfcx(x) on both rungs: the float series and the
+        # completely monotone integral
+        for z in -np.geomspace(1.0, 50.0, 40):
+            assert sf.ml_series(0.5, z) == pytest.approx(erfcx(-z), rel=1e-10, abs=0.0)
 
     def test_guard(self):
         with pytest.raises(RangeGuardError):
