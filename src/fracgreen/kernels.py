@@ -319,7 +319,12 @@ class _LogSpline:
 def _spline_or_tail(rho, cap, spline, tail):
     """The spline up to cap, the tail series beyond."""
     rho = np.abs(np.asarray(rho, dtype=float))
-    return np.piecewise(rho, [rho <= cap], [spline, tail])
+    inside = rho <= cap
+    out = np.empty_like(rho)
+    out[inside] = spline(rho[inside])
+    if not inside.all():
+        out[~inside] = tail(rho[~inside])
+    return out
 
 
 @lru_cache(maxsize=32)

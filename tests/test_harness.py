@@ -188,6 +188,16 @@ class TestVerifyDerivative:
         with pytest.raises(SpecError):
             H.verify_derivative_envelope("prop7", K.ConstantDiffusion(1), 0.5)
 
+    @pytest.mark.parametrize("call", [
+        lambda: H.verify_envelope("prop3.1", K.ConstantDiffusion(1), 0.5),
+        lambda: H.verify_derivative_envelope("3.1", K.ConstantDiffusion(1), 0.5),
+        lambda: H.verify_derivative_envelope("prop3.1", K.ConstantDiffusion(1), 0.5, k=0),
+    ])
+    def test_selector_kind_must_match_order(self, call, monkeypatch):
+        monkeypatch.setattr(H, "_eval_point", lambda *args: pytest.fail("evaluated a point"))
+        with pytest.raises(SpecError):
+            call()
+
 
 class TestReports:
     def test_json_roundtrip(self, small_stable_report):
