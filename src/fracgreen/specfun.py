@@ -18,8 +18,8 @@ beta-stable subordinator, and the Mittag-Leffler function ``E_beta``.
 alternating power series suffers cancellation of order ``exp(|z|**(1/beta))``.
 ``ml_series`` therefore uses compensated float summation while rounding
 stays below tolerance, and past that the equivalent completely monotone
-integral representation.  ``ml_pz`` is the independent route through the subordinator
-density and is kept free of any series machinery.
+integral representation.  ``ml_pz`` is the independent route through the
+subordinator density and is kept free of any series machinery.
 """
 
 from __future__ import annotations
