@@ -400,6 +400,8 @@ def _certify(selector, kernel, beta, k, grid, consts, ratio_ceiling, horizon, fi
     if family != spec.family:
         raise SpecError(f"{selector} expects a {spec.family} kernel")
     _check_envelope_order(family, k)
+    if k > kernel.max_derivative_order():
+        raise CapabilityError(f"{type(kernel).__name__} gives derivatives up to order {kernel.max_derivative_order()}")
     if spec.local:
         horizon = horizon if horizon is not None else kernel.horizon
         if horizon is None:

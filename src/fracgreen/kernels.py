@@ -19,9 +19,13 @@ Families:
   profiles are inverse-power tail series summed by
   ``_inverse_power_series``.  Profiles are validated for alpha >= 0.2.
 * ``AnisotropicStable2D(alpha, mu)`` - symbol ``-|xi|^alpha w_mu(xi/|xi|)``
-  with ``w_mu`` computed from a spectral density on the unit circle; the 2-D
-  inversion is an angular average of the radial cosine transform
-  ``C_alpha = F_{1,cos}``, cached on a spline with the tail series beyond.
+  with ``w_mu`` computed from a spectral density kept on a uniform angular
+  grid.  One rule serves direct calls and the subordination: the 2-D
+  inversion is a uniform angular trapezoid of the radial cosine transform
+  ``C_alpha = F_{1,cos}`` (splined up to ``_COS_SPLINE_CAP``, the tail
+  series beyond) while the scaled radius is at most ``_COS_SPLINE_CAP``, and
+  below the time t_cap where it reaches the cap, ``log G(t_cap, x) +
+  log(t / t_cap)``.
 * ``VariableDiffusion1D(a, b, c, horizon)`` - Crank-Nicolson fundamental
   solution of ``du/dt = a u'' + b u' + c u`` on a truncated line, with
   Rannacher start-up for the point-mass initial condition and a cached time
@@ -516,7 +520,10 @@ class IsotropicStable:
 # anisotropic 2-D stable
 # ---------------------------------------------------------------------------
 
+# the scaled radius up to which the cosine transform is splined and the
+# anisotropic kernel is an angular trapezoid (see AnisotropicStable2D)
 _COS_SPLINE_CAP = 400.0
+_ANGLE_BLOCK = 16  # times per vectorised block of the angular trapezoid
 
 
 @lru_cache(maxsize=32)
@@ -534,8 +541,20 @@ class _RadialCosSpline:
                                lambda s: _fourier_moment_tail(self.alpha, 1, "cos", s))
 
 
+def _uniform_angles(n):
+    return np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+
+
+def _periodic_spline(angles, values):
+    """Periodic cubic interpolant of samples at increasing angles less than one turn apart."""
+    return CubicSpline(np.append(angles, angles[0] + 2.0 * math.pi), np.append(values, values[0]),
+                       bc_type="periodic")
+
+
 class SpectralMeasure:
-    """Spectral density on the unit circle sampled on a uniform angular grid."""
+    """Spectral density on the unit circle, kept on a uniform angular grid:
+    samples given at other angles are resampled onto as many uniform angles
+    by their periodic cubic interpolant."""
 
     def __init__(self, density_values, *, angles=None):
         vals = np.asarray(density_values, dtype=float)
@@ -543,18 +562,17 @@ class SpectralMeasure:
             raise DomainError("need at least 8 angular density samples")
         if np.any(vals <= 0.0):
             raise DomainError("spectral density must be strictly positive")
+        self.angles = _uniform_angles(vals.size)
+        if angles is not None:
+            angles = np.asarray(angles, dtype=float)
+            if angles.shape != vals.shape or np.any(np.diff(angles) <= 0.0) or angles[-1] - angles[0] >= 2.0 * math.pi:
+                raise DomainError("density angles must increase and lie within one turn")
+            vals = _periodic_spline(angles, vals)(self.angles)
         self.values = vals
-        self.angles = (
-            np.linspace(0.0, 2.0 * math.pi, vals.size, endpoint=False)
-            if angles is None
-            else np.asarray(angles, dtype=float)
-        )
-        self.weights = np.full(vals.size, 2.0 * math.pi / vals.size)
 
     @classmethod
     def from_callable(cls, fn, n=256):
-        ang = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        return cls(np.array([fn(a) for a in ang]), angles=ang)
+        return cls(np.array([fn(a) for a in _uniform_angles(n)]))
 
     @classmethod
     def uniform(cls, alpha, n=256):
@@ -566,12 +584,6 @@ class SpectralMeasure:
         const = 1.0 / (2.0 * math.pi * mean_abs_cos)
         return cls(np.full(n, const))
 
-    def _density_spline(self):
-        # periodic cubic interpolant of the sampled density
-        ext_x = np.concatenate([self.angles, [self.angles[0] + 2.0 * math.pi]])
-        ext_v = np.concatenate([self.values, [self.values[0]]])
-        return CubicSpline(ext_x, ext_v, bc_type="periodic")
-
     def w_values(self, alpha):
         """w_mu on the angular grid: w(theta) = Int |cos(theta - s)|^alpha mu(ds).
 
@@ -580,7 +592,7 @@ class SpectralMeasure:
         density-interpolation error.
         """
         alpha = _alpha_value(alpha)
-        dens = self._density_spline()
+        dens = _periodic_spline(self.angles, self.values)
         xg, wg = np.polynomial.legendre.leggauss(12)
         nodes, weights = [], []
         # panels on [0, pi/2] clustered at pi/2, mirrored to the other arcs
@@ -602,7 +614,17 @@ class SpectralMeasure:
 
 
 class AnisotropicStable2D:
-    """2-D stable generator with symbol -|xi|^alpha w_mu(xi/|xi|)."""
+    """2-D stable generator with symbol -|xi|^alpha w_mu(xi/|xi|).
+
+    G(t, x) = (2 pi)^{-2} Int_0^{2 pi} (t w)^{-2/alpha} C_alpha(|x| cos(theta -
+    phi) (t w)^{-1/alpha}) dtheta, w = w_mu(theta), phi the angle of x, by
+    one rule: the uniform trapezoid on max(m, 32 sigma_max) angles (m the
+    measure's grid), which resolves the ~1/sigma_max wide angular feature,
+    while the scaled radius sigma_max = |x| (t min w)^{-1/alpha} is at most
+    _COS_SPLINE_CAP.  Below the time t_cap at which it reaches the cap, the
+    kernel is in its linear-in-t small-time regime: log G(t_cap, x) +
+    log(t/t_cap).
+    """
 
     family = "anisotropic_stable_2d"
     envelope_family = "stable"
@@ -617,62 +639,46 @@ class AnisotropicStable2D:
         if np.any(self.w <= 0.0):
             raise DomainError("w_mu must be strictly positive")
         self.horizon = None
+        self._w_min = float(np.min(self.w))
+        self._w = _periodic_spline(spectral_measure.angles, self.w)
         self._cos = _RadialCosSpline(self.alpha)
 
-    def _w_spline(self):
-        if getattr(self, "_w_interp", None) is None:
-            ang = np.concatenate([self.measure.angles, [self.measure.angles[0] + 2.0 * math.pi]])
-            vals = np.concatenate([self.w, [self.w[0]]])
-            self._w_interp = CubicSpline(ang, vals, bc_type="periodic")
-        return self._w_interp
+    def _trapezoid(self, t, rho, phase):
+        """G at each time of the 1-D array t (sigma_max <= cap), a block of
+        times at a time, each time's angles laid end to end."""
+        n = np.maximum(self.w.size, (32.0 * rho * (t * self._w_min) ** (-1.0 / self.alpha)).astype(int))
+        out = np.empty(t.size)
+        for i in range(0, t.size, _ANGLE_BLOCK):
+            nb = n[i:i + _ANGLE_BLOCK]
+            starts = np.cumsum(nb) - nb
+            theta = (np.arange(nb.sum()) - np.repeat(starts, nb)) * np.repeat(2.0 * math.pi / nb, nb)
+            tw = np.repeat(t[i:i + _ANGLE_BLOCK], nb) * self._w(theta)
+            vals = tw ** (-2.0 / self.alpha) * self._cos(rho * np.cos(theta - phase) * tw ** (-1.0 / self.alpha))
+            out[i:i + _ANGLE_BLOCK] = np.add.reduceat(vals, starts) / nb
+        return out / (2.0 * math.pi)
 
-    def value(self, t, x) -> float:
-        """Kernel at offset x (2-vector) via angular average of the radial transform."""
-        if t <= 0:
+    def log_value(self, t, x):
+        """log G(t, x) at offset x (2-vector); ``t`` may be an array of times."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t <= 0):
             raise DomainError("kernel requires t > 0")
         x = np.asarray(x, dtype=float).reshape(2)
         rho = float(np.hypot(x[0], x[1]))
-        phase = math.atan2(x[1], x[0])
-        sigma_max = rho * (t * float(np.min(self.w))) ** (-1.0 / self.alpha)
-        two_pi = 2.0 * math.pi
-        if sigma_max <= 420.0:
-            # uniform trapezoid on a smooth periodic integrand is spectrally
-            # accurate once the radial transform's angular feature (~1/sigma
-            # wide) is resolved; densify with sigma_max
-            n = max(self.measure.values.size, min(int(32.0 * sigma_max), 16384))
-            if n == self.measure.values.size:
-                ang, wv = self.measure.angles, self.w
-            else:
-                ang = np.linspace(0.0, two_pi, n, endpoint=False)
-                wv = self._w_spline()(ang)
-            tw = t * wv
-            scale = tw ** (-2.0 / self.alpha)
-            sigma = rho * np.cos(ang - phase) * tw ** (-1.0 / self.alpha)
-            integrand = scale * self._cos(sigma)
-            return float(integrand.mean()) / (2.0 * math.pi)
-        # very large scaled radius: integrate adaptively with break points at
-        # the crossing angles where the radial transform varies fastest
-        wsp = self._w_spline()
-
-        def integrand(theta):
-            wv = float(wsp(theta % two_pi))
-            tw = t * wv
-            sig = rho * math.cos(theta - phase) * tw ** (-1.0 / self.alpha)
-            return tw ** (-2.0 / self.alpha) * float(self._cos(sig))
-
-        breaks = sorted(((phase + 0.5 * math.pi) % two_pi, (phase + 1.5 * math.pi) % two_pi))
-        pieces = [0.0] + [b for b in breaks if 0.0 < b < two_pi] + [two_pi]
-        total = 0.0
-        for lo, hi in zip(pieces[:-1], pieces[1:]):
-            v, _ = quad(integrand, lo, hi, epsabs=1e-12, epsrel=3e-8, limit=200)
-            total += v
-        return total / (2.0 * math.pi) ** 2
-
-    def log_value(self, t, x) -> float:
-        v = self.value(t, x)
-        if v <= 0.0:
+        t_cap = rho ** self.alpha / (_COS_SPLINE_CAP ** self.alpha * self._w_min)
+        flat = t.ravel()
+        above = flat > t_cap
+        times = flat[above] if above.all() else np.append(flat[above], t_cap)
+        v = self._trapezoid(times, rho, math.atan2(x[1], x[0]))
+        if np.any(v <= 0.0):
             raise CapabilityError("anisotropic evaluation lost positivity; out of validated range")
-        return math.log(v)
+        out = np.empty_like(flat)
+        out[above] = np.log(v[:above.sum()])
+        out[~above] = math.log(v[-1]) + np.log(flat[~above] / t_cap)
+        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+
+    def value(self, t, x) -> float:
+        lv = self.log_value(t, x)
+        return math.exp(lv) if lv > -745.0 else 0.0
 
     def max_derivative_order(self) -> int:
         return 0
@@ -680,25 +686,9 @@ class AnisotropicStable2D:
     def base_integrand(self, x, y, k, s_need):
         """G for the subordination rule (see the module docstring)."""
         xv = np.asarray(x, float) - np.asarray(y, float)
-        rho = float(np.hypot(xv[0], xv[1]))
-        if rho == 0.0:
+        if not xv.any():
             raise DomainError("fractional kernel diverges on the diagonal for d = 2 >= alpha")
-        # below s_cap the angular quadrature cannot resolve the narrow
-        # near-axis window; there the kernel is in its linear-in-s small-time
-        # regime, so extend from the value at s_cap with unit log-slope
-        s_cap = rho ** self.alpha / (400.0 ** self.alpha * float(np.min(self.w)))
-        anchor = {}
-
-        def logv(s):
-            if s <= s_cap:
-                if "log_cap" not in anchor:
-                    v_cap = self.value(s_cap, xv)
-                    anchor["log_cap"] = math.log(v_cap) if v_cap > 0 else -math.inf
-                return anchor["log_cap"] + math.log(s / s_cap)
-            v = self.value(s, xv)
-            return math.log(v) if v > 0 else -math.inf
-
-        return (lambda s: (np.array([logv(si) for si in s]), 1.0)), _distance(x, y) ** self.alpha, None
+        return (lambda s: (self.log_value(s, xv), 1.0)), _distance(x, y) ** self.alpha, None
 
     def mass(self, t, half_width=None, n=401) -> float:
         """Numerical mass over a truncated square (tensor trapezoid)."""
@@ -735,7 +725,7 @@ def coefficient_from_csv(path):
     return lambda x: np.interp(np.asarray(x, dtype=float), xs, vals)
 
 
-def spectral_density_from_csv(path, alpha=None):
+def spectral_density_from_csv(path):
     """SpectralMeasure from a two-column (angle, value) CSV file."""
     data = np.loadtxt(path, delimiter=",")
     return SpectralMeasure(data[:, 1], angles=data[:, 0])

@@ -91,8 +91,8 @@ _MAX_LEVEL = 12      # finest step _H0 / 2^12
 _DROP = 46.0         # window ends: phi this far below its largest node value
 _ZETA_LIMIT = 600.0  # |zeta| beyond which a window is not extended
 # stop tolerance of the h/2h difference, per base family: each sits above
-# that family's own evaluation noise (interpolated profiles, per-node
-# quadratures, the piecewise-smooth Crank-Nicolson history)
+# that family's own evaluation noise (interpolated profiles, angular
+# trapezoids, the piecewise-smooth Crank-Nicolson history)
 _FAMILY_TOL = {
     "constant_diffusion": 1e-10,
     "isotropic_stable": 1e-8,
@@ -286,26 +286,15 @@ def frac_solve(kernel, beta, t, y_grid, y_values, x, mass_threshold=0.999) -> fl
 
     ``y_grid``/``y_values`` sample the initial condition; the result is the
     tensor-quadrature value of Int Gb(t, x, y) Y(y) dy.  Raises CoverageError
-    when the grid captures less than ``mass_threshold`` of the kernel mass.
+    when the grid captures less than ``mass_threshold`` of the kernel mass, and
+    DomainError when x lies on a node where the kernel diverges.
     """
     beta = _beta_value(beta)
     y_grid = np.asarray(y_grid, dtype=float)
     y_values = np.asarray(y_values, dtype=float)
     if y_grid.ndim != 1 or y_grid.shape != y_values.shape:
         raise DomainError("y_grid and y_values must be matching 1-D arrays")
-    gvals = np.empty_like(y_grid)
-    for i, yy in enumerate(y_grid):
-        try:
-            gvals[i] = frac_green(FracGreenRequest(kernel=kernel, beta=beta, t=t, x=x, y=yy))
-        except DomainError:
-            # diagonal divergence (d >= 2); integrable, approximate by neighbours
-            gvals[i] = math.nan
-    if np.any(np.isnan(gvals)):
-        idx = np.where(np.isnan(gvals))[0]
-        for i in idx:
-            lo = gvals[max(i - 1, 0)]
-            hi = gvals[min(i + 1, len(gvals) - 1)]
-            gvals[i] = np.nanmax([lo, hi])
+    gvals = np.array([frac_green(FracGreenRequest(kernel=kernel, beta=beta, t=t, x=x, y=yy)) for yy in y_grid])
     mass = float(np.trapezoid(gvals, y_grid))
     if mass < mass_threshold:
         raise CoverageError(

@@ -184,6 +184,12 @@ class TestVerifyDerivative:
             H.verify_derivative_envelope("prop3.1", K.ConstantDiffusion(1), 0.5, k=2)
         assert evaluated == []
 
+    @pytest.mark.parametrize("kernel, k", [(K.IsotropicStable(2, 1.5), 1), (K.IsotropicStable(1, 1.2), 2)])
+    def test_stable_order_beyond_kernel_rejected_before_any_point(self, kernel, k, monkeypatch):
+        monkeypatch.setattr(H, "_eval_point", lambda *args: pytest.fail("evaluated a point"))
+        with pytest.raises(CapabilityError):
+            H.verify_derivative_envelope("prop3.2", kernel, 0.5, k=k)
+
     def test_unknown_prop(self):
         with pytest.raises(SpecError):
             H.verify_derivative_envelope("prop7", K.ConstantDiffusion(1), 0.5)

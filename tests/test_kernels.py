@@ -348,6 +348,39 @@ class TestAnisotropic:
         with pytest.raises(DomainError):
             an.value(-1.0, (0.0, 0.0))
 
+    def test_subordination_integrand_is_log_value_across_cap(self):
+        an = K.AnisotropicStable2D(1.5, K.SpectralMeasure.uniform(1.5))
+        x, y = np.array([3.0, 4.0]), np.array([1.0, 1.0])
+        s_cap = (math.hypot(2.0, 3.0) / K._COS_SPLINE_CAP) ** 1.5 / an.w.min()
+        s = s_cap * np.geomspace(0.1, 10.0, 9)
+        log_kernel, _, _ = an.base_integrand(x, y, 0, 1.0)
+        logs, sign = log_kernel(s)
+        assert sign == 1.0
+        np.testing.assert_array_equal(logs, an.log_value(s, x - y))
+        assert logs == pytest.approx([an.log_value(si, x - y) for si in s], rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.2, 1.5])
+    def test_large_radius_matches_radial(self, alpha):
+        # sigma_max beyond the cap: the linear-in-t extension from t_cap
+        an = K.AnisotropicStable2D(alpha, K.SpectralMeasure.uniform(alpha))
+        iso = K.IsotropicStable(2, alpha)
+        for sigma in (1e3, 1e4, 1e5):
+            assert an.value(1.0, (sigma, 0.0)) == pytest.approx(iso.value(1.0, sigma), rel=2e-3, abs=0.0)
+
+    def test_nonuniform_angles_resampled(self):
+        uniform = K.SpectralMeasure.uniform(1.5)
+        angles = np.sort(np.random.default_rng(11).uniform(0.0, 2 * math.pi, 256))
+        given = K.SpectralMeasure(np.full(256, uniform.values[0]), angles=angles)
+        a, b = K.AnisotropicStable2D(1.5, uniform), K.AnisotropicStable2D(1.5, given)
+        for r in (0.5, 2.0, 5.0):
+            assert b.value(1.0, (r, 0.3)) == pytest.approx(a.value(1.0, (r, 0.3)), rel=1e-10, abs=0.0)
+
+    def test_density_angles_must_increase_within_a_turn(self):
+        with pytest.raises(DomainError):
+            K.SpectralMeasure(np.ones(8), angles=np.linspace(0.0, 2 * math.pi, 8)[::-1])
+        with pytest.raises(DomainError):
+            K.SpectralMeasure(np.ones(8), angles=np.linspace(0.0, 2 * math.pi, 8))
+
     @pytest.mark.parametrize("alpha", [0.7, 1.5])
     def test_cos_spline_meets_tail_at_cap(self, alpha):
         cap = K._COS_SPLINE_CAP

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -14,6 +15,25 @@ from fracgreen.errors import DomainError, RangeGuardError
 def w_half_closed(x):
     # Levy(1/2) density: x^{-3/2} e^{-1/(4x)} / (2 sqrt(pi))
     return x ** -1.5 * np.exp(-1.0 / (4.0 * x)) / (2.0 * np.sqrt(np.pi))
+
+
+def zolotarev_log_w(beta, x):
+    """log w_beta(x) from Zolotarev's integral at 40 digits, split on the
+    ~M^{-1/2} wide peak at phi = 0:
+    w = b/((1-b) pi) x^{-1/(1-b)} Int_0^pi A e^{-A M} dphi, M = x^{-b/(1-b)}."""
+    with mp.workdps(40):
+        b, lx = mp.mpf(beta), mp.log(mp.mpf(x))
+        M = mp.exp(-b / (1 - b) * lx)
+        c = (1 - b) * b ** (b / (1 - b))
+
+        def integrand(p):
+            A = mp.sin(b * p) ** (b / (1 - b)) * mp.sin((1 - b) * p) / mp.sin(p) ** (1 / (1 - b))
+            return A * mp.exp(-(A - c) * M)
+
+        width = 1 / mp.sqrt(M)
+        splits = [mp.mpf(0)] + [width * 2**k for k in range(-2, 60) if width * 2**k < mp.pi] + [mp.pi]
+        core = mp.quad(integrand, splits)
+        return float(mp.log(b / ((1 - b) * mp.pi)) - lx / (1 - b) - c * M + mp.log(core))
 
 
 # frozen with an 80-digit arbitrary-precision summation of the inverse-power
@@ -75,6 +95,14 @@ class TestStableDensity:
         assert sf.stable_density_eval(0.5, 2.0).method_used == "series"
         assert sf.stable_density_eval(0.5, 0.2).method_used == "integral_rep"
         assert sf.stable_density_eval(0.5, 1e-14).method_used == "asymptotic"
+
+    @pytest.mark.parametrize("beta", [0.1, 0.15, 0.2])
+    def test_small_x_against_zolotarev_integral(self, beta):
+        # below x = 1e-12 the leading asymptotic was off by O(1/M),
+        # M = x^{-beta/(1-beta)} (about 22 at beta = 0.1, x = 1e-12)
+        for x in np.geomspace(1e-20, 1e-11, 10):
+            ref = zolotarev_log_w(beta, x)
+            assert sf.stable_density_log(beta, x) == pytest.approx(ref, rel=1e-13, abs=1e-13)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):

@@ -263,6 +263,12 @@ class TestFracSolve:
         with pytest.raises(CoverageError):
             S.frac_solve(gauss1d, 0.5, 1.0, ys, np.ones_like(ys), [0.0])
 
+    def test_divergent_node_raises(self):
+        # d = 1 >= alpha = 0.9: the kernel diverges where y = x, here a grid node
+        ys = np.linspace(-14.0, 14.0, 241)
+        with pytest.raises(DomainError):
+            S.frac_solve(K.IsotropicStable(1, 0.9), 0.5, 1.0, ys, np.ones_like(ys), [0.0])
+
 
 class TestFracGreenFd1d:
     def test_matches_gaussian_route(self):
