@@ -28,8 +28,12 @@ Families:
   log(t / t_cap)``.
 * ``VariableDiffusion1D(a, b, c, horizon)`` - Crank-Nicolson fundamental
   solution of ``du/dt = a u'' + b u' + c u`` on a truncated line, with
-  Rannacher start-up for the point-mass initial condition and a cached time
-  history for subordination quadrature.
+  Rannacher start-up for the point-mass initial condition.  Each step solves
+  one tridiagonal system whose LU factors are kept while the step size
+  repeats.  One time history is cached per source point and serves every
+  request it covers: the first request builds it to its own clip, and a
+  later one that needs more rebuilds it once, to the clip of a request at
+  the horizon.
 
 Every family answers the subordination rule's questions itself, through
 
@@ -37,13 +41,18 @@ Every family answers the subordination rule's questions itself, through
   ``"stable"``), ``d``, ``alpha`` (``None`` for the diffusion families) and
   ``horizon`` (``None`` unless the kernel is only valid up to a finite time);
 * ``max_derivative_order()``;
-* ``base_integrand(x, y, k, s_need)``, which returns the log|d^k G(s, x, y)|
+* ``base_integrand(x, y, k, t, beta)``, which returns the log|d^k G(s, x, y)|
   and sign as a function of an array of base times s (``None`` where the
   derivative vanishes identically), the scale ``q_scale`` of the kernel's
-  small-time decay, and the base time the rule must not pass (``None``
-  without a limit; ``s_need`` is the time the rule's window would like to
-  reach).  It raises ``DomainError`` where the fractional kernel is known
-  to diverge on the diagonal (Gaussian: k = 2, or k = 0 with d >= 2;
+  small-time decay, and the base time the rule must not pass for the
+  fractional request at time t and order beta (``None`` without a limit).
+  The finite-horizon family clips each request at the horizon or the
+  weight's reach ``specfun.subordination_reach(beta, t)``, whichever is
+  later, plus 2 %.  That clip is a far-tail accuracy guard, not the end of
+  the stored data: a request whose integrand has not decayed by its clip
+  raises ``HorizonError`` even where the shared history stores more.
+  ``base_integrand`` raises ``DomainError`` where the fractional kernel is
+  known to diverge on the diagonal (Gaussian: k = 2, or k = 0 with d >= 2;
   stable: k = 0 with d >= alpha, which always holds for the anisotropic
   family).
 """
@@ -57,10 +66,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import betainc, gammaln
 
 from .errors import CapabilityError, DomainError, HorizonError
+from .specfun import subordination_reach
 
 __all__ = [
     "ConstantDiffusion",
@@ -166,7 +176,7 @@ class ConstantDiffusion:
             return -w[coord] / (2.0 * t) * g
         return ((w[coord] / (2.0 * t)) ** 2 - self._inv[coord, coord] / (2.0 * t)) * g
 
-    def base_integrand(self, x, y, k, s_need):
+    def base_integrand(self, x, y, k, t, beta):
         """d^k G / dx_0^k for the subordination rule (see the module docstring)."""
         if _distance(x, y) == 0.0 and (k == 2 or (k == 0 and self.d >= 2)):
             raise DomainError("fractional kernel diverges on the diagonal for d + k >= 2")
@@ -496,7 +506,7 @@ class IsotropicStable:
         out = math.copysign(1.0, -rr) * mag if rr != 0.0 else np.zeros_like(t)
         return float(out) if out.ndim == 0 else out
 
-    def base_integrand(self, x, y, k, s_need):
+    def base_integrand(self, x, y, k, t, beta):
         """G (any d) or dG/dx (d = 1) for the subordination rule (see the module docstring)."""
         r = _distance(x, y)
         if r == 0.0 and k == 0 and self.d >= self.alpha:
@@ -683,7 +693,7 @@ class AnisotropicStable2D:
     def max_derivative_order(self) -> int:
         return 0
 
-    def base_integrand(self, x, y, k, s_need):
+    def base_integrand(self, x, y, k, t, beta):
         """G for the subordination rule (see the module docstring)."""
         xv = np.asarray(x, float) - np.asarray(y, float)
         if not xv.any():
@@ -731,6 +741,40 @@ def spectral_density_from_csv(path):
     return SpectralMeasure(data[:, 1], angles=data[:, 0])
 
 
+class _ThetaStepper:
+    """One theta-scheme step (I - theta dt A) u_new = (I + (1 - theta) dt A) u
+    for the tridiagonal A = (lower, diag, upper) with zero Dirichlet ends,
+    written over u (a contiguous 1-D array).  The LU factors (LAPACK gttrf)
+    are kept while (dt, theta) repeats, so the constant-step phase of a run
+    factors once."""
+
+    def __init__(self, lower, diag, upper):
+        self.lower, self.diag, self.upper = lower, diag, upper
+        self._key = self._lu = None
+
+    def __call__(self, u, dt, theta):
+        if (dt, theta) != self._key:
+            self._lu = None  # free the old factors first
+            du = -theta * dt * self.upper[:-1]
+            d = 1.0 - theta * dt * self.diag
+            dl = -theta * dt * self.lower[1:]
+            d[0] = d[-1] = 1.0
+            du[0] = dl[-1] = 0.0
+            *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+            if info:
+                raise np.linalg.LinAlgError("singular Crank-Nicolson step matrix")
+            self._key, self._lu = (dt, theta), lu
+        if theta < 1.0:
+            # u + w (lower u_- + diag u + upper u_+), in place to hold one temporary
+            au = self.lower[1:-1] * u[:-2]
+            au += self.diag[1:-1] * u[1:-1]
+            au += self.upper[1:-1] * u[2:]
+            au *= (1.0 - theta) * dt
+            u[1:-1] += au
+        u[0] = u[-1] = 0.0
+        dgttrs(*self._lu, u, overwrite_b=1)
+
+
 class _History:
     """Stored Crank-Nicolson evolution from a point source."""
 
@@ -745,6 +789,10 @@ class _History:
         self.t_max = float(times[-1])
 
     def eval(self, t, x) -> float:
+        if not self.xs[0] <= x <= self.xs[-1]:
+            raise HorizonError(
+                f"x = {x:g} outside the simulated domain, half-width {self.xs[-1] - self.y:g} about y = {self.y:g}"
+            )
         if t <= self.t_splice:
             # frozen-coefficient Gaussian; exact for constant coefficients
             a = self.a_mid(0.5 * (x + self.y))
@@ -813,7 +861,7 @@ class VariableDiffusion1D:
         m = int(math.ceil(L / self.dx))
         return y + self.dx * np.arange(-m, m + 1, dtype=float)
 
-    def _step_matrices(self, xs, dt):
+    def _step_matrices(self, xs):
         h = xs[1] - xs[0]
         av = np.asarray(self.a(xs), dtype=float)
         bv = np.asarray(self.b(xs), dtype=float)
@@ -826,36 +874,19 @@ class VariableDiffusion1D:
     def _run(self, y, t_max):
         xs = self._domain(y, t_max)
         n = xs.size
-        lower, diag, upper = self._step_matrices(xs, self.dt)
+        implicit_step = _ThetaStepper(*self._step_matrices(xs))
 
         h = xs[1] - xs[0]
         u = np.zeros(n)
         iy = int(np.argmin(np.abs(xs - y)))
         u[iy] = 1.0 / h
 
-        def implicit_step(u, dtv, theta):
-            # (I - theta dt A) u_new = (I + (1-theta) dt A) u
-            rhs = u.copy()
-            if theta < 1.0:
-                w = (1.0 - theta) * dtv
-                rhs[1:-1] = u[1:-1] + w * (
-                    lower[1:-1] * u[:-2] + diag[1:-1] * u[1:-1] + upper[1:-1] * u[2:]
-                )
-            ab = np.zeros((3, n))
-            ab[0, 1:] = -theta * dtv * upper[:-1]
-            ab[1, :] = 1.0 - theta * dtv * diag
-            ab[2, :-1] = -theta * dtv * lower[1:]
-            ab[1, 0] = ab[1, -1] = 1.0
-            ab[0, 1] = ab[2, -2] = 0.0
-            rhs[0] = rhs[-1] = 0.0
-            return solve_banded((1, 1), ab, rhs)
-
         # Rannacher start-up: damped implicit-Euler half steps kill the
         # point-mass ringing that plain Crank-Nicolson would carry
         t = 0.0
         dt0 = min(self.dt / 8.0, self.t_splice / 8.0)
         for _ in range(4):
-            u = implicit_step(u, dt0 / 2.0, 1.0)
+            implicit_step(u, dt0 / 2.0, 1.0)
             t += dt0 / 2.0
         # geometric ramp up to the working step; dt is kept a small
         # fraction of elapsed time so the Crank-Nicolson truncation error
@@ -875,18 +906,20 @@ class VariableDiffusion1D:
         profiles = np.empty((len(times), n))
         profiles[0] = u
         for i, dtv in enumerate(steps, 1):
-            profiles[i] = u = implicit_step(u, dtv, 0.5)
+            profiles[i] = profiles[i - 1]
+            implicit_step(profiles[i], dtv, 0.5)
         return _History(xs, np.array(times), profiles, self.t_splice, self.a, self.c, y)
 
     def history(self, y, t_max=None) -> _History:
-        """Cached evolution from a point source at y, stored to t_max."""
+        """Evolution from a point source at y, stored to t_max (default: the
+        horizon) or beyond.  One history is kept per source; a request it
+        does not cover replaces it."""
         t_max = self.horizon if t_max is None else float(t_max)
-        key = (float(y), round(t_max, 12))
-        got = self._histories.get(key)
-        if got is None:
-            got = self._run(float(y), t_max)
-            self._histories[key] = got
-        return got
+        y = float(y)
+        if y not in self._histories or self._histories[y].t_max < t_max:
+            self._histories.pop(y, None)  # free the shorter history before the build
+            self._histories[y] = self._run(y, t_max)
+        return self._histories[y]
 
     def value(self, t, x, y, *, allow_beyond_horizon=False) -> float:
         t = float(t)
@@ -904,12 +937,23 @@ class VariableDiffusion1D:
     def max_derivative_order(self) -> int:
         return 0
 
-    def base_integrand(self, x, y, k, s_need):
+    def _clip(self, t, beta):
+        """Base time a request at time t integrates to: the horizon or the
+        weight's reach, whichever is later, with 2 % to spare."""
+        return max(self.horizon, subordination_reach(beta, t)) * 1.02
+
+    def base_integrand(self, x, y, k, t, beta):
         """G for the subordination rule (see the module docstring), clipped at
-        the time its history is simulated to: the horizon or s_need, whichever
-        is later, with 2 % to spare."""
-        t_sim = max(self.horizon, s_need) * 1.02
-        hist = self.history(float(np.atleast_1d(y)[0]), t_max=t_sim)
+        the request's own ``_clip(t, beta)``.  The first request from a source
+        builds the history to its clip; a later one that needs more rebuilds
+        it once, to the clip at t = horizon, which covers every t up to the
+        horizon at this beta."""
+        ys = float(np.atleast_1d(y)[0])
+        t_clip = self._clip(t, beta)
+        t_build = t_clip
+        if getattr(self._histories.get(ys), "t_max", t_clip) < t_clip:
+            t_build = max(t_clip, self._clip(self.horizon, beta))
+        hist = self.history(ys, t_build)
         xf = float(np.atleast_1d(x)[0])
 
         def log_kernel(s):
@@ -917,7 +961,7 @@ class VariableDiffusion1D:
             with np.errstate(divide="ignore"):
                 return np.where(v > 0.0, np.log(np.abs(v)), -np.inf), 1.0
 
-        return log_kernel, (xf - hist.y) ** 2, t_sim
+        return log_kernel, (xf - hist.y) ** 2, t_clip
 
     def grid_mass(self, t, y=0.0) -> float:
         hist = self.history(y, t_max=max(self.horizon, t))

@@ -43,6 +43,7 @@ __all__ = [
     "stable_density_log",
     "stable_density_envelope",
     "subordination_log_weight",
+    "subordination_reach",
     "subordinator_density",
     "ml_series",
     "ml_series_deriv",
@@ -114,6 +115,14 @@ def stable_exponent_constant(beta) -> float:
     return (1.0 - b) * b ** (b / (1.0 - b))
 
 
+def subordination_reach(beta, t) -> float:
+    """Base time t^beta (55/c_beta)^(1-beta) by which the subordination
+    weight at time t has decayed: the right end of the base times a clipped
+    family is asked to cover."""
+    b = _beta_value(beta)
+    return float(t) ** b * (55.0 / stable_exponent_constant(b)) ** (1.0 - b)
+
+
 # ---------------------------------------------------------------------------
 # angular function A(phi) and its quadrature nodes
 # ---------------------------------------------------------------------------
@@ -154,7 +163,8 @@ def _zolo_nodes(b: float):
     weights = np.concatenate(weights)
     logA = _zolo_log_A(nodes, b)
     c_beta = stable_exponent_constant(b)
-    return nodes, weights, logA, np.exp(logA), c_beta
+    with np.errstate(over="ignore"):  # A = inf near pi for beta close to 1
+        return nodes, weights, logA, np.exp(logA), c_beta
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +201,11 @@ def _w_integral_log(lx, b):
         return np.concatenate([_w_integral_log(lx[i:i + 256], b) for i in range(0, lx.size, 256)])
     nodes, weights, logA, A, c_beta = _zolo_nodes(b)
     M = np.exp((-b / (1.0 - b)) * lx)
-    # w = b/((1-b) pi) x^{-1/(1-b)} e^{-c_beta M} Int A e^{-(A - c_beta) M}
+    # w = b/((1-b) pi) x^{-1/(1-b)} e^{-c_beta M} Int A e^{-(A - c_beta) M};
+    # where A overflows (near pi, beta close to 1) the exponent is -inf
     with np.errstate(over="ignore"):
-        expo = -np.outer(M, A - c_beta)
-    np.clip(expo, -745.0, 0.0, out=expo)
-    core = (np.exp(expo + logA[None, :]) * weights[None, :]).sum(axis=1)
+        expo = logA[None, :] - np.outer(M, A - c_beta)
+    core = (np.exp(expo) * weights[None, :]).sum(axis=1)
     return math.log(b / ((1.0 - b) * np.pi)) - lx / (1.0 - b) - c_beta * M + np.log(core)
 
 

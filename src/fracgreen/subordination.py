@@ -21,9 +21,10 @@ alone: it is computed in log form and memoised per beta on the lattice in a
 bounded cache, so a sweep at one beta evaluates w_beta about once per node.
 
 A family may clip the window at a base time (the variable-coefficient kernel
-is only simulated up to a finite time): an integrand that has not decayed by
-the clip raises ``HorizonError``, and the neglected weight mass is reported
-with the value.
+is only simulated up to a finite time, and clips each request where the
+weight at its t has decayed): an integrand that has not decayed by the clip
+raises ``HorizonError``, and the neglected weight mass is reported with the
+value.
 """
 
 from __future__ import annotations
@@ -242,10 +243,7 @@ def frac_green_detailed(req: FracGreenRequest) -> FracGreenResult:
     beta = _beta_value(req.beta)
     t = float(req.t)
     tb = t ** beta
-    # base time by which the stable weight has decayed: the right end of the
-    # z-range a clipped family is asked to cover
-    s_need = tb * (55.0 / stable_exponent_constant(beta)) ** (1.0 - beta)
-    log_kernel, q_scale, s_clip = req.kernel.base_integrand(req.x, req.y, req.derivative_order, s_need)
+    log_kernel, q_scale, s_clip = req.kernel.base_integrand(req.x, req.y, req.derivative_order, t, beta)
     if log_kernel is None:
         return FracGreenResult(value=0.0, log_value=-math.inf)
     zeta_clip = None if s_clip is None else math.log(s_clip / tb)

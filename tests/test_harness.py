@@ -9,6 +9,7 @@ from fracgreen import envelopes as E
 from fracgreen import harness as H
 from fracgreen import kernels as K
 from fracgreen.errors import CapabilityError, FitError, SpecError
+from fracgreen.subordination import FracGreenRequest, frac_green_detailed
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +251,45 @@ class TestCrossTheorem:
             if p1["flag"] == "ok" == p2["flag"]
         ]
         assert diffs and max(diffs) < 2e-3
+
+
+@pytest.fixture(scope="module")
+def coarse_fd1d_sweep():
+    """Theorem 4.1 default sweep of a coarse Crank-Nicolson kernel at beta =
+    1/2, with every history build recorded."""
+    fd = K.VariableDiffusion1D("one", horizon=1.0, dx=0.05, dt=0.05)
+    builds, run = [], fd._run
+    fd._run = lambda y, t_max: builds.append((y, t_max)) or run(y, t_max)
+    grid = H.default_grid("4.1", fd, 0.5, horizon=1.0)
+    return H.verify_envelope("4.1", fd, 0.5, grid=grid), builds
+
+
+class TestFd1dSharedHistory:
+    def test_one_source_builds_at_most_twice(self, coarse_fd1d_sweep):
+        # the first t row builds to its own clip, a later row rebuilds once to
+        # the clip at t = horizon; the seven t rows used to build seven
+        _, builds = coarse_fd1d_sweep
+        assert [y for y, _ in builds] == [0.0] * len(builds)
+        assert 1 <= len(builds) <= 2
+
+    def test_points_match_fresh_kernels(self, coarse_fd1d_sweep):
+        # a fresh kernel per point builds the history to that request's own
+        # clip, as when every (source, clip) pair had its own history.  Its
+        # domain is narrower, and the tridiagonal elimination from a nearer
+        # boundary rounds differently: at r = 7.3 the two differ by 1.8e-12
+        # in log G = -10.9, so the comparison is relative in log G
+        rep, _ = coarse_fd1d_sweep
+        assert sum(p["flag"] == "ok" for p in rep.points) > 50
+        for p in rep.points:
+            fresh = K.VariableDiffusion1D("one", horizon=1.0, dx=0.05, dt=0.05)
+            req = FracGreenRequest(kernel=fresh, beta=0.5, t=p["t"], x=p["r"], y=0.0)
+            try:
+                log_g, flag = frac_green_detailed(req).log_value, "ok"
+            except Exception as exc:
+                log_g, flag = math.nan, f"error:{type(exc).__name__}"
+            assert p["flag"] == flag, (p["t"], p["r"])
+            if flag == "ok":
+                assert p["log_G"] == pytest.approx(log_g, rel=1e-12, abs=1e-12)
 
 
 def test_anisotropic_diagonal_row_is_skipped():

@@ -14,6 +14,7 @@ from scipy.special import gammaln
 
 from fracgreen import harness as H
 from fracgreen import kernels as K
+from fracgreen import subordination as S
 from fracgreen.errors import CapabilityError, DomainError, HorizonError
 
 
@@ -353,7 +354,7 @@ class TestAnisotropic:
         x, y = np.array([3.0, 4.0]), np.array([1.0, 1.0])
         s_cap = (math.hypot(2.0, 3.0) / K._COS_SPLINE_CAP) ** 1.5 / an.w.min()
         s = s_cap * np.geomspace(0.1, 10.0, 9)
-        log_kernel, _, _ = an.base_integrand(x, y, 0, 1.0)
+        log_kernel, _, _ = an.base_integrand(x, y, 0, 1.0, 0.5)
         logs, sign = log_kernel(s)
         assert sign == 1.0
         np.testing.assert_array_equal(logs, an.log_value(s, x - y))
@@ -450,6 +451,34 @@ class TestVariableDiffusion:
         # favours targets to the right of the start point
         assert fd.value(0.3, 0.0, 0.5) > fd.value(0.3, 0.0, -0.5)
 
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_theta_step_matches_dense_solve(self, theta):
+        fd = K.VariableDiffusion1D("sin_bump", b=lambda x: 0.4 * np.cos(np.asarray(x, float)),
+                                   c=lambda x: -0.3 * np.tanh(np.asarray(x, float)), horizon=0.5, dx=0.05)
+        xs = fd._domain(0.0, 0.5)
+        lower, diag, upper = fd._step_matrices(xs)
+        a = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+        a[0] = a[-1] = 0.0  # zero Dirichlet ends: the end values are held at 0
+        eye = np.eye(xs.size)
+        u = np.exp(-xs**2) * (1.0 + 0.1 * np.sin(3.0 * xs))
+        u[0] = u[-1] = 0.0
+        step = K._ThetaStepper(lower, diag, upper)
+        # the second step size refactors; the repeated first one reuses its factors
+        for dt in (0.01, 0.03, 0.01):
+            ref = np.linalg.solve(eye - theta * dt * a, (eye + (1.0 - theta) * dt * a) @ u)
+            got = u.copy()
+            step(got, dt, theta)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_point_outside_domain_raises(self):
+        # np.interp would clamp x to the Dirichlet edge value 0, and the
+        # integrand would be -inf everywhere
+        fd = K.VariableDiffusion1D("one", horizon=0.5, dx=0.05, dt=0.05, half_width=5.0)
+        with pytest.raises(HorizonError, match="half-width 5"):
+            fd.value(0.3, 8.0, 0.0)
+        with pytest.raises(HorizonError, match="half-width 5"):
+            S.frac_green(S.FracGreenRequest(kernel=fd, beta=0.5, t=0.3, x=8.0, y=0.0))
+
     def test_csv_coefficient_roundtrip(self, tmp_path):
         xs = np.linspace(-30, 30, 301)
         path = tmp_path / "coef.csv"
@@ -494,14 +523,18 @@ class TestBaseKernelProtocol:
         kernel = make()
         assert (kernel.envelope_family, kernel.d, kernel.alpha) == traits
         assert H._kernel_traits(kernel) == traits
-        log_kernel, q, clip = kernel.base_integrand(x, y, 0, 0.1)
+        log_kernel, q, clip = kernel.base_integrand(x, y, 0, 1e-4, 0.5)
         assert q == pytest.approx(q_scale, rel=1e-14, abs=0.0)
         log_g, sign = log_kernel(np.array([0.3]))
         assert np.all(np.isfinite(log_g)) and np.all(np.asarray(sign) == 1.0)
         if family == "fd1d":
-            # history to the horizon or s_need, whichever is later, plus 2 %
+            # each request's clip: the horizon or the weight's reach
+            # t^beta (55/c_beta)^(1-beta), c_beta = 1/4 at beta = 1/2, whichever
+            # is later, plus 2 %
             assert clip == pytest.approx(0.51, rel=1e-14, abs=0.0)
-            assert kernel.base_integrand(x, y, 0, 2.0)[2] == pytest.approx(2.04, rel=1e-14, abs=0.0)
+            assert kernel.base_integrand(x, y, 0, 0.04, 0.5)[2] == pytest.approx(
+                0.2 * math.sqrt(220.0) * 1.02, rel=1e-14, abs=0.0
+            )
         else:
             assert clip is None
 
@@ -512,13 +545,13 @@ class TestBaseKernelProtocol:
     )
     def test_diagonal_divergence_raised_by_family(self, kernel, k):
         with pytest.raises(DomainError):
-            kernel.base_integrand([0.0] * kernel.d, [0.0] * kernel.d, k, 1.0)
+            kernel.base_integrand([0.0] * kernel.d, [0.0] * kernel.d, k, 1.0, 0.5)
 
     @pytest.mark.parametrize(
         "kernel, k", [(K.ConstantDiffusion(1), 1), (K.IsotropicStable(1, 1.5), 1)]
     )
     def test_odd_derivative_vanishes_on_diagonal(self, kernel, k):
-        assert kernel.base_integrand([0.0], [0.0], k, 1.0)[0] is None
+        assert kernel.base_integrand([0.0], [0.0], k, 1.0, 0.5)[0] is None
 
     @pytest.mark.parametrize("module", ["subordination", "harness", "mc"])
     def test_callers_never_name_a_kernel_class(self, module):

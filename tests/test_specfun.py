@@ -1,6 +1,7 @@
 """Tests for stable densities, subordinator kernels and Mittag-Leffler functions."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -103,6 +104,17 @@ class TestStableDensity:
         for x in np.geomspace(1e-20, 1e-11, 10):
             ref = zolotarev_log_w(beta, x)
             assert sf.stable_density_log(beta, x) == pytest.approx(ref, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "beta, x, ref", [(0.99, 0.9, -119.07612697806), (0.99, 0.95, 2.9246774437587), (0.995, 0.95, -43.591707338146)]
+    )
+    def test_beta_near_one_against_zolotarev_integral(self, beta, x, ref):
+        # A(phi) overflows to inf near pi: those nodes must add nothing
+        assert zolotarev_log_w(beta, x) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        sf._zolo_nodes.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sf.stable_density_log(beta, x) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
