@@ -29,11 +29,15 @@ Families:
 * ``VariableDiffusion1D(a, b, c, horizon)`` - Crank-Nicolson fundamental
   solution of ``du/dt = a u'' + b u' + c u`` on a truncated line, with
   Rannacher start-up for the point-mass initial condition.  Each step solves
-  one tridiagonal system whose LU factors are kept while the step size
-  repeats.  One time history is cached per source point and serves every
-  request it covers: the first request builds it to its own clip, and a
-  later one that needs more rebuilds it once, to the clip of a request at
-  the horizon.
+  one tridiagonal system whose LU factors are kept while the step size and
+  the domain repeat.  One time history is kept per source point and grown in
+  place: a request for a later time continues it, never rebuilds it.  Its
+  domain widens with t (the Gaussian-tail half-width a little ahead of the
+  current time, capped by a user ``half_width``), and only a geometric
+  ladder of rungs is stored, between which log(sqrt(t) G) is linear in 1/t.
+  Before the splice time, and beyond the domain of the rung read, G is the
+  frozen-coefficient Gaussian.  Rungs, widths and steps depend on t alone,
+  so no value depends on which request grew the history.
 
 Every family answers the subordination rule's questions itself, through
 
@@ -48,9 +52,10 @@ Every family answers the subordination rule's questions itself, through
   fractional request at time t and order beta (``None`` without a limit).
   The finite-horizon family clips each request at the horizon or the
   weight's reach ``specfun.subordination_reach(beta, t)``, whichever is
-  later, plus 2 %.  That clip is a far-tail accuracy guard, not the end of
-  the stored data: a request whose integrand has not decayed by its clip
-  raises ``HorizonError`` even where the shared history stores more.
+  later, plus 2 %, and grows the source's history to it.  That clip is a
+  far-tail accuracy guard, not the end of the stored data: a request whose
+  integrand has not decayed by its clip raises ``HorizonError`` even where
+  the shared history stores more.
   ``base_integrand`` raises ``DomainError`` where the fractional kernel is
   known to diverge on the diagonal (Gaussian: k = 2, or k = 0 with d >= 2;
   stable: k = 0 with d >= alpha, which always holds for the anisotropic
@@ -775,44 +780,138 @@ class _ThetaStepper:
         dgttrs(*self._lu, u, overwrite_b=1)
 
 
+# stored rungs: each the first step at or after _LADDER_Q times the last rung
+_LADDER_Q = 1.05
+# a widened domain holds the Gaussian-tail rule at this multiple of the
+# step's end time, so it is refactored about once per 25 % of elapsed time
+_WIDEN_AHEAD = 1.25
+
+
+def _step_sizes(t, dt0, dt):
+    """Step sizes after the Rannacher start-up, which ends at t with step
+    dt0: a geometric ramp up to the working step dt, which keeps each step a
+    small fraction of elapsed time so the Crank-Nicolson truncation error
+    (dt/t)^2 stays uniformly small through the transient, then dt for ever."""
+    dtv = dt0
+    while dtv < dt * 0.999:
+        dtv = max(min(dtv * 1.05, 0.05 * t, dt), dt0)
+        t += dtv
+        yield dtv
+    while True:
+        yield dt
+
+
 class _History:
-    """Stored Crank-Nicolson evolution from a point source."""
+    """Crank-Nicolson evolution from a point source at y, grown in place.
 
-    def __init__(self, xs, times, profiles, t_splice, a_mid, c_mid, y):
-        self.xs = xs
-        self.times = times
-        self.profiles = profiles  # (len(times), len(xs))
-        self.t_splice = t_splice
-        self.a_mid = a_mid
-        self.c_mid = c_mid
-        self.y = y
-        self.t_max = float(times[-1])
+    One work vector is stepped forward through the run's fixed sequence of
+    step sizes (Rannacher start-up, geometric ramp, working step) and never
+    restarted: ``extend`` continues it until a rung at or after the asked
+    time is stored.  The domain widens with t: when the kernel's half-width
+    rule at a step's end time passes it, it widens to the rule at
+    ``_WIDEN_AHEAD`` times that time, capped by a user half-width.  Only
+    rungs are stored, each the first step at or after ``_LADDER_Q`` times
+    the last: ``times``, ``rung_nodes`` (each rung's half-width in nodes) and
+    ``profiles``, the rungs' values back to back, each on its own domain.
+    ``xs`` is the widest domain so far.  Rungs, widths and step times depend
+    on t alone, so a value does not depend on how far the history had been
+    grown when it was read.
+    """
 
-    def eval(self, t, x) -> float:
-        if not self.xs[0] <= x <= self.xs[-1]:
+    def __init__(self, kernel, y):
+        # no reference to the kernel, which holds this history
+        self.y, self.dx, self.t_splice, self.a, self.c = y, kernel.dx, kernel.t_splice, kernel.a, kernel.c
+        self.cap_nodes = None if kernel._half_width is None else kernel._half_nodes(math.inf)
+        dt0 = min(kernel.dt / 8.0, kernel.t_splice / 8.0)
+        m = kernel._half_nodes(_WIDEN_AHEAD * 2.0 * dt0)
+        # the source sits exactly on a node: a half-cell offset would shift
+        # the whole fundamental solution by dx/2
+        self.xs = y + self.dx * np.arange(-m, m + 1, dtype=float)
+        self._step = _ThetaStepper(*kernel._step_matrices(self.xs))
+        self._u = np.zeros(self.xs.size)
+        self._u[m] = 1.0 / self.dx
+        # Rannacher start-up: damped implicit-Euler half steps kill the
+        # point-mass ringing that plain Crank-Nicolson would carry
+        t = 0.0
+        for _ in range(4):
+            self._step(self._u, dt0 / 2.0, 1.0)
+            t += dt0 / 2.0
+        self._dts = _step_sizes(t, dt0, kernel.dt)
+        self.times = np.array([t])
+        self.rung_nodes = np.array([m])
+        self.profiles = self._u.copy()
+        self._centres = np.array([m])  # index of each rung's source node in profiles
+
+    @property
+    def t_max(self) -> float:
+        return float(self.times[-1])
+
+    def extend(self, kernel, t_max):
+        """Step on until a rung at or after t_max is stored, with the
+        coefficients and half-width rule of ``kernel``."""
+        # the work vector always sits at the last rung
+        u, m, t, rungs = self._u, int(self.rung_nodes[-1]), self.t_max, []
+        last = t
+        while last < t_max:
+            dtv = next(self._dts)
+            t += dtv
+            if kernel._half_nodes(t) > m:
+                m_new = kernel._half_nodes(_WIDEN_AHEAD * t)
+                u, m = np.pad(u, m_new - m), m_new
+                self._step = _ThetaStepper(*kernel._step_matrices(self.y + self.dx * np.arange(-m, m + 1)))
+            self._step(u, dtv, 0.5)
+            if t >= last * _LADDER_Q:
+                last = t
+                rungs.append((t, m, u.copy()))
+        if not rungs:
+            return
+        times, nodes, rows = zip(*rungs)
+        self._u = u
+        self.times = np.concatenate([self.times, times])
+        self.rung_nodes = np.concatenate([self.rung_nodes, nodes])
+        self.profiles = np.concatenate([self.profiles, *rows])
+        self._centres = np.cumsum(2 * self.rung_nodes + 1) - self.rung_nodes - 1
+        self.xs = self.y + self.dx * np.arange(-m, m + 1, dtype=float)
+
+    def eval(self, t, x):
+        """G at base times t and points x (arrays that broadcast; the spatial
+        weights are computed once per call).  Between rungs, log(sqrt(t) G) is
+        linear in 1/t, which is exact for frozen-coefficient Gaussians with
+        their prefactor.  At t <= t_splice, and at a point beyond the domain
+        of the earlier rung, G is that frozen-coefficient Gaussian."""
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
+        r = x - self.y
+        if self.cap_nodes is not None and np.any(np.abs(r) > self.cap_nodes * self.dx):
             raise HorizonError(
-                f"x = {x:g} outside the simulated domain, half-width {self.xs[-1] - self.y:g} about y = {self.y:g}"
+                f"x = {np.max(np.abs(r)) + self.y:g} outside the simulated domain, "
+                f"half-width {self.cap_nodes * self.dx:g} about y = {self.y:g}"
             )
-        if t <= self.t_splice:
-            # frozen-coefficient Gaussian; exact for constant coefficients
-            a = self.a_mid(0.5 * (x + self.y))
-            g = math.exp(-((x - self.y) ** 2) / (4.0 * a * t)) / math.sqrt(4.0 * math.pi * a * t)
-            return g * math.exp(self.c_mid(0.5 * (x + self.y)) * t)
-        if t > self.t_max * (1.0 + 1e-12):
-            raise HorizonError(f"history stored up to t = {self.t_max:g}, asked for {t:g}")
-        it = np.searchsorted(self.times, t)
-        it = min(max(it, 1), len(self.times) - 1)
-        t0, t1 = self.times[it - 1], self.times[it]
-        v0 = float(np.interp(x, self.xs, self.profiles[it - 1]))
-        v1 = float(np.interp(x, self.xs, self.profiles[it]))
-        if v0 > 0.0 and v1 > 0.0:
-            # log-linear in 1/t is exact for frozen-coefficient Gaussians,
-            # so the stored-step interpolation error does not blow up in
-            # the tails the way linear-in-t interpolation would
+        if np.any(t > self.t_max * (1.0 + 1e-12)):
+            raise HorizonError(f"history stored up to t = {self.t_max:g}, asked for {np.max(t):g}")
+        mid = 0.5 * (x + self.y)
+        a = self.a(mid)
+        gauss = np.exp(-r**2 / (4.0 * a * t) + self.c(mid) * t) / np.sqrt(4.0 * math.pi * a * t)
+
+        # x between the nodes o and o + 1 counted from the source
+        xs, m = self.xs, (self.xs.size - 1) // 2
+        j = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+        wx = (x - xs[j]) / (xs[j + 1] - xs[j])
+        o = j - m
+        it = np.clip(np.searchsorted(self.times, t), 1, self.times.size - 1)
+
+        def rung(i):
+            # linear in x on rung i; nodes beyond its domain are read at its edge
+            mi, c = self.rung_nodes[i], self._centres[i]
+            return (1.0 - wx) * self.profiles[c + np.clip(o, -mi, mi)] + wx * self.profiles[c + np.clip(o + 1, -mi, mi)]
+
+        t0, t1, v0, v1 = self.times[it - 1], self.times[it], rung(it - 1), rung(it)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             w = (1.0 / t - 1.0 / t0) / (1.0 / t1 - 1.0 / t0)
-            return math.exp((1.0 - w) * math.log(v0) + w * math.log(v1))
-        w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * v0 + w * v1
+            log_g = (1.0 - w) * np.log(v0 * np.sqrt(t0)) + w * np.log(v1 * np.sqrt(t1)) - 0.5 * np.log(t)
+            g = np.where((v0 > 0.0) & (v1 > 0.0), np.exp(log_g), v0 + (t - t0) / (t1 - t0) * (v1 - v0))
+        beyond = np.abs(r) > self.rung_nodes[it - 1] * self.dx
+        return np.where((t <= self.t_splice) | beyond, gauss, g)
 
 
 class VariableDiffusion1D:
@@ -850,19 +949,17 @@ class VariableDiffusion1D:
         self.a_min = float(av.min())
         self.t_splice = max(25.0 * self.dx ** 2 / self.a_min, 1e-4)
 
-    def _domain(self, y, t_max):
+    def _half_nodes(self, t):
+        """Nodes in the half-width a run that has reached time t needs: the
+        Gaussian tail below 1e-14 of its peak at the boundary, plus 3, or the
+        user's half-width if that is smaller."""
+        L = math.sqrt(4.0 * self.a_max * t * math.log(1e14)) + 3.0
         if self._half_width is not None:
-            L = self._half_width
-        else:
-            # Gaussian tail below 1e-12 at the boundary for the whole run
-            L = math.sqrt(4.0 * self.a_max * t_max * math.log(1e14)) + 3.0
-        # keep the source exactly on a node: a half-cell offset would shift
-        # the whole fundamental solution by dx/2
-        m = int(math.ceil(L / self.dx))
-        return y + self.dx * np.arange(-m, m + 1, dtype=float)
+            L = min(L, self._half_width)
+        return int(math.ceil(L / self.dx))
 
     def _step_matrices(self, xs):
-        h = xs[1] - xs[0]
+        h = self.dx
         av = np.asarray(self.a(xs), dtype=float)
         bv = np.asarray(self.b(xs), dtype=float)
         cv = np.asarray(self.c(xs), dtype=float)
@@ -871,55 +968,21 @@ class VariableDiffusion1D:
         upper = av / h ** 2 + bv / (2.0 * h)
         return lower, diag, upper
 
-    def _run(self, y, t_max):
-        xs = self._domain(y, t_max)
-        n = xs.size
-        implicit_step = _ThetaStepper(*self._step_matrices(xs))
-
-        h = xs[1] - xs[0]
-        u = np.zeros(n)
-        iy = int(np.argmin(np.abs(xs - y)))
-        u[iy] = 1.0 / h
-
-        # Rannacher start-up: damped implicit-Euler half steps kill the
-        # point-mass ringing that plain Crank-Nicolson would carry
-        t = 0.0
-        dt0 = min(self.dt / 8.0, self.t_splice / 8.0)
-        for _ in range(4):
-            implicit_step(u, dt0 / 2.0, 1.0)
-            t += dt0 / 2.0
-        # geometric ramp up to the working step; dt is kept a small
-        # fraction of elapsed time so the Crank-Nicolson truncation error
-        # (dt/t)^2 stays uniformly small through the transient.  The time
-        # ladder comes first, so the history is filled in place.
-        dtv = dt0
-        times, steps = [t], []
-        while dtv < self.dt * 0.999:
-            dtv = max(min(dtv * 1.05, 0.05 * t, self.dt), dt0)
-            t += dtv
-            times.append(t)
-            steps.append(dtv)
-        while t < t_max:
-            t += self.dt
-            times.append(t)
-            steps.append(self.dt)
-        profiles = np.empty((len(times), n))
-        profiles[0] = u
-        for i, dtv in enumerate(steps, 1):
-            profiles[i] = profiles[i - 1]
-            implicit_step(profiles[i], dtv, 0.5)
-        return _History(xs, np.array(times), profiles, self.t_splice, self.a, self.c, y)
-
     def history(self, y, t_max=None) -> _History:
         """Evolution from a point source at y, stored to t_max (default: the
-        horizon) or beyond.  One history is kept per source; a request it
-        does not cover replaces it."""
+        horizon) or beyond.  One history is kept per source and extended in
+        place when a request needs more."""
         t_max = self.horizon if t_max is None else float(t_max)
         y = float(y)
-        if y not in self._histories or self._histories[y].t_max < t_max:
-            self._histories.pop(y, None)  # free the shorter history before the build
-            self._histories[y] = self._run(y, t_max)
-        return self._histories[y]
+        if y not in self._histories:
+            self._histories[y] = _History(self, y)
+        hist = self._histories[y]
+        try:
+            hist.extend(self, t_max)
+        except BaseException:
+            del self._histories[y]  # stepped part way: it cannot be continued
+            raise
+        return hist
 
     def value(self, t, x, y, *, allow_beyond_horizon=False) -> float:
         t = float(t)
@@ -928,7 +991,7 @@ class VariableDiffusion1D:
         if t > self.horizon and not allow_beyond_horizon:
             raise HorizonError(f"t = {t:g} beyond horizon T = {self.horizon:g}")
         hist = self.history(y, t_max=max(self.horizon, t))
-        return hist.eval(t, float(x))
+        return float(hist.eval(t, float(x)))
 
     def log_value(self, t, x, y) -> float:
         v = self.value(t, x, y)
@@ -944,20 +1007,14 @@ class VariableDiffusion1D:
 
     def base_integrand(self, x, y, k, t, beta):
         """G for the subordination rule (see the module docstring), clipped at
-        the request's own ``_clip(t, beta)``.  The first request from a source
-        builds the history to its clip; a later one that needs more rebuilds
-        it once, to the clip at t = horizon, which covers every t up to the
-        horizon at this beta."""
-        ys = float(np.atleast_1d(y)[0])
+        the request's own ``_clip(t, beta)``, to which the source's history is
+        extended."""
         t_clip = self._clip(t, beta)
-        t_build = t_clip
-        if getattr(self._histories.get(ys), "t_max", t_clip) < t_clip:
-            t_build = max(t_clip, self._clip(self.horizon, beta))
-        hist = self.history(ys, t_build)
+        hist = self.history(float(np.atleast_1d(y)[0]), t_clip)
         xf = float(np.atleast_1d(x)[0])
 
         def log_kernel(s):
-            v = np.array([hist.eval(si, xf) for si in s])
+            v = hist.eval(s, xf)
             with np.errstate(divide="ignore"):
                 return np.where(v > 0.0, np.log(np.abs(v)), -np.inf), 1.0
 
@@ -965,9 +1022,4 @@ class VariableDiffusion1D:
 
     def grid_mass(self, t, y=0.0) -> float:
         hist = self.history(y, t_max=max(self.horizon, t))
-        it = int(np.searchsorted(hist.times, t))
-        it = min(max(it, 1), len(hist.times) - 1)
-        t0, t1 = hist.times[it - 1], hist.times[it]
-        w = (t - t0) / (t1 - t0)
-        row = (1.0 - w) * hist.profiles[it - 1] + w * hist.profiles[it]
-        return float(np.trapezoid(row, hist.xs))
+        return float(np.trapezoid(hist.eval(t, hist.xs), hist.xs))

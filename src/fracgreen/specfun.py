@@ -346,17 +346,20 @@ def subordinator_density(beta, r, s) -> float:
 # Mittag-Leffler ladder
 # ---------------------------------------------------------------------------
 
-def _ml_maxlog(z, b):
-    """ln of the largest series term; ~ |z|^(1/beta) for |z| >= 1."""
+def _ml_maxlog(z, b, deriv=False):
+    """ln of the largest term of the series (of the differentiated series
+    with ``deriv``); ~ |z|^(1/beta) for |z| >= 1."""
     az = abs(z)
     if az <= 1e-300:
         return 0.0
-    # max_k [k ln|z| - lgamma(k b + 1)]; the stationary point is at
-    # m = b k ~ |z|^(1/b); evaluate exactly around it
+    # max_k [k ln|z| - lgamma(k b + 1)], or [ln k + (k - 1) ln|z| - ...];
+    # the stationary point is at m = b k ~ |z|^(1/b); evaluate exactly around it
     m_star = az ** (1.0 / b)
     k_star = max(1, int(m_star / b))
     ks = np.unique(np.clip([1, k_star // 2, k_star, 2 * k_star], 1, 10 ** 9)).astype(float)
     vals = ks * math.log(az) - gammaln(b * ks + 1.0)
+    if deriv:
+        vals += np.log(ks) - math.log(az)
     return float(max(vals.max(), 0.0))
 
 
@@ -436,8 +439,9 @@ def _ml_ladder(beta, z, tol, deriv):
         return 1.0 / math.gamma(1.0 + b) if deriv else 1.0
     if z > 0.0:
         return _ml_series_float(z, b, tol, deriv=deriv)
-    maxlog = _ml_maxlog(z, b)
-    if maxlog <= _ML_FLOAT_MAXLOG:
+    # the switch reads the terms of the series being summed: the
+    # differentiated terms are larger by about k / |z|
+    if _ml_maxlog(z, b, deriv) <= _ML_FLOAT_MAXLOG:
         return _ml_series_float(z, b, tol, deriv=deriv)
     return _ml_spectral(z, b, deriv=deriv)
 

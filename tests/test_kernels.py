@@ -392,6 +392,12 @@ class TestAnisotropic:
         assert above == pytest.approx(below, rel=1e-8, abs=0.0)
 
 
+def _drifting_bump(**kw):
+    """Crank-Nicolson kernel with variable diffusion, a drift and a potential."""
+    return K.VariableDiffusion1D("sin_bump", b=lambda x: 0.4 * np.cos(np.asarray(x, float)),
+                                 c=lambda x: -0.3 * np.tanh(np.asarray(x, float)), horizon=0.5, dx=0.05, **kw)
+
+
 class TestVariableDiffusion:
     def test_reduces_to_gaussian(self):
         fd = K.VariableDiffusion1D("one", horizon=1.0)
@@ -453,9 +459,9 @@ class TestVariableDiffusion:
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_theta_step_matches_dense_solve(self, theta):
-        fd = K.VariableDiffusion1D("sin_bump", b=lambda x: 0.4 * np.cos(np.asarray(x, float)),
-                                   c=lambda x: -0.3 * np.tanh(np.asarray(x, float)), horizon=0.5, dx=0.05)
-        xs = fd._domain(0.0, 0.5)
+        fd = _drifting_bump()
+        m = fd._half_nodes(0.5)
+        xs = fd.dx * np.arange(-m, m + 1.0)
         lower, diag, upper = fd._step_matrices(xs)
         a = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
         a[0] = a[-1] = 0.0  # zero Dirichlet ends: the end values are held at 0
@@ -469,6 +475,71 @@ class TestVariableDiffusion:
             got = u.copy()
             step(got, dt, theta)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_extension_equals_straight_build(self):
+        # the grown history widens its domain and passes many rungs after t = 2
+        grown, straight = _drifting_bump(dt=0.05), _drifting_bump(dt=0.05)
+        width = grown.history(0.0, 2.0).xs.size
+        a, b = grown.history(0.0, 10.0), straight.history(0.0, 10.0)
+        assert a is grown.history(0.0, 5.0) and a.xs.size > width
+        for name in ("times", "rung_nodes", "profiles", "xs"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        s = np.geomspace(1e-3, 10.0, 200)
+        assert np.array_equal(a.eval(s, 1.3), b.eval(s, 1.3))
+
+    def test_failed_extension_drops_the_history(self, monkeypatch):
+        # a history stepped part way cannot be continued: the next request
+        # starts a new one, equal to a fresh kernel's
+        fd = K.VariableDiffusion1D("one", horizon=0.5, dx=0.05, dt=0.05)
+        fd.history(0.0, 0.5)
+        step, calls = K._ThetaStepper.__call__, []
+
+        def fail_on_third(self, u, dt, theta):
+            calls.append(dt)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("singular Crank-Nicolson step matrix")
+            step(self, u, dt, theta)
+
+        monkeypatch.setattr(K._ThetaStepper, "__call__", fail_on_third)
+        with pytest.raises(np.linalg.LinAlgError):
+            fd.history(0.0, 2.0)
+        assert 0.0 not in fd._histories
+        monkeypatch.setattr(K._ThetaStepper, "__call__", step)
+        fresh = K.VariableDiffusion1D("one", horizon=0.5, dx=0.05, dt=0.05)
+        assert np.array_equal(fd.history(0.0, 2.0).profiles, fresh.history(0.0, 2.0).profiles)
+
+    def test_ladder_rule_exact_for_gaussian_rungs(self):
+        # rungs overwritten with the exact heat kernel: log(sqrt(t) G) is
+        # linear in 1/t, so the rule between two rungs is exact, prefactor
+        # included
+        fd = K.VariableDiffusion1D("one", horizon=1.0, dx=0.05, dt=0.05)
+        hist = fd.history(0.0, 1.0)
+        for t, m, c in zip(hist.times, hist.rung_nodes, hist._centres):
+            x = fd.dx * np.arange(-m, m + 1)
+            hist.profiles[c - m:c + m + 1] = np.exp(-x**2 / (4.0 * t)) / np.sqrt(4.0 * math.pi * t)
+        ts = np.sqrt(hist.times[:-1] * hist.times[1:])
+        ts = ts[ts > fd.t_splice]  # the Gaussian itself below t_splice
+        assert ts.size > 30
+        for k in (0, 10, 30):
+            x = fd.dx * k  # on a node, inside every rung
+            assert x < hist.rung_nodes[0] * fd.dx
+            exact = np.exp(-x**2 / (4.0 * ts)) / np.sqrt(4.0 * math.pi * ts)
+            assert np.max(np.abs(hist.eval(ts, x) / exact - 1.0)) < 1e-14
+
+    def test_ladder_matches_every_step_history(self, monkeypatch):
+        # variable diffusion, drift and potential, where the rule is not
+        # exact: at the midpoints between rungs the ladder history is within
+        # 2e-4 of each time's peak of one that stores every step (1.1e-4
+        # measured at dt = 0.01, 1.5e-4 at dt = 0.05)
+        ladder = _drifting_bump().history(0.0, 2.0)
+        monkeypatch.setattr(K, "_LADDER_Q", 1.0)
+        every = _drifting_bump().history(0.0, 2.0)
+        assert every.times.size > 2 * ladder.times.size
+        ts = np.sqrt(ladder.times[:-1] * ladder.times[1:])
+        ts = ts[(ts > ladder.t_splice) & (ts <= 2.0)]
+        xs = np.linspace(-3.0, 3.0, 121)
+        got, ref = ladder.eval(ts[:, None], xs), every.eval(ts[:, None], xs)
+        assert np.max(np.abs(got - ref) / ref.max(axis=1, keepdims=True)) < 2e-4
 
     def test_point_outside_domain_raises(self):
         # np.interp would clamp x to the Dirichlet edge value 0, and the

@@ -217,10 +217,13 @@ class TestMittagLeffler:
         assert sf.ml_series(0.5, -9.0) == pytest.approx(math.exp(81) * erfc(9.0), rel=1e-10)
 
     def test_erfcx_identity_across_the_ladder(self):
-        # E_{1/2}(-x) = erfcx(x) on both rungs: the float series and the
-        # completely monotone integral
-        for z in -np.geomspace(1.0, 50.0, 40):
+        # E_{1/2}(-x) = erfcx(x) and E'_{1/2}(-x) = 2/sqrt(pi) - 2 x erfcx(x)
+        # on both rungs, the float series and the completely monotone
+        # integral, and densely around the hand-over near x = 3
+        for z in -np.concatenate([np.geomspace(1.0, 50.0, 40), np.linspace(2.0, 3.5, 31)]):
             assert sf.ml_series(0.5, z) == pytest.approx(erfcx(-z), rel=1e-10, abs=0.0)
+            deriv = 2.0 / math.sqrt(math.pi) + 2.0 * z * erfcx(-z)
+            assert sf.ml_series_deriv(0.5, z) == pytest.approx(deriv, rel=1e-10, abs=0.0), z
 
     def test_guard(self):
         with pytest.raises(RangeGuardError):

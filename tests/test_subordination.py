@@ -292,6 +292,14 @@ class TestFracGreenFd1d:
         with pytest.raises(HorizonError):
             S.frac_green(S.FracGreenRequest(kernel=fd, beta=0.5, t=0.05, x=6.0, y=0.0))
 
+    def test_point_beyond_grown_domain_raises(self):
+        # every base time up to the clip lies beyond the grown domain, where G
+        # is the frozen-coefficient Gaussian, not 0, which would leave nothing
+        # to scan (AccuracyError): the integrand has not decayed by the clip
+        fd = K.VariableDiffusion1D("one", horizon=0.5, dx=0.05, dt=0.05)
+        with pytest.raises(HorizonError):
+            S.frac_green(S.FracGreenRequest(kernel=fd, beta=0.5, t=0.05, x=30.0, y=0.0))
+
     def test_derivative_unsupported(self):
         fd = K.VariableDiffusion1D("one", horizon=0.5)
         with pytest.raises(CapabilityError):
