@@ -240,7 +240,6 @@ def _cmd_mc(p, fmt, out, config):
     cfg = M.McConfig(
         sample_count=int(p.get("n", 100_000)),
         seed=int(p.get("seed", 20_250_101)),
-        time_step=float(p.get("time_step", 0.0625)),
         histogram_bins=int(p.get("bins", 80)),
         bracket_tol=float(p.get("bracket_tol", 1e-3)),
     )
@@ -419,8 +418,6 @@ def _parser():
     mp.add_argument("--t", type=float, default=None)
     mp.add_argument("--n", type=int, default=None)
     mp.add_argument("--seed", type=int, default=None)
-    mp.add_argument("--time-step", dest="time_step", type=float, default=None,
-                    help="accepted and validated; exact sampling ignores it")
     mp.add_argument("--bracket-tol", dest="bracket_tol", type=float, default=None,
                     help="accepted and validated; exact sampling ignores it")
     mp.add_argument("--bins", type=int, default=None)

@@ -28,13 +28,18 @@ Families:
   log(t / t_cap)``.
 * ``VariableDiffusion1D(a, b, c, horizon)`` - Crank-Nicolson fundamental
   solution of ``du/dt = a u'' + b u' + c u`` on a truncated line, with
-  Rannacher start-up for the point-mass initial condition.  Each step solves
-  one tridiagonal system whose LU factors are kept while the step size and
-  the domain repeat.  One time history is kept per source point and grown in
-  place: a request for a later time continues it, never rebuilds it.  Its
-  domain widens with t (the Gaussian-tail half-width a little ahead of the
-  current time, capped by a user ``half_width``), and only a geometric
-  ladder of rungs is stored, between which log(sqrt(t) G) is linear in 1/t.
+  Rannacher start-up for the point-mass initial condition.  Each step is one
+  tridiagonal solve with M = I - theta dt A, u <- (M^{-1} u - (1 - theta) u)
+  / theta, which holds the explicit half-step too.  While the cell Peclet
+  number |b| dx / (2a) is below 1, M is diagonally similar to a symmetric
+  matrix, factored without pivoting (LAPACK pttrf); otherwise, or where that
+  is not positive definite, the pivoting LU of gttrf serves.  Factors are
+  kept while the step size and the domain repeat.  One time history is kept
+  per source point and grown in place: a request for a later time continues
+  it, never rebuilds it.  Its domain widens with t (the Gaussian-tail
+  half-width a little ahead of the current time, capped by a user
+  ``half_width``), and only a geometric ladder of rungs is stored, between
+  which log(sqrt(t) G) is linear in 1/t.
   Before the splice time, and beyond the domain of the rung read, G is the
   frozen-coefficient Gaussian.  Rungs, widths and steps depend on t alone,
   so no value depends on which request grew the history.
@@ -71,7 +76,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 from scipy.special import betainc, gammaln
 
 from .errors import CapabilityError, DomainError, HorizonError
@@ -746,38 +751,75 @@ def spectral_density_from_csv(path):
     return SpectralMeasure(data[:, 1], angles=data[:, 0])
 
 
+# the symmetrising scales stay within e^{+-_LOG_SCALE_MAX}, so u / s and s x
+# stay finite for any u the scheme produces
+_LOG_SCALE_MAX = 300.0
+
+
 class _ThetaStepper:
     """One theta-scheme step (I - theta dt A) u_new = (I + (1 - theta) dt A) u
     for the tridiagonal A = (lower, diag, upper) with zero Dirichlet ends,
-    written over u (a contiguous 1-D array).  The LU factors (LAPACK gttrf)
-    are kept while (dt, theta) repeats, so the constant-step phase of a run
-    factors once."""
+    written over u (a contiguous 1-D array).
+
+    With M = I - theta dt A the explicit half is (I - (1 - theta) M) / theta,
+    so a step is u <- (M^{-1} u - (1 - theta) u) / theta on the interior
+    nodes: one solve and no matrix product.  While every coupling is positive
+    (cell Peclet number |b| h / (2a) below 1), M = D (I - theta dt S) D^{-1}
+    with D = diag(s), s_{i+1} / s_i = sqrt(lower_{i+1} / upper_i) and s = 1 at
+    the centre node (the source, so a domain widened about it keeps the
+    scales of its old nodes), and S symmetric with off-diagonal
+    sqrt(lower_{i+1} upper_i).  I - theta dt S is then factored by LAPACK
+    pttrf (LDL', no pivoting) and solved by pttrs.  A step matrix that
+    cannot take that path (a coupling <= 0, a scale beyond e^{+-_LOG_SCALE_MAX},
+    or pttrf finding it not positive definite) is factored by the pivoting
+    LU of gttrf and solved by gttrs instead; ``symmetric`` says which path
+    the current factors take.  Factors are kept while (dt, theta) repeats, so
+    the constant-step phase of a run factors once."""
 
     def __init__(self, lower, diag, upper):
-        self.lower, self.diag, self.upper = lower, diag, upper
-        self._key = self._lu = None
+        # interior nodes only: node k couples to k + 1 through upper, k + 1 to k through lower
+        self.diag, self.lower, self.upper = diag[1:-1], lower[2:-1], upper[1:-2]
+        self.scale = None
+        if np.all(self.lower > 0.0) and np.all(self.upper > 0.0):
+            ratio = 0.5 * np.log(self.lower / self.upper)  # log(s_{k+1} / s_k)
+            c = (diag.size - 1) // 2 - 1  # the centre node, counted from the first interior node
+            log_s = np.zeros(self.diag.size)
+            log_s[c + 1:] = np.cumsum(ratio[c:])
+            log_s[:c] = -np.cumsum(ratio[:c][::-1])[::-1]
+            if np.max(np.abs(log_s)) < _LOG_SCALE_MAX:
+                self.scale, self.coupling = np.exp(log_s), np.sqrt(self.lower * self.upper)
+        self._key = self._factors = self.symmetric = None
+
+    def _factor(self, w):
+        """Factors of the interior M = I - w A, symmetrised where it can be."""
+        if self.scale is not None:
+            d, e, info = dpttrf(1.0 - w * self.diag, -w * self.coupling, overwrite_d=1, overwrite_e=1)
+            if info == 0:
+                return True, (d, e)
+        *lu, info = dgttrf(-w * self.lower, 1.0 - w * self.diag, -w * self.upper,
+                           overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        if info:
+            raise np.linalg.LinAlgError("singular Crank-Nicolson step matrix")
+        return False, lu
 
     def __call__(self, u, dt, theta):
         if (dt, theta) != self._key:
-            self._lu = None  # free the old factors first
-            du = -theta * dt * self.upper[:-1]
-            d = 1.0 - theta * dt * self.diag
-            dl = -theta * dt * self.lower[1:]
-            d[0] = d[-1] = 1.0
-            du[0] = dl[-1] = 0.0
-            *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-            if info:
-                raise np.linalg.LinAlgError("singular Crank-Nicolson step matrix")
-            self._key, self._lu = (dt, theta), lu
-        if theta < 1.0:
-            # u + w (lower u_- + diag u + upper u_+), in place to hold one temporary
-            au = self.lower[1:-1] * u[:-2]
-            au += self.diag[1:-1] * u[1:-1]
-            au += self.upper[1:-1] * u[2:]
-            au *= (1.0 - theta) * dt
-            u[1:-1] += au
+            self._factors = None  # free the old factors first
+            self.symmetric, self._factors = self._factor(theta * dt)
+            self._key = (dt, theta)
         u[0] = u[-1] = 0.0
-        dgttrs(*self._lu, u, overwrite_b=1)
+        v = u[1:-1]
+        if self.symmetric:
+            x, info = dpttrs(*self._factors, v / self.scale, overwrite_b=1)
+            x *= self.scale
+        else:
+            x, info = dgttrs(*self._factors, v)
+        if theta == 1.0:
+            v[:] = x
+        else:
+            v *= theta - 1.0
+            v += x
+            v /= theta
 
 
 # stored rungs: each the first step at or after _LADDER_Q times the last rung

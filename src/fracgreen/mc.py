@@ -45,22 +45,20 @@ __all__ = [
 class McConfig:
     """Campaign configuration; acceptance-grade runs need >= 1000 samples.
 
-    ``time_step`` and ``bracket_tol`` are validated but unused: the inverse
-    subordinator is sampled exactly, with no time step and no passage
-    bracket.
+    ``bracket_tol`` is validated but unused: the inverse subordinator is
+    sampled exactly, with no time step and no passage bracket.
     """
 
     sample_count: int = 100_000
     seed: int = 20_250_101
-    time_step: float = 0.0625
     histogram_bins: int = 80
     bracket_tol: float = 1e-3
 
     def __post_init__(self):
         if self.sample_count < 1:
             raise DomainError("sample_count must be positive")
-        if self.time_step <= 0 or self.bracket_tol <= 0:
-            raise DomainError("time_step and bracket_tol must be positive")
+        if self.bracket_tol <= 0:
+            raise DomainError("bracket_tol must be positive")
         if self.histogram_bins < 4:
             raise DomainError("need at least 4 histogram bins")
 

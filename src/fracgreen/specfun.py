@@ -16,10 +16,11 @@ beta-stable subordinator, and the Mittag-Leffler function ``E_beta``.
 
 ``E_beta`` on the negative axis is a completely monotone function whose
 alternating power series suffers cancellation of order ``exp(|z|**(1/beta))``.
-``ml_series`` therefore uses compensated float summation while rounding
-stays below tolerance, and past that the equivalent completely monotone
-integral representation.  ``ml_pz`` is the independent route through the
-subordinator density and is kept free of any series machinery.
+``ml_series`` therefore uses compensated float summation while the series'
+largest term stays within a small factor of the result, and past that the
+equivalent completely monotone integral representation.  ``ml_pz`` is the
+independent route through the subordinator density and is kept free of any
+series machinery.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ _EPS = np.finfo(float).eps
 # Default evaluation-strategy knobs (see module docstring).
 SWITCH_POINT = 1.0          # series for x >= switch, integral below
 ML_SERIES_GUARD = 50.0      # hard |z| guard for ml_series
-_ML_FLOAT_MAXLOG = 7.0      # float summation safe while max term < e^7
+_ML_FLOAT_RELLOG = 4.0      # float summation while max term < e^4 |result|
 
 
 @dataclass(frozen=True)
@@ -439,10 +440,16 @@ def _ml_ladder(beta, z, tol, deriv):
         return 1.0 / math.gamma(1.0 + b) if deriv else 1.0
     if z > 0.0:
         return _ml_series_float(z, b, tol, deriv=deriv)
-    # the switch reads the terms of the series being summed: the
-    # differentiated terms are larger by about k / |z|
-    if _ml_maxlog(z, b, deriv) <= _ML_FLOAT_MAXLOG:
-        return _ml_series_float(z, b, tol, deriv=deriv)
+    # the float series loses tens of eps times its largest term to rounding:
+    # it is kept while that term (of the series being summed: differentiated
+    # terms are larger by about k / |z|) is within e^_ML_FLOAT_RELLOG of the
+    # result.  On z < 0 both functions are completely monotone, so at most
+    # 1/Gamma(1 + b), and a larger term skips the sum
+    maxlog = _ml_maxlog(z, b, deriv)
+    if maxlog + gammaln(1.0 + b) <= _ML_FLOAT_RELLOG:
+        s = _ml_series_float(z, b, tol, deriv=deriv)
+        if maxlog - math.log(s) <= _ML_FLOAT_RELLOG:
+            return s
     return _ml_spectral(z, b, deriv=deriv)
 
 

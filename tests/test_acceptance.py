@@ -212,7 +212,7 @@ class TestCriterion9McConsistency:
         e = M.sample_inverse_subordinator(0.5, 1.0, cfg)
         expect = 1.0 / math.gamma(1.5)
         dev = abs(e.mean() - expect)
-        bound = 3.0 * e.std() / math.sqrt(len(e)) + cfg.bracket_tol
+        bound = 3.0 * e.std() / math.sqrt(len(e))
         report(
             "9 (MC consistency)",
             ks < 0.02 and dev < bound,

@@ -457,9 +457,21 @@ class TestVariableDiffusion:
         # favours targets to the right of the start point
         assert fd.value(0.3, 0.0, 0.5) > fd.value(0.3, 0.0, -0.5)
 
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_theta_step_matches_dense_solve(self, theta):
-        fd = _drifting_bump()
+    # the symmetric path ("drift") is the plain theta case
+    @pytest.mark.parametrize("case, theta", [
+        *(pytest.param("drift", theta, id=str(theta)) for theta in (0.5, 1.0)),
+        *((case, theta) for case in ("peclet", "potential") for theta in (0.5, 1.0)),
+    ])
+    def test_theta_step_matches_dense_solve(self, case, theta):
+        const = lambda v: lambda x: np.full_like(np.asarray(x, float), v)
+        fd = {
+            # a non-trivial symmetrising scale
+            "drift": _drifting_bump,
+            # cell Peclet number 25 * 0.1 / 2 = 1.25: every lower coupling < 0
+            "peclet": lambda: K.VariableDiffusion1D("one", b=const(25.0), horizon=0.5, dx=0.1),
+            # theta dt c >= 25 at every step below: M is not positive definite
+            "potential": lambda: K.VariableDiffusion1D("one", c=const(5000.0), horizon=0.5, dx=0.05),
+        }[case]()
         m = fd._half_nodes(0.5)
         xs = fd.dx * np.arange(-m, m + 1.0)
         lower, diag, upper = fd._step_matrices(xs)
@@ -469,11 +481,14 @@ class TestVariableDiffusion:
         u = np.exp(-xs**2) * (1.0 + 0.1 * np.sin(3.0 * xs))
         u[0] = u[-1] = 0.0
         step = K._ThetaStepper(lower, diag, upper)
+        if case == "drift":
+            assert np.ptp(np.log(step.scale)) > 0.05  # 0.11
         # the second step size refactors; the repeated first one reuses its factors
         for dt in (0.01, 0.03, 0.01):
             ref = np.linalg.solve(eye - theta * dt * a, (eye + (1.0 - theta) * dt * a) @ u)
             got = u.copy()
             step(got, dt, theta)
+            assert step.symmetric is (case == "drift")
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_extension_equals_straight_build(self):

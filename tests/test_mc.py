@@ -15,15 +15,10 @@ from fracgreen.errors import CapabilityError, CertificateError, DomainError
 MIXTURE = M.LevyKernelSpec(components=((0.5, 0.4), (0.5, 0.6)))
 
 
-def _march_first_passage(levy, t, cfg, rng, block=64):
-    """Reference E_t by first passage of a marched path: exact mixture
-    increments at the first halving of cfg.time_step below cfg.bracket_tol,
-    marched in blocks until every path crosses t; the estimate is the
-    midpoint of the crossing step."""
-    dt = cfg.time_step
-    while dt > cfg.bracket_tol:
-        dt *= 0.5
-    n = cfg.sample_count
+def _march_first_passage(levy, t, n, dt, rng, block=64):
+    """Reference E_t by first passage of n marched paths: exact mixture
+    increments over steps dt, marched in blocks until every path crosses t;
+    the estimate is the midpoint of the crossing step."""
     passage = np.empty(n)
     alive = np.arange(n)
     s = np.zeros(n)
@@ -110,7 +105,7 @@ class TestInverseSubordinator:
         assert stat < 0.02
 
     def test_small_time_concentration(self):
-        cfg = M.McConfig(sample_count=5_000, seed=31, time_step=1e-4, bracket_tol=1e-5)
+        cfg = M.McConfig(sample_count=5_000, seed=31)
         e = M.sample_inverse_subordinator(0.5, 1e-6, cfg)
         assert np.quantile(e, 0.99) < 0.1
 
@@ -157,9 +152,10 @@ class TestInverseSubordinator:
         assert (np.diff(es, axis=0) >= 0).all()
 
     def test_mixture_matches_marcher(self):
-        cfg = M.McConfig(sample_count=20_000, seed=73, bracket_tol=2e-3)
+        cfg = M.McConfig(sample_count=20_000, seed=73)
         exact = M.sample_inverse_subordinator(None, 1.0, cfg, rng=M.rng_stream(73, task=0), levy=MIXTURE)
-        marched = _march_first_passage(MIXTURE, 1.0, cfg, M.rng_stream(73, task=1))
+        # steps of 2^-9: the crossing-step midpoint is within 1e-3 of E_t
+        marched = _march_first_passage(MIXTURE, 1.0, cfg.sample_count, 2.0**-9, M.rng_stream(73, task=1))
         assert ks_2samp(exact, marched).pvalue > 0.01
 
 

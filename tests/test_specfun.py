@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -204,6 +205,28 @@ class TestSubordinatorDensity:
             sf.subordinator_density(0.5, 1.0, -2.0)
 
 
+def ml_reference(beta, z):
+    """(E_beta(z), E'_beta(z)) for z < 0: the series summed in binary fixed
+    point with 60 digits beyond the cancellation of its largest term, about
+    e^{|z|^(1/beta)}.  The terms are c_k = z^k / Gamma(beta k + 1), and E' sums
+    k c_k / z.  With beta = p/q, c_{k+q} = c_k z^q q^p / prod_{j=1..p}
+    (p k + j q), so only the first q terms need mpmath's gamma function."""
+    p, q = Fraction(beta).limit_denominator(100).as_integer_ratio()
+    peak = abs(z) ** (1.0 / beta)  # ~ ln of the largest term, at k ~ peak / beta
+    bits = int((peak + 60 * math.log(10)) / math.log(2))
+    one, tiny = 2**bits, 2 ** (bits - 133)  # 2^-133 ~ 1e-40
+    with mp.workprec(bits + 64):
+        c = [int(mp.nint(mp.mpf(z) ** k / mp.gamma(mp.mpf(p) / q * k + 1) * one)) for k in range(q)]
+    ratio = Fraction(z) ** q * q**p
+    value, deriv = sum(c), sum(k * ck for k, ck in enumerate(c))
+    for k in range(q, 10**7):
+        c.append(c[k - q] * ratio.numerator // (ratio.denominator * math.prod(p * (k - q) + j * q for j in range(1, p + 1))))
+        value += c[k]
+        deriv += k * c[k]
+        if k > peak / beta and abs(k * c[k]) < tiny:
+            return value / one, deriv / one / z
+
+
 class TestMittagLeffler:
     def test_at_zero(self):
         assert sf.ml_series(0.5, 0.0) == 1.0
@@ -224,6 +247,16 @@ class TestMittagLeffler:
             assert sf.ml_series(0.5, z) == pytest.approx(erfcx(-z), rel=1e-10, abs=0.0)
             deriv = 2.0 / math.sqrt(math.pi) + 2.0 * z * erfcx(-z)
             assert sf.ml_series_deriv(0.5, z) == pytest.approx(deriv, rel=1e-10, abs=0.0), z
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7, 0.9])
+    def test_against_mp_series(self, beta):
+        # both rungs and the hand-over between them, which weighs the largest
+        # term against the result: a switch on the largest term alone left
+        # the float series 2.1e-10 off at beta = 0.9, z = -7.1
+        for z in np.linspace(-8.0, -0.5, 31):
+            value, deriv = ml_reference(beta, z)
+            assert sf.ml_series(beta, z) == pytest.approx(value, rel=1e-11, abs=0.0), z
+            assert sf.ml_series_deriv(beta, z) == pytest.approx(deriv, rel=1e-11, abs=0.0), z
 
     def test_guard(self):
         with pytest.raises(RangeGuardError):
