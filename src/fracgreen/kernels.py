@@ -16,8 +16,9 @@ Families:
   them: ``P_3 = -P_1'/(2 pi rho)``, and ``P_2`` is the inverse Abel
   transform ``-(1/pi) Int_0^inf P_1'(rho cosh u) du``, cached on its own
   log-spline.  Far out (rho > 60 in d = 1 and 3, rho > 20 in d = 2) the
-  profiles are inverse-power tail series summed by
-  ``_inverse_power_series``.  Profiles are validated for alpha >= 0.2.
+  profiles are inverse-power tail series, summed by the library's one
+  inverse-power summer (``specfun._InversePowerSeries``), which stops each
+  row on its own envelope.  Profiles are validated for alpha >= 0.2.
 * ``AnisotropicStable2D(alpha, mu)`` - symbol ``-|xi|^alpha w_mu(xi/|xi|)``
   with ``w_mu`` computed from a spectral density kept on a uniform angular
   grid.  One rule serves direct calls and the subordination: the 2-D
@@ -80,7 +81,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 from scipy.special import betainc, gammaln
 
 from .errors import CapabilityError, DomainError, HorizonError
-from .specfun import subordination_reach
+from .specfun import _frozen, _InversePowerSeries, _leading_terms_sum, _term_counts, subordination_reach
 
 __all__ = [
     "ConstantDiffusion",
@@ -263,34 +264,6 @@ def _fourier_moment(alpha, m, trig, sigma):
     return val / scale ** (m + 1)
 
 
-def _smallest_term_sum(weight, log_envelope):
-    """Sum_k weight_k e^{log_envelope_k} along each row, in order, up to the
-    smallest term of the envelope (the tails converge for alpha < 1 and are
-    asymptotic for alpha > 1) or through its first term below 1e-17 of the
-    partial sum.  The envelope decides, not the terms: a trig weight near 0
-    (sin(pi k alpha / 2) = 0.03 at alpha = 0.99, k = 2) must not end the sum.
-    ``log_envelope(n)`` returns its first n columns; they are built in
-    blocks until every row has stopped, which leaves the prefix sums, and
-    so the result, as with all columns built."""
-    n = 16
-    while True:
-        env = np.exp(log_envelope(n))
-        rows, cols = env.shape
-        partial = np.cumsum(weight[:cols] * env, axis=1)
-        grows = np.where(env[:, 1:] > env[:, :-1], np.arange(1, cols), cols).min(axis=1, initial=cols)
-        tiny = np.where(env < 1e-17 * np.maximum(np.abs(partial), 1e-300), np.arange(1, cols + 1), cols).min(axis=1, initial=cols)
-        stop = np.minimum(grows, tiny)
-        if cols < n or stop.max() < cols:
-            return partial[np.arange(rows), stop - 1]
-        n *= 4
-
-
-def _inverse_power_series(log_coef, weight, power, x):
-    """Sum_k weight_k e^{log_coef_k} x^{-power_k}, vectorised over x."""
-    log_x = np.log(np.asarray(x, dtype=float)).reshape(-1, 1)
-    return _smallest_term_sum(weight, lambda n: log_coef[:n] - power[:n] * log_x)
-
-
 @lru_cache(maxsize=64)
 def _tail_coefficients(alpha, m, trig):
     """(log_coef, weight, power) of the large-sigma series of ``_fourier_moment``,
@@ -303,16 +276,16 @@ def _tail_coefficients(alpha, m, trig):
     return _frozen((gammaln(p) - gammaln(k + 1.0))[keep], weight[keep], p[keep])
 
 
-def _frozen(*arrays):
-    """The arrays made read-only: a cached result is shared by every caller."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+@lru_cache(maxsize=64)
+def _tail_series(alpha, m, trig):
+    """The large-sigma series of ``_fourier_moment``: asymptotic for alpha > 1,
+    so it stops at its smallest term, convergent below."""
+    return _InversePowerSeries(*_tail_coefficients(alpha, m, trig), asymptotic=alpha > 1.0)
 
 
 def _fourier_moment_tail(alpha, m, trig, sigma):
     """Large-sigma series of ``_fourier_moment``, vectorised over sigma."""
-    return _inverse_power_series(*_tail_coefficients(alpha, m, trig), sigma)
+    return _tail_series(alpha, m, trig)(sigma)
 
 
 _TAIL_RHO = 60.0
@@ -409,9 +382,15 @@ def _abel_coefficients(alpha):
     return _frozen(log_coef + log_abel, weight, p)
 
 
+@lru_cache(maxsize=32)
+def _radial_tail_series(alpha):
+    """The tail series of the d = 2 profile (``_abel_coefficients``)."""
+    return _InversePowerSeries(*_abel_coefficients(alpha), asymptotic=alpha > 1.0)
+
+
 def _radial_tail(alpha, rho):
     """Inverse-power tail of the d = 2 profile, vectorised over rho."""
-    return _inverse_power_series(*_abel_coefficients(alpha), rho)
+    return _radial_tail_series(alpha)(rho)
 
 
 @lru_cache(maxsize=32)
@@ -439,7 +418,8 @@ class _profile_2d:
         log_coef, weight, p = _abel_coefficients(self.alpha)
         with np.errstate(divide="ignore"):  # I_T underflows to 0 in the high terms at small rho
             log_env = log_coef - p * np.log(rho) + np.log(betainc(p / 2.0, 0.5, (rho / _TAIL_RHO) ** 2))
-        values = body + _smallest_term_sum(weight, lambda n: log_env[:, :n])
+        counts = _term_counts(log_env, asymptotic=self.alpha > 1.0)
+        values = body + _leading_terms_sum(weight, lambda rows, n: log_env[rows, :n], counts)
         if np.any(values <= 0.0):
             raise CapabilityError("Abel transform lost positivity; out of validated range")
         origin = math.gamma(2.0 / self.alpha) / (2.0 * math.pi * self.alpha)

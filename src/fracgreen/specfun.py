@@ -11,8 +11,17 @@ beta-stable subordinator, and the Mittag-Leffler function ``E_beta``.
   ``x >= switch_point``), and
 * a non-oscillatory single integral over ``(0, pi)`` built from the
   monotone angular function ``A(phi)`` with ``A(0+) = c_beta`` (used for
-  ``x < switch_point``); in the deep left tail the integral concentrates at
-  ``phi = 0`` and is evaluated in log form.
+  ``x < switch_point``), on Gauss-Legendre panels built once for every beta;
+  in the deep left tail the integral concentrates at ``phi = 0`` and is
+  evaluated in log form.
+
+The series goes through the library's one inverse-power summer,
+``_InversePowerSeries``, which also sums the far-field profile tails of
+``fracgreen.kernels``.  Each row stops on its own envelope, before the first
+term e^-39 below its first (and, for an asymptotic series, after its
+smallest term); the envelope is linear in ``log x``, so the stop is a
+threshold found by bisection, and rows are summed in groups by term count.
+A row's value therefore depends on its own argument alone.
 
 ``E_beta`` on the negative axis is a completely monotone function whose
 alternating power series suffers cancellation of order ``exp(|z|**(1/beta))``.
@@ -142,10 +151,17 @@ def _zolo_log_A(phi, b):
     )
 
 
-@lru_cache(maxsize=64)
-def _zolo_nodes(b: float):
-    """Gauss-Legendre nodes/weights on (0, pi), geometrically refined at both
-    endpoints, with cached A values for the integral representation."""
+def _frozen(*arrays):
+    """The arrays made read-only: a cached result is shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=1)
+def _zolo_panels():
+    """Gauss-Legendre nodes and weights on (0, pi), geometrically refined at
+    both endpoints: the same for every beta, so built once."""
     xg, wg = np.polynomial.legendre.leggauss(14)
     # cluster toward 0 (the deep-tail peak, ~M^{-1/2} wide) and toward pi
     # (the A blow-up), from 0 itself: the peak holds a share of about
@@ -153,43 +169,134 @@ def _zolo_nodes(b: float):
     left = np.pi / 2 * 0.62 ** np.arange(64, -1, -1)
     right = np.pi - np.pi / 2 * 0.62 ** np.arange(1, 30)
     edges = np.concatenate(([0.0], left, right))
-    nodes, weights = [], []
-    lo = edges[0]
-    for hi in edges[1:]:
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(mid + half * xg)
-        weights.append(half * wg)
-        lo = hi
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
-    logA = _zolo_log_A(nodes, b)
-    c_beta = stable_exponent_constant(b)
-    with np.errstate(over="ignore"):  # A = inf near pi for beta close to 1
-        return nodes, weights, logA, np.exp(logA), c_beta
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    return _frozen((mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel())
 
-
-# ---------------------------------------------------------------------------
-# series machinery
-# ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _w_series_coeffs(b: float, K: int = 220):
-    """log|coeff| and sign for the inverse-power series of w_beta."""
-    k = np.arange(1, K + 1, dtype=float)
-    logc = gammaln(k * b + 1.0) - gammaln(k + 1.0) + np.log(np.abs(np.sin(np.pi * k * b)))
-    sign = np.where(np.sin(np.pi * k * b) >= 0, 1.0, -1.0) * np.where(k % 2 == 1, 1.0, -1.0)
-    return k, logc, sign
+def _zolo_nodes(b: float):
+    """The shared angular panels with log A, A and c_beta at this beta."""
+    nodes, weights = _zolo_panels()
+    logA = _zolo_log_A(nodes, b)
+    with np.errstate(over="ignore"):  # A = inf near pi for beta close to 1
+        return nodes, weights, logA, np.exp(logA), stable_exponent_constant(b)
+
+
+# ---------------------------------------------------------------------------
+# inverse-power series: one summer, stopped row by row
+# ---------------------------------------------------------------------------
+
+_SERIES_CUT = 39.0           # a term whose envelope is e^-39 (1.2e-17) below the first ends the sum
+_SERIES_GROUPS = (2, 8, 32)  # rows needing at most this many terms are summed together
+_GROUP_GAIN = 256            # unless that saves fewer envelope terms than this
+
+
+def _term_counts(log_env, asymptotic):
+    """Each row's term count from its whole log envelope (rows, terms): the
+    terms before the first whose envelope lies _SERIES_CUT below the row's
+    first term, and for an asymptotic series none past its smallest term.
+    ``_InversePowerSeries.counts`` evaluates the same rule in closed form."""
+    cols = log_env.shape[1]
+    col = np.arange(1, cols)
+    n = np.where(log_env[:, 1:] < log_env[:, :1] - _SERIES_CUT, col, cols).min(axis=1, initial=cols)
+    if asymptotic:
+        n = np.minimum(n, np.where(log_env[:, 1:] > log_env[:, :-1], col, cols).min(axis=1, initial=cols))
+    return n
+
+
+def _leading_terms_sum(weight, log_envelope, counts):
+    """Sum_{k < counts_i} weight_k e^{E_ik} for every row i, where
+    ``log_envelope(rows, n)`` gives E for the given rows' first n terms.
+
+    Rows are summed in groups by term count (at most 2, 8, 32, then all
+    terms), each group only up to the largest count it holds; a group is
+    merged into the next when splitting it off would save fewer than
+    _GROUP_GAIN envelope terms, which costs less than another pass.  Each
+    row is summed in order (a cumulative sum), so the columns past its own
+    count never touch its value: a row's sum depends on its own envelope
+    alone, not on its group or on which other rows share the call."""
+    order = np.argsort(counts, kind="stable")
+    n = counts[order]
+    ends = [n.size]
+    for below in np.searchsorted(n, _SERIES_GROUPS[::-1], side="right").tolist():
+        if 0 < below < ends[-1] and below * int(n[ends[-1] - 1] - n[below - 1]) >= _GROUP_GAIN:
+            ends.append(below)
+    sums, start = [], 0
+    for end in ends[::-1]:
+        rows, m = order[start:end], int(n[end - 1])
+        partial = np.cumsum(weight[:m] * np.exp(log_envelope(rows, m)), axis=1)
+        sums.append(partial[np.arange(end - start), n[start:end] - 1])
+        start = end
+    out = np.empty(counts.shape)
+    out[order] = np.concatenate(sums)
+    return out
+
+
+class _InversePowerSeries:
+    """Sum_k weight_k e^{log_coef_k} x^{-power_k} with increasing powers,
+    each row summed up to its own term count under ``_term_counts``'s rule.
+
+    The log envelope log_coef_k - power_k log x is linear in log x, so each
+    stop is a threshold on log x.  Term k lies _SERIES_CUT below the first
+    where log x > (log_coef_k - log_coef_0 + _SERIES_CUT) / (power_k -
+    power_0), and the envelope grows after term k where log x <
+    (log_coef_{k+1} - log_coef_k) / (power_{k+1} - power_k).  The first k
+    past a threshold is the first past the thresholds' running minimum
+    (maximum), which is monotone, so a bisection finds it.  An asymptotic
+    series stops at its smallest term; a convergent one may rise before it
+    falls (w_beta below x = 1 near beta = 1), so it does not."""
+
+    def __init__(self, log_coef, weight, power, asymptotic):
+        self.log_coef, self.weight, self.power = log_coef, weight, power
+        self.asymptotic = asymptotic
+        self._rel_coef, self._rel_power = log_coef - log_coef[0], power - power[0]
+        self._cut = -np.minimum.accumulate((self._rel_coef[1:] + _SERIES_CUT) / self._rel_power[1:])
+        if asymptotic:
+            self._turn = np.maximum.accumulate(np.diff(log_coef) / np.diff(power))
+
+    def counts(self, log_x):
+        n = 1 + np.searchsorted(self._cut, -log_x, side="right")
+        if self.asymptotic:
+            n = np.minimum(n, 1 + np.searchsorted(self._turn, log_x, side="right"))
+        return n
+
+    def relative_sum(self, log_x):
+        """The sum over its first term's envelope e^{log_coef_0} x^{-power_0},
+        at an array log_x = log x: finite for any finite log x."""
+        rel_coef, rel_power = self._rel_coef, self._rel_power
+        return _leading_terms_sum(self.weight, lambda rows, n: rel_coef[:n] - rel_power[:n] * log_x[rows, None],
+                                  self.counts(log_x))
+
+    def __call__(self, x):
+        """The sum at each x > 0, as a flat array."""
+        log_x = np.log(np.asarray(x, dtype=float)).reshape(-1)
+        return np.exp(self.log_coef[0] - self.power[0] * log_x) * self.relative_sum(log_x)
+
+
+_W_K = np.arange(1, 221, dtype=float)  # the terms k of the inverse-power series of w_beta
+_W_LOG_FACTORIAL = gammaln(_W_K + 1.0)
+_W_ALTERNATION = np.where(_W_K % 2 == 1, 1.0, -1.0)
+
+
+@lru_cache(maxsize=64)
+def _w_series(b: float):
+    """w_beta(x) = (1/pi) Sum_{k>=1} (-1)^{k+1} Gamma(k b + 1)/k! sin(pi k b)
+    x^{-k b - 1}.  The envelope Gamma(k b + 1)/k! x^{-k b} leaves out the
+    sine, which may be near 0 for a term that matters; its log is concave in
+    k, so the terms a row keeps run from k = 1 without a gap."""
+    kb = _W_K * b
+    return _InversePowerSeries(*_frozen(gammaln(kb + 1.0) - _W_LOG_FACTORIAL, _W_ALTERNATION * np.sin(np.pi * kb), kb),
+                               asymptotic=False)
 
 
 def _w_series_log(lx, b):
     """log w_beta by the series from lx = log x (x >= ~0.7).
 
-    The leading power x^{-1-b} is factored out, so x may be far beyond the
-    float range.
+    The first term's envelope x^{-b} is factored out, so x may be far beyond
+    the float range.
     """
-    k, logc, sign = _w_series_coeffs(b)
-    rel = (logc[None, :] - logc[0]) - ((k[None, :] - 1.0) * b) * lx[:, None]
-    return logc[0] - math.log(np.pi) - (b + 1.0) * lx + np.log((sign[None, :] * np.exp(rel)).sum(axis=1))
+    series = _w_series(b)
+    return series.log_coef[0] - math.log(np.pi) - (b + 1.0) * lx + np.log(series.relative_sum(lx))
 
 
 def _w_integral_log(lx, b):

@@ -103,12 +103,37 @@ _FAMILY_TOL = {
 _TRUNC_MASS = 1e-8   # largest neglected weight mass beyond a clipped window
 
 
+class _OmegaTable:
+    """omega_beta at nodes sorted by zeta, closed by a NaN node, which sorts
+    last and equals nothing, so a bisection always lands inside the table."""
+
+    def __init__(self, zeta=np.array([np.nan]), omega=np.array([np.nan])):
+        self.zeta, self.omega = zeta, omega
+
+    def __len__(self):
+        return self.zeta.size - 1
+
+    def merged(self, zeta, omega):
+        """A new table with these nodes added (none of them in this one)."""
+        if not (zeta[1:] > zeta[:-1]).all():  # a lattice window comes sorted
+            zeta, first = np.unique(zeta, return_index=True)
+            omega = omega[first]
+        at = np.searchsorted(self.zeta, zeta) + np.arange(zeta.size)
+        old = np.ones(self.zeta.size + zeta.size, dtype=bool)
+        old[at] = False
+        table = _OmegaTable(np.empty(old.size), np.empty(old.size))
+        table.zeta[at], table.zeta[old] = zeta, self.zeta
+        table.omega[at], table.omega[old] = omega, self.omega
+        return table
+
+
 class _WeightCache:
-    """omega_beta memoised per beta at lattice nodes, keyed by zeta (exact on
-    the lattice).  Bounded: at most ``max_betas`` betas, least recently used
-    first out, and at most ``max_nodes`` values per beta (a table that
-    outgrows it is dropped).  Values are computed elementwise, so none
-    depends on which request filled it."""
+    """omega_beta memoised per beta, keyed by zeta (exact on the lattice) in
+    a sorted array and looked up by bisection, with no per-node Python
+    work.  Bounded: at most ``max_betas`` betas, least recently used first
+    out, and at most ``max_nodes`` values per beta (a table that outgrows it
+    is dropped).  Values are computed elementwise, so none depends on which
+    request filled it."""
 
     def __init__(self, max_betas=8, max_nodes=1 << 15):
         self.max_betas = max_betas
@@ -118,12 +143,13 @@ class _WeightCache:
 
     def omega(self, beta, zeta):
         with self._lock:
-            table = self._tables.pop(beta, None) or {}
-            out = np.array([table.get(z, np.nan) for z in zeta.tolist()])
-            todo = np.isnan(out)
+            table = self._tables.pop(beta, None) or _OmegaTable()
+            at = np.searchsorted(table.zeta, zeta)
+            out = table.omega[at]
+            todo = table.zeta[at] != zeta
             if todo.any():
                 out[todo] = subordination_log_weight(beta, zeta[todo])
-                table.update(zip(zeta[todo].tolist(), out[todo].tolist()))
+                table = table.merged(zeta[todo], out[todo])
             if len(table) <= self.max_nodes:
                 self._tables[beta] = table
                 if len(self._tables) > self.max_betas:

@@ -233,23 +233,36 @@ class TestIsotropicStable:
 
     @pytest.mark.parametrize("alpha", [0.7, 0.99, 1.5])
     def test_tail_cache_matches_full_term_matrix(self, alpha):
-        # all 200 terms rebuilt and summed at once, up to the smallest
-        # envelope term: the cached coefficients summed in blocks agree bit for bit
+        # all 200 terms rebuilt and summed at once, each row up to the first
+        # term 39 below its first in log envelope or, for alpha > 1, through
+        # its smallest term: the cached series, summed in groups of rows,
+        # agree bit for bit.  The earlier stop, 1e-17 of the partial sum or
+        # the smallest term, agrees within 1e-13
         def full(m, trig, x):
             k = np.arange(200, dtype=float)
             p = k * alpha + m + 1.0
             weight = (-1.0) ** k * getattr(np, trig)(math.pi * p / 2.0)
             keep = np.abs(weight) >= 1e-12
             log_coef, weight, power = (gammaln(p) - gammaln(k + 1.0))[keep], weight[keep], p[keep]
-            env = np.exp(log_coef - power * np.log(x).reshape(-1, 1))
-            partial, n = np.cumsum(env * weight, axis=1), weight.size
+            log_x, n, rows = np.log(x).reshape(-1, 1), weight.size, np.arange(x.size)
+            rel = (log_coef - log_coef[0]) - (power - power[0]) * log_x
+            stop = np.where(rel[:, 1:] < -39.0, np.arange(1, n), n).min(axis=1, initial=n)
+            if alpha > 1.0:
+                stop = np.minimum(stop, np.where(rel[:, 1:] > rel[:, :-1], np.arange(1, n), n).min(axis=1, initial=n))
+            partial = np.cumsum(weight * np.exp(rel), axis=1)
+            now = np.exp(log_coef[0] - power[0] * log_x[:, 0]) * partial[rows, stop - 1]
+            env = np.exp(log_coef - power * log_x)
+            partial = np.cumsum(env * weight, axis=1)
             grows = np.where(env[:, 1:] > env[:, :-1], np.arange(1, n), n).min(axis=1, initial=n)
             tiny = np.where(env < 1e-17 * np.maximum(np.abs(partial), 1e-300), np.arange(1, n + 1), n).min(axis=1, initial=n)
-            return partial[np.arange(x.size), np.minimum(grows, tiny) - 1]
+            return now, partial[rows, np.minimum(grows, tiny) - 1]
 
         x = np.geomspace(2.0, 1e4, 400)
         for m, trig in ((0, "cos"), (1, "sin"), (1, "cos")):
-            assert np.array_equal(K._fourier_moment_tail(alpha, m, trig, x), full(m, trig, x))
+            now, before = full(m, trig, x)
+            got = K._fourier_moment_tail(alpha, m, trig, x)
+            assert np.array_equal(got, now)
+            np.testing.assert_allclose(got, before, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("alpha, deriv", [(1.8, False), (0.7, True), (1.5, True)])
     def test_fourier_moment_far_field(self, alpha, deriv):

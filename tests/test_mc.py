@@ -96,7 +96,7 @@ class TestInverseSubordinator:
         e = M.sample_inverse_subordinator(beta, 1.0, cfg)
         expect = 1.0 / math.gamma(1.0 + beta)
         serr = e.std() / math.sqrt(len(e))
-        assert abs(e.mean() - expect) < 3 * serr + cfg.bracket_tol
+        assert abs(e.mean() - expect) < 3 * serr
 
     def test_ks_closed_form(self):
         cfg = M.McConfig(sample_count=100_000, seed=23)

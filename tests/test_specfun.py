@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from scipy.special import erfc, erfcx
 
 from fracgreen import specfun as sf
+from fracgreen import subordination as S
 from fracgreen.errors import DomainError, RangeGuardError
 
 
@@ -36,6 +37,20 @@ def zolotarev_log_w(beta, x):
         splits = [mp.mpf(0)] + [width * 2**k for k in range(-2, 60) if width * 2**k < mp.pi] + [mp.pi]
         core = mp.quad(integrand, splits)
         return float(mp.log(b / ((1 - b) * mp.pi)) - lx / (1 - b) - c * M + mp.log(core))
+
+
+def mp_series_log_w(beta, x):
+    """log w_beta(x) from its inverse-power series summed at 40 digits until
+    a term falls below 1e-45 of the sum (every term, without a cap)."""
+    with mp.workdps(40):
+        b, lx = mp.mpf(beta), mp.log(mp.mpf(x))
+        total, k = mp.mpf(0), 1
+        while True:
+            term = (-1) ** (k + 1) * mp.exp(mp.loggamma(k * b + 1) - mp.loggamma(k + 1) - k * b * lx) * mp.sin(mp.pi * k * b)
+            total += term
+            if k > 2 and abs(term) < mp.mpf(10) ** -45 * abs(total):
+                return float(mp.log(total / mp.pi) - lx)
+            k += 1
 
 
 # frozen with an 80-digit arbitrary-precision summation of the inverse-power
@@ -135,6 +150,62 @@ class TestStableDensity:
         assert np.isfinite(lw)
         # dominated by -c_beta x^{-1} = -0.25e8
         assert lw == pytest.approx(-0.25e8, rel=1e-4)
+
+
+# x in [1, 1e8], 20 points a decade: dense enough that some row's last term
+# is above 1e-13 of the sum in log, so a term count one short fails
+SERIES_X = np.geomspace(1.0, 1e8, 161)
+
+
+class TestWeightSeries:
+    @pytest.mark.parametrize(
+        "beta, x",
+        [
+            (0.05, SERIES_X),
+            (0.3, SERIES_X),
+            (0.7, SERIES_X),
+            (0.995, SERIES_X[SERIES_X >= 1.15]),
+            pytest.param(
+                0.995, SERIES_X[SERIES_X < 1.15],
+                marks=pytest.mark.xfail(strict=True, reason="the 220-term series has not converged near x = 1 "
+                                        "for beta close to 1: off by 1.1e-3 at x = 1, beta = 0.995"),
+            ),
+        ],
+        ids=["0.05", "0.3", "0.7", "0.995", "0.995-near-1"],
+    )
+    def test_against_mp_sum(self, beta, x):
+        got = sf.stable_density_log_vec(beta, x)
+        assert got == pytest.approx([mp_series_log_w(beta, xi) for xi in x], rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.995])
+    def test_batch_independent(self, beta):
+        # every row of a call equals the row alone, bit for bit: series rows of
+        # each term-count group the series reaches, integral and asymptotic rows,
+        # through specfun and through the lattice cache (empty, then full)
+        zeta = np.unique(np.concatenate([np.arange(-640, 481) * 0.0625, np.arange(-64, 65) * S._H0 / 2**10]))
+        lu = -zeta / beta
+        series, tiny = lu >= 0.0, sf._asymptotic(beta, lu)
+        assert (~series & tiny).any() and (~series & ~tiny).any()
+        groups = np.searchsorted(sf._SERIES_GROUPS, sf._w_series(beta).counts(lu[series]))
+        assert set(groups.tolist()) == set(range(groups.max() + 1))
+        whole = sf.subordination_log_weight(beta, zeta)
+        alone = np.array([sf.subordination_log_weight(beta, zeta[i:i + 1])[0] for i in range(zeta.size)])
+        assert np.array_equal(whole, alone)
+
+        cache = S._WeightCache()
+        zeta = np.append(zeta, 0.3 + 1e-9)  # off the lattice, as a window clip is
+        whole = np.append(whole, sf.subordination_log_weight(beta, zeta[-1:]))
+        assert np.array_equal(cache.omega(beta, zeta), whole)
+        assert np.array_equal(cache.omega(beta, zeta), whole)
+        assert np.array_equal([S._WeightCache().omega(beta, zeta[i:i + 1])[0] for i in range(zeta.size)], whole)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.995])
+    def test_term_counts_match_the_envelope_rule(self, beta):
+        # the closed-form stops equal the rule applied to every term's envelope
+        series = sf._w_series(beta)
+        lx = np.concatenate([np.linspace(-2.0, 0.0, 50), np.geomspace(1e-4, 400.0, 400)])
+        env = series.log_coef - series.power * lx[:, None]
+        assert np.array_equal(series.counts(lx), sf._term_counts(env, asymptotic=False))
 
 
 class TestStableEnvelope:
