@@ -21,12 +21,12 @@ Families:
   row on its own envelope.  Profiles are validated for alpha >= 0.2.
 * ``AnisotropicStable2D(alpha, mu)`` - symbol ``-|xi|^alpha w_mu(xi/|xi|)``
   with ``w_mu`` computed from a spectral density kept on a uniform angular
-  grid.  One rule serves direct calls and the subordination: the 2-D
-  inversion is a uniform angular trapezoid of the radial cosine transform
-  ``C_alpha = F_{1,cos}`` (splined up to ``_COS_SPLINE_CAP``, the tail
-  series beyond) while the scaled radius is at most ``_COS_SPLINE_CAP``, and
-  below the time t_cap where it reaches the cap, ``log G(t_cap, x) +
-  log(t / t_cap)``.
+  grid.  One rule serves direct calls and the subordination: G = G_frozen +
+  R, G_frozen the isotropic d = 2 kernel at time t w_mu(phi + pi/2) (phi the
+  angle of x) from the cached P_2, and R the angular integral of the cosine
+  transform ``C_alpha = F_{1,cos}`` with w_mu less that with w_mu frozen at
+  phi + pi/2, on panels graded toward the crossings phi +- pi/2, linear in t
+  below the time where the scaled radius reaches ``_COS_SPLINE_CAP``.
 * ``VariableDiffusion1D(a, b, c, horizon)`` - Crank-Nicolson fundamental
   solution of ``du/dt = a u'' + b u' + c u`` on a truncated line, with
   Rannacher start-up for the point-mass initial condition.  Each step is one
@@ -76,7 +76,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly, make_interp_spline
 from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 from scipy.special import betainc, gammaln
 
@@ -283,14 +283,14 @@ def _tail_series(alpha, m, trig):
     return _InversePowerSeries(*_tail_coefficients(alpha, m, trig), asymptotic=alpha > 1.0)
 
 
-def _fourier_moment_tail(alpha, m, trig, sigma):
-    """Large-sigma series of ``_fourier_moment``, vectorised over sigma."""
-    return _tail_series(alpha, m, trig)(sigma)
-
-
 _TAIL_RHO = 60.0
 _RADIAL_TAIL_RHO = 20.0
 _MIN_ALPHA = 0.2  # below it some spline nodes of _fourier_moment are not finite
+
+
+def _peak_width(alpha):
+    """sqrt(Gamma(3/alpha)/Gamma(5/alpha)), the width of the peak of P_1'/rho."""
+    return math.exp(0.5 * (gammaln(3.0 / alpha) - gammaln(5.0 / alpha)))
 
 
 class _LogSpline:
@@ -303,7 +303,7 @@ class _LogSpline:
     shrinks like 1/log(1/(2 - alpha)), and so does the spacing."""
 
     def __init__(self, alpha, cap, log_abs):
-        self.width = math.exp(0.5 * (gammaln(3.0 / alpha) - gammaln(5.0 / alpha)))
+        self.width = _peak_width(alpha)
         top = math.log1p(cap / self.width)
         step = 0.01 / (1.0 + max(0.0, math.log(0.5 / (2.0 - alpha))))
         u = np.linspace(0.0, top, int(math.ceil(top / step)) + 1)
@@ -317,10 +317,11 @@ def _spline_or_tail(rho, cap, spline, tail):
     """The spline up to cap, the tail series beyond."""
     rho = np.abs(np.asarray(rho, dtype=float))
     inside = rho <= cap
+    if inside.all():
+        return spline(rho)
     out = np.empty_like(rho)
     out[inside] = spline(rho[inside])
-    if not inside.all():
-        out[~inside] = tail(rho[~inside])
+    out[~inside] = tail(rho[~inside])
     return out
 
 
@@ -348,7 +349,7 @@ class _profile_1d:
 
     def log_value(self, rho):
         return _spline_or_tail(rho, _TAIL_RHO, self._log_value,
-                               lambda r: np.log(_fourier_moment_tail(self.alpha, 0, "cos", r) / math.pi))
+                               lambda r: np.log(_tail_series(self.alpha, 0, "cos")(r) / math.pi))
 
     def value(self, rho):
         return np.exp(self.log_value(rho))
@@ -356,7 +357,7 @@ class _profile_1d:
     def log_minus_deriv_over_rho(self, rho):
         """log(-P'(rho)/rho)."""
         return _spline_or_tail(rho, _TAIL_RHO, self._log_minus_over_rho,
-                               lambda r: np.log(_fourier_moment_tail(self.alpha, 1, "sin", r) / (math.pi * r)))
+                               lambda r: np.log(_tail_series(self.alpha, 1, "sin")(r) / (math.pi * r)))
 
     def deriv(self, rho):
         return -np.abs(np.asarray(rho, dtype=float)) * np.exp(self.log_minus_deriv_over_rho(rho))
@@ -386,11 +387,6 @@ def _abel_coefficients(alpha):
 def _radial_tail_series(alpha):
     """The tail series of the d = 2 profile (``_abel_coefficients``)."""
     return _InversePowerSeries(*_abel_coefficients(alpha), asymptotic=alpha > 1.0)
-
-
-def _radial_tail(alpha, rho):
-    """Inverse-power tail of the d = 2 profile, vectorised over rho."""
-    return _radial_tail_series(alpha)(rho)
 
 
 @lru_cache(maxsize=32)
@@ -426,7 +422,8 @@ class _profile_2d:
         return np.log(np.concatenate([[origin], values]))
 
     def log_value(self, rho):
-        return _spline_or_tail(rho, _RADIAL_TAIL_RHO, self._log_value, lambda r: np.log(_radial_tail(self.alpha, r)))
+        return _spline_or_tail(rho, _RADIAL_TAIL_RHO, self._log_value,
+                               lambda r: np.log(_radial_tail_series(self.alpha)(r)))
 
 
 _PROFILES = {1: _profile_1d, 2: _profile_2d, 3: _profile_3d}
@@ -521,24 +518,40 @@ class IsotropicStable:
 # ---------------------------------------------------------------------------
 
 # the scaled radius up to which the cosine transform is splined and the
-# anisotropic kernel is an angular trapezoid (see AnisotropicStable2D)
+# anisotropic remainder is integrated (see AnisotropicStable2D)
 _COS_SPLINE_CAP = 400.0
-_ANGLE_BLOCK = 16  # times per vectorised block of the angular trapezoid
+_REMAINDER_BLOCK = 1 << 16  # rows times angles per block of the remainder
+
+
+@lru_cache(maxsize=1)
+def _remainder_rule():
+    """Nodes u (the angle to the nearer crossing), weights and theta - phi =
+    +-(pi/2 - u) of the remainder's rule: 12-node Gauss-Legendre panels [r^{k+1},
+    r^k] pi/2, r = 0.35, for k < 13, then [0, r^13 pi/2], below 1e-3/_COS_SPLINE_CAP."""
+    edges = np.append(0.5 * math.pi * 0.35 ** np.arange(14), 0.0)
+    x, w = np.polynomial.legendre.leggauss(12)
+    u = (edges[1:, None] - 0.5 * np.diff(edges)[:, None] * (1.0 + x)).ravel()
+    return _frozen(u, (-0.5 * np.diff(edges)[:, None] * w).ravel(), np.stack([0.5 * math.pi - u, u - 0.5 * math.pi]))
 
 
 @lru_cache(maxsize=32)
 class _RadialCosSpline:
-    """C_alpha(sigma) = Int_0^inf rho e^{-rho^alpha} cos(sigma rho) drho = F_{1,cos}:
-    a spline up to _COS_SPLINE_CAP, the tail series beyond."""
+    """C_alpha(sigma) = Int_0^inf rho e^{-rho^alpha} cos(sigma rho) drho = F_{1,cos}
+    up to _COS_SPLINE_CAP, the tail series beyond: an interpolating spline of
+    degree 7 on nodes 0.02 apart in u = log(1 + sigma/L), L the peak width of
+    ``_LogSpline``, within about 1e-13 of C(0) where the nodes are exact."""
 
     def __init__(self, alpha):
         self.alpha = float(alpha)
-        grid = np.concatenate([np.linspace(0.0, 8.0, 481), np.geomspace(8.1, _COS_SPLINE_CAP, 320)])
-        self._spline = CubicSpline(grid, [_fourier_moment(self.alpha, 1, "cos", s) for s in grid])
+        self.width = _peak_width(self.alpha)
+        top = math.log1p(_COS_SPLINE_CAP / self.width)
+        u = np.linspace(0.0, top, int(math.ceil(top / 0.02)) + 1)
+        nodes = [_fourier_moment(self.alpha, 1, "cos", s) for s in self.width * np.expm1(u)]
+        self._spline = PPoly.from_spline(make_interp_spline(u, nodes, k=7))
 
     def __call__(self, sigma):
-        return _spline_or_tail(sigma, _COS_SPLINE_CAP, self._spline,
-                               lambda s: _fourier_moment_tail(self.alpha, 1, "cos", s))
+        return _spline_or_tail(sigma, _COS_SPLINE_CAP, lambda s: self._spline(np.log1p(s / self.width)),
+                               _tail_series(self.alpha, 1, "cos"))
 
 
 def _uniform_angles(n):
@@ -585,45 +598,27 @@ class SpectralMeasure:
         return cls(np.full(n, const))
 
     def w_values(self, alpha):
-        """w_mu on the angular grid: w(theta) = Int |cos(theta - s)|^alpha mu(ds).
-
-        |cos|^alpha has derivative cusps at +-pi/2; the quadrature grades
-        geometrically into the cusps so the cusp error stays below the
-        density-interpolation error.
-        """
+        """w_mu on the angular grid: w(theta) = Int |cos(theta - s)|^alpha mu(ds), on
+        the remainder's rule, graded into the cusps of |cos|^alpha at +-pi/2."""
         alpha = _alpha_value(alpha)
         dens = _periodic_spline(self.angles, self.values)
-        xg, wg = np.polynomial.legendre.leggauss(12)
-        nodes, weights = [], []
-        # panels on [0, pi/2] clustered at pi/2, mirrored to the other arcs
-        edges = math.pi / 2.0 - math.pi / 2.0 * 0.55 ** np.arange(0, 40)
-        edges = np.concatenate([edges, [math.pi / 2.0]])
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            nodes.append(mid + half * xg)
-            weights.append(half * wg)
-        base = np.concatenate(nodes)
-        wq = np.concatenate(weights)
-        # reflect: delta in [-pi/2, pi/2] and [pi/2, 3 pi/2]
-        deltas = np.concatenate([base, -base, math.pi - base, math.pi + base])
-        wq4 = np.concatenate([wq, wq, wq, wq])
-        kern = np.abs(np.cos(deltas)) ** alpha
-        two_pi = 2.0 * math.pi
-        args = (self.angles[:, None] - deltas[None, :]) % two_pi
-        return (kern[None, :] * dens(args)) @ wq4
+        _, wt, psi = _remainder_rule()
+        deltas = np.concatenate([psi.ravel(), math.pi + psi.ravel()])
+        args = (self.angles[:, None] - deltas) % (2.0 * math.pi)
+        return (np.abs(np.cos(deltas)) ** alpha * dens(args)) @ np.tile(wt, 4)
 
 
 class AnisotropicStable2D:
     """2-D stable generator with symbol -|xi|^alpha w_mu(xi/|xi|).
 
-    G(t, x) = (2 pi)^{-2} Int_0^{2 pi} (t w)^{-2/alpha} C_alpha(|x| cos(theta -
-    phi) (t w)^{-1/alpha}) dtheta, w = w_mu(theta), phi the angle of x, by
-    one rule: the uniform trapezoid on max(m, 32 sigma_max) angles (m the
-    measure's grid), which resolves the ~1/sigma_max wide angular feature,
-    while the scaled radius sigma_max = |x| (t min w)^{-1/alpha} is at most
-    _COS_SPLINE_CAP.  Below the time t_cap at which it reaches the cap, the
-    kernel is in its linear-in-t small-time regime: log G(t_cap, x) +
-    log(t/t_cap).
+    G(t, x) = (2 pi)^{-2} Int_0^{2 pi} f(theta, w_mu(theta)) dtheta, f(theta, W)
+    = (t W)^{-2/alpha} C_alpha(|x| cos(theta - phi) (t W)^{-1/alpha}), phi the
+    angle of x.  Both crossings theta = phi +- pi/2 see W_c = w(phi + pi/2) (w
+    is pi-periodic), and G = G_frozen + R: G_frozen, the integral of f(theta,
+    W_c), is the isotropic kernel at time t W_c; R, that of f(theta, w) -
+    f(theta, W_c), has no O(1/sigma) crossing mass and takes the graded rule
+    ``_remainder_rule``.  Below the time t_cap at which sigma_max = |x| (t min
+    w)^{-1/alpha} reaches _COS_SPLINE_CAP, R is R(t_cap) t / t_cap.
     """
 
     family = "anisotropic_stable_2d"
@@ -633,6 +628,8 @@ class AnisotropicStable2D:
         self.alpha = _alpha_value(alpha)
         if self.alpha >= 2.0:
             raise DomainError("anisotropic family requires alpha in (0, 2)")
+        if self.alpha < _MIN_ALPHA:
+            raise CapabilityError(f"anisotropic stable kernels validated for alpha >= {_MIN_ALPHA}")
         self.d = 2
         self.measure = spectral_measure
         self.w = spectral_measure.w_values(self.alpha)
@@ -642,20 +639,34 @@ class AnisotropicStable2D:
         self._w_min = float(np.min(self.w))
         self._w = _periodic_spline(spectral_measure.angles, self.w)
         self._cos = _RadialCosSpline(self.alpha)
+        self._profile = _profile_2d(self.alpha)
 
-    def _trapezoid(self, t, rho, phase):
-        """G at each time of the 1-D array t (sigma_max <= cap), a block of
-        times at a time, each time's angles laid end to end."""
-        n = np.maximum(self.w.size, (32.0 * rho * (t * self._w_min) ** (-1.0 / self.alpha)).astype(int))
-        out = np.empty(t.size)
-        for i in range(0, t.size, _ANGLE_BLOCK):
-            nb = n[i:i + _ANGLE_BLOCK]
-            starts = np.cumsum(nb) - nb
-            theta = (np.arange(nb.sum()) - np.repeat(starts, nb)) * np.repeat(2.0 * math.pi / nb, nb)
-            tw = np.repeat(t[i:i + _ANGLE_BLOCK], nb) * self._w(theta)
-            vals = tw ** (-2.0 / self.alpha) * self._cos(rho * np.cos(theta - phase) * tw ** (-1.0 / self.alpha))
-            out[i:i + _ANGLE_BLOCK] = np.add.reduceat(vals, starts) / nb
-        return out / (2.0 * math.pi)
+    def _log_g(self, t, rho, phase):
+        """log G at times t and offsets of radius rho and angle phase, 1-D
+        arrays of one length or scalars; with one phase w is evaluated once."""
+        a, (u, wt, psi) = self.alpha, _remainder_rule()
+        s = np.maximum(t, (rho / _COS_SPLINE_CAP) ** a / self._w_min)  # max(t, t_cap), where R is integrated
+        back = slice(None)
+        if np.ndim(rho) == 0:  # one offset: every time below t_cap takes R(t_cap)
+            s, back = np.unique(s, return_inverse=True)
+        sigma0 = rho * s ** (-1.0 / a)
+        # W^{-1/alpha} at the crossing and at both crossings' nodes
+        scale_c = self._w(phase + 0.5 * math.pi) ** (-1.0 / a)
+        scale = self._w(phase + psi) ** (-1.0 / a) if np.ndim(phase) == 0 else None
+        rem = np.empty(s.size)
+        for rows in np.array_split(np.arange(s.size), -(-s.size * u.size // _REMAINDER_BLOCK)):
+            sc, sc_c = (scale, scale_c) if scale is not None else (
+                self._w(phase[rows, None, None] + psi) ** (-1.0 / a), scale_c[rows, None])
+            arg = sigma0[rows, None] * np.sin(u)
+            f = (sc ** 2 * self._cos(arg[:, None, :] * sc)).sum(axis=1) - 2.0 * sc_c ** 2 * self._cos(arg * sc_c)
+            rem[rows] = f @ wt
+        log_tc = np.log(t) - a * np.log(scale_c)  # log(t W_c)
+        log_frozen = self._profile.log_value(rho * np.exp(-log_tc / a)) - 2.0 / a * log_tc
+        # R(t) / G_frozen, with R(t) = s^{-2/alpha} rem t / (2 pi^2 s)
+        ratio = rem[back] / (2.0 * math.pi ** 2) * np.exp(np.log(t / s[back]) - 2.0 / a * np.log(s[back]) - log_frozen)
+        if np.any(ratio <= -1.0):
+            raise CapabilityError("anisotropic evaluation lost positivity; out of validated range")
+        return log_frozen + np.log1p(ratio)
 
     def log_value(self, t, x):
         """log G(t, x) at offset x (2-vector); ``t`` may be an array of times."""
@@ -663,17 +674,7 @@ class AnisotropicStable2D:
         if np.any(t <= 0):
             raise DomainError("kernel requires t > 0")
         x = np.asarray(x, dtype=float).reshape(2)
-        rho = float(np.hypot(x[0], x[1]))
-        t_cap = rho ** self.alpha / (_COS_SPLINE_CAP ** self.alpha * self._w_min)
-        flat = t.ravel()
-        above = flat > t_cap
-        times = flat[above] if above.all() else np.append(flat[above], t_cap)
-        v = self._trapezoid(times, rho, math.atan2(x[1], x[0]))
-        if np.any(v <= 0.0):
-            raise CapabilityError("anisotropic evaluation lost positivity; out of validated range")
-        out = np.empty_like(flat)
-        out[above] = np.log(v[:above.sum()])
-        out[~above] = math.log(v[-1]) + np.log(flat[~above] / t_cap)
+        out = self._log_g(t.ravel(), float(np.hypot(x[0], x[1])), math.atan2(x[1], x[0]))
         return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
     def value(self, t, x) -> float:
@@ -691,15 +692,14 @@ class AnisotropicStable2D:
         return (lambda s: (self.log_value(s, xv), 1.0)), _distance(x, y) ** self.alpha, None
 
     def mass(self, t, half_width=None, n=401) -> float:
-        """Numerical mass over a truncated square (tensor trapezoid)."""
+        """Numerical mass over a truncated square (tensor trapezoid), the grid
+        evaluated through one blocked rule."""
         if half_width is None:
             half_width = 60.0 * t ** (1.0 / self.alpha)
         xs = np.linspace(-half_width, half_width, n)
-        vals = np.empty((n, n))
-        for i, xi in enumerate(xs):
-            for jj, xj in enumerate(xs):
-                vals[i, jj] = self.value(t, (xi, xj))
-        return float(np.trapezoid(np.trapezoid(vals, xs, axis=1), xs))
+        # the point (xs[i], xs[j]) at [i, j]
+        vals = np.exp(self._log_g(float(t), np.hypot.outer(xs, xs).ravel(), np.arctan2.outer(xs, xs).T.ravel()))
+        return float(np.trapezoid(np.trapezoid(vals.reshape(n, n), xs, axis=1), xs))
 
 
 # ---------------------------------------------------------------------------

@@ -318,8 +318,8 @@ class TestGlobalize:
     def test_monotone_widening(self, shape, c, tau1, tau2):
         if tau1 > tau2:
             tau1, tau2 = tau2, tau1
-        if tau1 == tau2:
-            tau2 = tau1 * (1 + 1e-6)
+        # taus closer than that may round to equal bounds
+        tau2 = max(tau2, tau1 * (1 + 1e-6))
         lo1, hi1 = env.globalize_local(shape, c, tau1)
         lo2, hi2 = env.globalize_local(shape, c, tau2)
         assert lo2 < lo1 <= hi1 < hi2

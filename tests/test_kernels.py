@@ -205,14 +205,14 @@ class TestIsotropicStable:
             p = K._profile_1d(alpha)
             lo = K._fourier_moment(alpha, 0, "cos", 59.0) / math.pi
             assert p.value(59.0) == pytest.approx(lo, rel=1e-8, abs=0.0)
-            tail = K._fourier_moment_tail(alpha, 0, "cos", 61.0) / math.pi
+            tail = K._tail_series(alpha, 0, "cos")(61.0) / math.pi
             assert p.value(61.0) == pytest.approx(tail, rel=1e-12, abs=0.0)
 
     def test_radial_tail_series_handoff(self):
         # the d = 2 spline hands over to the tail series at _RADIAL_TAIL_RHO = 20
         for alpha in (0.7, 1.2):
             s = K.IsotropicStable(2, alpha)
-            tail = K._radial_tail(alpha, np.array([19.5, 20.0 + 1e-9]))
+            tail = K._radial_tail_series(alpha)(np.array([19.5, 20.0 + 1e-9]))
             spline = np.exp(s.log_profile(np.array([19.5, 20.0 - 1e-9])))
             assert spline == pytest.approx(tail, rel=1e-8, abs=0.0)
             assert s.value(1.0, 100.0) > 0
@@ -260,7 +260,7 @@ class TestIsotropicStable:
         x = np.geomspace(2.0, 1e4, 400)
         for m, trig in ((0, "cos"), (1, "sin"), (1, "cos")):
             now, before = full(m, trig, x)
-            got = K._fourier_moment_tail(alpha, m, trig, x)
+            got = K._tail_series(alpha, m, trig)(x)
             assert np.array_equal(got, now)
             np.testing.assert_allclose(got, before, rtol=1e-13, atol=0.0)
 
@@ -379,7 +379,24 @@ class TestAnisotropic:
         an = K.AnisotropicStable2D(alpha, K.SpectralMeasure.uniform(alpha))
         iso = K.IsotropicStable(2, alpha)
         for sigma in (1e3, 1e4, 1e5):
-            assert an.value(1.0, (sigma, 0.0)) == pytest.approx(iso.value(1.0, sigma), rel=2e-3, abs=0.0)
+            assert an.value(1.0, (sigma, 0.0)) == pytest.approx(iso.value(1.0, sigma), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.2, 1.5])
+    @pytest.mark.parametrize("sigma", [1.0, 5.0])
+    def test_two_bump_matches_fine_trapezoid(self, alpha, sigma):
+        # the frozen part and the graded remainder against 2^17 uniform
+        # angles of the whole integrand, at scaled radius sigma
+        an = K.AnisotropicStable2D(alpha, K.SpectralMeasure.from_callable(K.SPECTRAL_BUILTINS["two_bump"]))
+        rho, phi = sigma * an._w_min ** (1.0 / alpha), 0.7
+        theta = np.linspace(0.0, 2 * math.pi, 1 << 17, endpoint=False)
+        w = an._w(theta)
+        integrand = w ** (-2.0 / alpha) * an._cos(rho * np.cos(theta - phi) * w ** (-1.0 / alpha))
+        expect = integrand.mean() / (2 * math.pi)
+        assert an.value(1.0, (rho * math.cos(phi), rho * math.sin(phi))) == pytest.approx(expect, rel=1e-6, abs=0.0)
+
+    def test_alpha_below_validated_range_raises(self):
+        with pytest.raises(CapabilityError):
+            K.AnisotropicStable2D(0.15, K.SpectralMeasure.uniform(0.15))
 
     def test_nonuniform_angles_resampled(self):
         uniform = K.SpectralMeasure.uniform(1.5)
@@ -399,10 +416,17 @@ class TestAnisotropic:
     def test_cos_spline_meets_tail_at_cap(self, alpha):
         cap = K._COS_SPLINE_CAP
         cos = K._RadialCosSpline(alpha)
-        tail = K._fourier_moment_tail(alpha, 1, "cos", cap)
+        tail = K._tail_series(alpha, 1, "cos")(cap)
         assert cos(np.array([cap])) == pytest.approx(tail, rel=1e-10, abs=0.0)
         below, above = cos(np.array([cap * (1 - 1e-9), cap * (1 + 1e-9)]))  # spline, then tail
         assert above == pytest.approx(below, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.5])
+    def test_cos_spline_between_nodes(self, alpha):
+        # C_alpha falls like sigma^-2, so the error is weighed against max(1, sigma)^-2
+        sigma = np.geomspace(1e-3, 0.99 * K._COS_SPLINE_CAP, 23)
+        exact = np.array([K._fourier_moment(alpha, 1, "cos", s) for s in sigma])
+        assert np.max(np.abs(K._RadialCosSpline(alpha)(sigma) - exact) * np.maximum(sigma, 1.0) ** 2) < 1e-11
 
 
 def _drifting_bump(**kw):

@@ -155,7 +155,35 @@ class TestFracGreenStable:
         iso = K.IsotropicStable(2, 1.2)
         va = S.frac_green(req(an, 0.5, 1.0, [0.8, 0.6], [0.0, 0.0]))
         vi = S.frac_green(req(iso, 0.5, 1.0, [1.0, 0.0], [0.0, 0.0]))
-        assert va == pytest.approx(vi, rel=1e-4)
+        assert va == pytest.approx(vi, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("t", [0.1, 1.0])
+    def test_anisotropic_alpha_below_one_matches_radial(self, t):
+        # sigma_max passes the cap inside these requests; the old angular
+        # trapezoid raised AccuracyError on each of them
+        an = K.AnisotropicStable2D(0.8, K.SpectralMeasure.uniform(0.8))
+        iso = K.IsotropicStable(2, 0.8)
+        for r in (0.3, 1.5, 6.0):
+            va = S.frac_green(req(an, 0.5, t, [r, 0.0], [0.0, 0.0]))
+            assert va == pytest.approx(S.frac_green(req(iso, 0.5, t, [r, 0.0], [0.0, 0.0])), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.5])
+    @pytest.mark.parametrize("measure", ["uniform", "two_bump"])
+    def test_anisotropic_scan_corners(self, alpha, measure):
+        # the corners of the (beta, t, r) scan: no request raises, and the
+        # uniform measure is the isotropic kernel
+        mu = K.SpectralMeasure.uniform(alpha) if measure == "uniform" else (
+            K.SpectralMeasure.from_callable(K.SPECTRAL_BUILTINS[measure]))
+        an, iso = K.AnisotropicStable2D(alpha, mu), K.IsotropicStable(2, alpha)
+        for beta in (0.3, 0.8):
+            for t in (1e-4, 10.0):
+                for r in (0.1, 60.0):
+                    x = [r * math.cos(0.4), r * math.sin(0.4)]
+                    res = S.frac_green_detailed(req(an, beta, t, x, [0.0, 0.0]))
+                    assert math.isfinite(res.log_value)
+                    if measure == "uniform":
+                        ref = S.frac_green_detailed(req(iso, beta, t, [r, 0.0], [0.0, 0.0])).log_value
+                        assert res.log_value == pytest.approx(ref, abs=1e-9)
 
 
 class TestFracGreenDerivative:
