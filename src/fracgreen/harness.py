@@ -29,12 +29,12 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats as sps
 from scipy.optimize import minimize_scalar
+from scipy.special import stdtrit
 
 from . import envelopes as env
 from .errors import CapabilityError, DomainError, FitError, SpecError
@@ -169,7 +169,7 @@ def _ols(X, y):
     dof = max(n - p, 1)
     sigma2 = rss / dof
     cov = sigma2 * np.linalg.inv(X.T @ X)
-    half = sps.t.ppf(0.975, dof) * np.sqrt(np.diag(cov))
+    half = stdtrit(dof, 0.975) * np.sqrt(np.diag(cov))  # Student-t quantile
     return coef, half, r2
 
 
@@ -245,7 +245,8 @@ class VerificationReport:
     config: dict = field(default_factory=dict)
 
     def as_dict(self):
-        return asdict(self)
+        # shallow: the fields hold plain dicts and lists, which json reads as they are
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _eval_point(kernel, beta, t, r, k):

@@ -29,7 +29,11 @@ Families:
   below the time where the scaled radius reaches ``_COS_SPLINE_CAP``.
 * ``VariableDiffusion1D(a, b, c, horizon)`` - Crank-Nicolson fundamental
   solution of ``du/dt = a u'' + b u' + c u`` on a truncated line, with
-  Rannacher start-up for the point-mass initial condition.  Each step is one
+  Rannacher start-up for the point-mass initial condition.  The working step
+  dt runs up to the horizon; past it the step grows with t, dt times the
+  largest power of 1.25 not above t / horizon (t over the ramp's end, if
+  that is later), so dt/t never passes its value there and a subordination
+  clip far beyond the horizon costs few steps.  Each step is one
   tridiagonal solve with M = I - theta dt A, u <- (M^{-1} u - (1 - theta) u)
   / theta, which holds the explicit half-step too.  While the cell Peclet
   number |b| dx / (2a) is below 1, M is diagonally similar to a symmetric
@@ -229,7 +233,8 @@ def _fourier_moment(alpha, m, trig, sigma):
     ray is theta = pi/4: on pi/2 the decay e^{-v^alpha cos(alpha theta)}
     is so slow that quad loses the integral to roundoff.  Near the origin,
     alpha > 1 uses oscillatory-weight quadrature on the real axis, cut
-    where xi^m e^{-xi^alpha} falls below e^{-40}.
+    where xi^m e^{-xi^alpha} falls below e^{-40}, with a relative tolerance
+    of 1e-11: at quad's default of 1.5e-8 a node could be 1e-7 off.
     """
     sigma = abs(float(sigma))  # a numpy scalar would slow every integrand call
     if sigma == 0.0:
@@ -240,7 +245,7 @@ def _fourier_moment(alpha, m, trig, sigma):
     if alpha > 1.0 and sigma <= 4.0:
         f = (lambda xi: xi * math.exp(-xi ** alpha)) if m else (lambda xi: math.exp(-xi ** alpha))
         val, _ = quad(f, 0.0, (40.0 + 2.0 * m) ** (1.0 / alpha), weight=trig, wvar=sigma,
-                      epsabs=1e-13, limit=400)
+                      epsabs=1e-13, epsrel=1e-11, limit=400)
         return val
     theta = math.pi / (2.0 * alpha) if alpha > 1.0 else math.pi / 2.0 if sigma >= 1.0 else math.pi / 4.0
     # on the ray xi^alpha = v^alpha (a + i b) and i sigma xi = (-damp + i drift) v;
@@ -805,32 +810,44 @@ class _ThetaStepper:
 # stored rungs: each the first step at or after _LADDER_Q times the last rung
 _LADDER_Q = 1.05
 # a widened domain holds the Gaussian-tail rule at this multiple of the
-# step's end time, so it is refactored about once per 25 % of elapsed time
+# step's end time, and past the horizon the step grows by this factor, so
+# each is refactored about once per 25 % of elapsed time
 _WIDEN_AHEAD = 1.25
 
 
-def _step_sizes(t, dt0, dt):
+def _step_sizes(t, dt0, dt, horizon):
     """Step sizes after the Rannacher start-up, which ends at t with step
     dt0: a geometric ramp up to the working step dt, which keeps each step a
     small fraction of elapsed time so the Crank-Nicolson truncation error
-    (dt/t)^2 stays uniformly small through the transient, then dt for ever."""
+    (dt/t)^2 stays uniformly small through the transient, then dt up to the
+    horizon.  Past it a step from time t is dt times the largest power of
+    ``_WIDEN_AHEAD`` not above t / t_ref, t_ref the horizon or the ramp's end,
+    whichever is later: no step is a larger fraction of t than dt is of
+    t_ref, so the error (dt/t)^2 does not grow, and a far clip costs few
+    steps."""
     dtv = dt0
     while dtv < dt * 0.999:
         dtv = max(min(dtv * 1.05, 0.05 * t, dt), dt0)
         t += dtv
         yield dtv
+    grow, t_ref = 1.0, max(horizon, t)
     while True:
-        yield dt
+        while grow * _WIDEN_AHEAD <= t / t_ref:
+            grow *= _WIDEN_AHEAD
+        dtv = dt * grow
+        t += dtv
+        yield dtv
 
 
 class _History:
     """Crank-Nicolson evolution from a point source at y, grown in place.
 
     One work vector is stepped forward through the run's fixed sequence of
-    step sizes (Rannacher start-up, geometric ramp, working step) and never
-    restarted: ``extend`` continues it until a rung at or after the asked
-    time is stored.  The domain widens with t: when the kernel's half-width
-    rule at a step's end time passes it, it widens to the rule at
+    step sizes (Rannacher start-up, geometric ramp, the working step up to
+    the kernel's horizon and steps growing with t past it, ``_step_sizes``)
+    and never restarted: ``extend`` continues it until a rung at or after
+    the asked time is stored.  The domain widens with t: when the kernel's
+    half-width rule at a step's end time passes it, it widens to the rule at
     ``_WIDEN_AHEAD`` times that time, capped by a user half-width.  Only
     rungs are stored, each the first step at or after ``_LADDER_Q`` times
     the last: ``times``, ``rung_nodes`` (each rung's half-width in nodes) and
@@ -858,7 +875,7 @@ class _History:
         for _ in range(4):
             self._step(self._u, dt0 / 2.0, 1.0)
             t += dt0 / 2.0
-        self._dts = _step_sizes(t, dt0, kernel.dt)
+        self._dts = _step_sizes(t, dt0, kernel.dt, kernel.horizon)
         self.times = np.array([t])
         self.rung_nodes = np.array([m])
         self.profiles = self._u.copy()
@@ -937,7 +954,12 @@ class _History:
 
 
 class VariableDiffusion1D:
-    """Fundamental solution of du/dt = a(x) u'' + b(x) u' + c(x) u, 0 < t <= horizon."""
+    """Fundamental solution of du/dt = a(x) u'' + b(x) u' + c(x) u, 0 < t <= horizon.
+
+    ``dx`` is the grid spacing and ``dt`` the working time step up to the
+    horizon; past it the history's steps grow with t (``_step_sizes``), and
+    those steps give the values read with ``allow_beyond_horizon=True`` and
+    the far end of a subordination clip."""
 
     family = "variable_diffusion_1d"
     envelope_family = "diffusion"

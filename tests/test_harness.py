@@ -1,6 +1,12 @@
 """Tests for sweep verification, constant fitting and report serialization."""
 
+import dataclasses
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -232,6 +238,23 @@ class TestReports:
         lines = cp.read_text().strip().splitlines()
         assert lines[0] == ",".join(H.CSV_COLUMNS)
         assert len(lines) - 1 == len(small_stable_report.points)
+
+    def test_shallow_dict_matches_deep_copy(self):
+        # a certify-sized report: the default Theorem 3.1 grid, diagonal rows included
+        kernel = K.ConstantDiffusion(3)
+        rep = H.verify_envelope("3.1", kernel, 0.5, grid=H.default_grid("3.1", kernel, 0.5))
+        assert len(rep.points) > 100
+        deep = dataclasses.asdict(rep)
+        text = H.report_to_json(rep)
+        assert text == json.dumps(deep, sort_keys=True, default=H._json_default, separators=(",", ":"))
+        assert H.csv_text(H.CSV_COLUMNS, rep.points) == H.csv_text(H.CSV_COLUMNS, deep["points"])
+        assert H.report_to_json(H.report_from_json(text)) == text
+
+    def test_import_leaves_scipy_stats_out(self):
+        src = str(pathlib.Path(H.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, fracgreen.harness; sys.exit('scipy.stats' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestCrossTheorem:

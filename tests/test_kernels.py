@@ -275,6 +275,14 @@ class TestIsotropicStable:
                 got, want = K._fourier_moment(alpha, 0, "cos", sigma) / math.pi, mp_profile(alpha, 1, sigma)
             assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
+    def test_fourier_moment_near_field_relative_tolerance(self):
+        # oscillatory-weight quadrature on the real axis (alpha > 1, sigma <= 4):
+        # with quad's default relative tolerance this node was 9.4e-8 off
+        sigma = 0.2858428443280093
+        with mp.workdps(30):
+            want = mp.quad(lambda x: x * mp.exp(-x ** mp.mpf(1.5)) * mp.cos(sigma * x), mp.linspace(0, 24, 13) + [mp.inf])
+        assert K._fourier_moment(1.5, 1, "cos", sigma) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("alpha", [0.2, 0.3, 0.5, 0.7, 1.2, 1.5, 1.9, 1.99])
     def test_radial_profile_against_series(self, d, alpha):
@@ -429,10 +437,10 @@ class TestAnisotropic:
         assert np.max(np.abs(K._RadialCosSpline(alpha)(sigma) - exact) * np.maximum(sigma, 1.0) ** 2) < 1e-11
 
 
-def _drifting_bump(**kw):
+def _drifting_bump(horizon=0.5, **kw):
     """Crank-Nicolson kernel with variable diffusion, a drift and a potential."""
     return K.VariableDiffusion1D("sin_bump", b=lambda x: 0.4 * np.cos(np.asarray(x, float)),
-                                 c=lambda x: -0.3 * np.tanh(np.asarray(x, float)), horizon=0.5, dx=0.05, **kw)
+                                 c=lambda x: -0.3 * np.tanh(np.asarray(x, float)), horizon=horizon, dx=0.05, **kw)
 
 
 class TestVariableDiffusion:
@@ -583,15 +591,67 @@ class TestVariableDiffusion:
         # exact: at the midpoints between rungs the ladder history is within
         # 2e-4 of each time's peak of one that stores every step (1.1e-4
         # measured at dt = 0.01, 1.5e-4 at dt = 0.05)
-        ladder = _drifting_bump().history(0.0, 2.0)
+        # a horizon of 2: every step up to t = 2 is the working step
+        ladder = _drifting_bump(horizon=2.0).history(0.0, 2.0)
         monkeypatch.setattr(K, "_LADDER_Q", 1.0)
-        every = _drifting_bump().history(0.0, 2.0)
+        every = _drifting_bump(horizon=2.0).history(0.0, 2.0)
         assert every.times.size > 2 * ladder.times.size
         ts = np.sqrt(ladder.times[:-1] * ladder.times[1:])
         ts = ts[(ts > ladder.t_splice) & (ts <= 2.0)]
         xs = np.linspace(-3.0, 3.0, 121)
         got, ref = ladder.eval(ts[:, None], xs), every.eval(ts[:, None], xs)
         assert np.max(np.abs(got - ref) / ref.max(axis=1, keepdims=True)) < 2e-4
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda horizon: K.VariableDiffusion1D("one", horizon=horizon, dx=0.02, dt=0.01), id="one"),
+        pytest.param(_drifting_bump, id="drift"),
+    ])
+    def test_values_up_to_horizon_do_not_depend_on_it(self, make):
+        # steps grow only past the horizon, so a kernel with twice the
+        # horizon steps the same way up to it
+        short, long = make(horizon=0.5), make(horizon=1.0)
+        for t in np.geomspace(1e-4, 0.5, 25):
+            for x in (0.0, 0.3, -1.1, 2.5):
+                assert short.value(t, x, 0.0) == long.value(t, x, 0.0)
+        assert short.history(0.0).t_max < 1.0 <= long.history(0.0).t_max
+
+    @pytest.mark.parametrize("dt", [0.004, 0.01, 0.05])
+    def test_step_schedule(self, dt):
+        # the working step dt up to the horizon 0.5, then dt times powers of
+        # 1.25, each step at most the fraction of t the schedule had reached
+        # at the horizon or at the end of its ramp, whichever is later
+        t, steps = 0.01, []
+        for step in K._step_sizes(0.01, dt / 8.0, dt, 0.5):
+            steps.append((t, step))
+            t += step
+            if t > 20.0:
+                break
+        ramp_end = next(t for t, step in steps if step == dt)
+        ratio = dt / max(0.5, ramp_end)
+        assert all(step == dt for t, step in steps if ramp_end <= t < 0.5 * 1.25)
+        for t, step in steps:
+            if t >= ramp_end:
+                k = round(math.log(step / dt, 1.25))
+                assert step == pytest.approx(dt * 1.25**k, rel=1e-12)
+            if t >= max(0.5, ramp_end):
+                assert step <= ratio * t * (1.0 + 1e-12)
+        assert steps[-1][1] / steps[-1][0] > ratio / 1.25  # the steps did grow
+
+    def test_grown_steps_keep_the_error_at_the_horizon(self):
+        # past the horizon each step is at most the same fraction of t as
+        # the working step at the horizon, so the relative error against the
+        # exact Gaussian, within three standard deviations, does not grow
+        h, dx = 0.5, 0.02
+        fd = K.VariableDiffusion1D("one", horizon=h, dx=dx, dt=0.01)
+        hist = fd.history(0.0, 15.0 * h)
+
+        def worst(t):
+            x = dx * np.arange(int(3.0 * math.sqrt(2.0 * t) / dx) + 1)  # nodes
+            exact = np.exp(-x**2 / (4.0 * t)) / np.sqrt(4.0 * math.pi * t)
+            return np.max(np.abs(hist.eval(t, x) / exact - 1.0))
+
+        at_horizon = worst(h)  # 2.37e-4
+        assert max(worst(t) for t in np.geomspace(h, 15.0 * h, 61)[1:]) <= at_horizon  # 2.18e-4
 
     def test_point_outside_domain_raises(self):
         # np.interp would clamp x to the Dirichlet edge value 0, and the
