@@ -164,15 +164,12 @@ def _cmd_envelope(p, fmt, out, config):
     case = p.get("case", "global")
     t = float(p.get("t", 1.0))
     r_values = [float(v) for v in p.get("r", [1.0])]
-    consts = env.EnvelopeConstants(
-        c_beta_exponent=float(p.get("c_beta", 1.0)),
-        horizon_T=p.get("horizon"),
-    )
+    rate = float(p.get("c_beta", 1.0))
     family = H.theorem_family(theorem)
     rows = []
     for r in r_values:
         point = env.compute_omega(family, t, r, beta, alpha=alpha)
-        ev = H.envelope_value(family, d, alpha, beta, k, point, consts, case=case)
+        ev = H.envelope_value(family, d, alpha, beta, k, point, rate, case=case)
         rows.append(
             {"t": t, "r": r, "omega": point.omega, "regime": ev.regime,
              "value": ev.value, "log_value": ev.log_value}
@@ -387,8 +384,8 @@ def _parser():
     ep.add_argument("--r", type=float, nargs="*", default=None)
     ep.add_argument("--derivative", type=int, default=None)
     ep.add_argument("--case", choices=("global", "local_small_time", "local_large_time"), default=None)
-    ep.add_argument("--c-beta", dest="c_beta", type=float, default=None)
-    ep.add_argument("--horizon", type=float, default=None)
+    ep.add_argument("--c-beta", dest="c_beta", type=float, default=None,
+                    help="exponential rate of the diffusion tails (default 1)")
     _add_common(ep)
 
     vp = subs.add_parser("verify", help="run an envelope certification sweep")

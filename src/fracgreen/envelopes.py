@@ -1,9 +1,11 @@
 """Two-sided estimate shapes with regime classification.
 
 Every envelope is a *shape*: the t- and Omega-dependent factor of a two-sided
-estimate ``c * shape <= G <= C * shape``.  Prefactors and the exponential rate
-constant are never assumed; they live in :class:`EnvelopeConstants` and are
-fitted by the harness.  The similarity variable is
+estimate ``c * shape <= G <= C * shape``.  The paper fixes the prefactors c, C
+and the rate in exp{-rate Omega^{1/(2-beta)}} only up to constants.  No shape
+reads a prefactor; the diffusion shapes take the rate (default 1), which the
+harness fits, and the stable shapes have no exponential.  The similarity
+variable is
 
     Omega = r**a * t**(-beta),   a = alpha (stable families), a = 2 (diffusion)
 
@@ -15,23 +17,21 @@ the value bound with d -> d + k.  On the diagonal every family has the same
 branch in dim = d or d + k: t^{-dim beta/a} while dim < a, a factor
 |log Omega| + 1 at dim = a, and Omega^{1 - dim/a} above it (the large-time
 case writes it in |x - y|).  Only the off-diagonal tail depends on the
-family: exp{-C Omega^{1/(2-beta)}} times a power for diffusion,
+family: exp{-rate Omega^{1/(2-beta)}} times a power for diffusion,
 Omega^{-1-dim/alpha} for stable.  All shapes are returned with a log value so
 that exponential branches survive Omega of order 1e4.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, RegimeError, SpecError
 from .specfun import _beta_value
 
 __all__ = [
     "RegimePoint",
-    "EnvelopeConstants",
     "EnvelopeValue",
     "compute_omega",
     "derivative_regime",
@@ -61,58 +61,23 @@ class RegimePoint:
 
 
 @dataclass(frozen=True)
-class EnvelopeConstants:
-    """Constants bundle attached to every envelope evaluation.
-
-    ``c_beta_exponent`` is the rate constant inside exp{-C Omega^{1/(2-beta)}}
-    (default 1, always fitted rather than trusted); prefactors bound the
-    two-sided constants; ``horizon_T`` is required by the local theorems;
-    ``globalization_rate`` is the c of the e^{+-c tau} local-to-global trick.
-    """
-
-    c_beta_exponent: float = 1.0
-    prefactor_low: float = 1.0
-    prefactor_high: float = 1.0
-    horizon_T: float | None = None
-    globalization_rate: float | None = None
-
-    def __post_init__(self):
-        if self.c_beta_exponent <= 0:
-            raise DomainError("exponential constant must be positive")
-        if self.prefactor_low <= 0 or self.prefactor_low > self.prefactor_high:
-            raise DomainError("need 0 < prefactor_low <= prefactor_high")
-        if self.horizon_T is not None and self.horizon_T <= 0:
-            raise DomainError("horizon must be positive")
-        if self.globalization_rate is not None and self.globalization_rate < 0:
-            raise DomainError("globalization rate must be nonnegative")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EnvelopeConstants":
-        return cls(**json.loads(text))
-
-
-@dataclass(frozen=True)
 class EnvelopeValue:
-    """Shape value in both linear and log form, with its constants bundle."""
+    """Shape value in both linear and log form, with its fine regime."""
 
     value: float
     log_value: float
     regime: str
-    constants: EnvelopeConstants = field(default_factory=EnvelopeConstants)
 
     def __float__(self):
         return self.value
 
 
-def _make_value(log_value: float, regime: str, consts: EnvelopeConstants) -> EnvelopeValue:
+def _make_value(log_value: float, regime: str) -> EnvelopeValue:
     if log_value == math.inf:
         value = math.inf
     else:
         value = math.exp(log_value) if log_value > -745.0 else 0.0
-    return EnvelopeValue(value=value, log_value=log_value, regime=regime, constants=consts)
+    return EnvelopeValue(value=value, log_value=log_value, regime=regime)
 
 
 def compute_omega(family, t, r, beta, alpha=None) -> RegimePoint:
@@ -199,7 +164,7 @@ def _on_diag_r(dim, a, beta, lt, om, r, c):
 
 _ON_DIAG_FORMS = {"omega": _on_diag_omega, "r": _on_diag_r}
 
-# (family, form) -> off-diagonal tail; c is the exponential rate constant
+# (family, form) -> off-diagonal tail; c is the exponential rate (read by diffusion only)
 _TAILS = {
     ("diffusion", "omega"): lambda dim, a, beta, lt, om, r, c: (
         -dim * beta / a * lt
@@ -221,10 +186,13 @@ _BRANCHES = {
 }
 
 
-def _shape(family, d, k, a, beta, point, consts, case):
-    """Shape of one table cell; ``a`` is alpha, or 2 for diffusion, and ``k``
-    the derivative order (None for the value shapes)."""
-    consts = consts or EnvelopeConstants()
+def _shape(family, d, k, a, beta, point, case, rate=1.0):
+    """Shape of one table cell; ``a`` is alpha, or 2 for diffusion, ``k``
+    the derivative order (None for the value shapes) and ``rate`` the
+    exponential rate of the diffusion tails."""
+    rate = float(rate)
+    if not rate > 0.0:
+        raise DomainError("exponential constant must be positive")
     _check_point(point, family)
     beta = _beta_value(beta)
     a = float(a)
@@ -249,37 +217,34 @@ def _shape(family, d, k, a, beta, point, consts, case):
     form, adds_k = _BRANCHES[case][regime]
     branch = _ON_DIAG_FORMS[form] if regime == ON_DIAG else _TAILS[family, form]
     dim = d + k if adds_k else d
-    logv = branch(dim, a, beta, math.log(point.t), point.omega, point.r, consts.c_beta_exponent)
-    return _make_value(logv, regime, consts)
+    logv = branch(dim, a, beta, math.log(point.t), point.omega, point.r, rate)
+    return _make_value(logv, regime)
 
 
-def envelope_diffusion(d, beta, point: RegimePoint, consts: EnvelopeConstants | None = None) -> EnvelopeValue:
-    """Two-sided shape for the time-fractional diffusion Green's function."""
-    return _shape("diffusion", d, None, 2.0, beta, point, consts, "global")
+def envelope_diffusion(d, beta, point: RegimePoint, rate: float = 1.0) -> EnvelopeValue:
+    """Two-sided shape for the time-fractional diffusion Green's function;
+    ``rate`` > 0 is the rate in its exponential tail."""
+    return _shape("diffusion", d, None, 2.0, beta, point, "global", rate)
 
 
-def envelope_stable(d, alpha, beta, point: RegimePoint, consts: EnvelopeConstants | None = None) -> EnvelopeValue:
+def envelope_stable(d, alpha, beta, point: RegimePoint) -> EnvelopeValue:
     """Two-sided shape for the time-fractional stable Green's function."""
-    return _shape("stable", d, None, alpha, beta, point, consts, "global")
+    return _shape("stable", d, None, alpha, beta, point, "global")
 
 
-def envelope_diffusion_deriv(
-    d, beta, point: RegimePoint, consts: EnvelopeConstants | None = None, case: str = "global"
-) -> EnvelopeValue:
+def envelope_diffusion_deriv(d, beta, point: RegimePoint, rate: float = 1.0, case: str = "global") -> EnvelopeValue:
     """Upper-bound shape for |d/dx G| in the diffusion families.
 
-    ``case``: "global" (divergence-form coefficients), "local_small_time"
-    (t < 1, three regimes) or "local_large_time" (1 < t < T, bounds in
-    |x - y| form).
+    ``rate`` > 0 is the rate in the exponential tail.  ``case``: "global"
+    (divergence-form coefficients), "local_small_time" (t < 1, three
+    regimes) or "local_large_time" (1 < t < T, bounds in |x - y| form).
     """
-    return _shape("diffusion", d, 1, 2.0, beta, point, consts, case)
+    return _shape("diffusion", d, 1, 2.0, beta, point, case, rate)
 
 
-def envelope_stable_deriv(
-    d, k, alpha, beta, point: RegimePoint, consts: EnvelopeConstants | None = None, case: str = "global"
-) -> EnvelopeValue:
+def envelope_stable_deriv(d, k, alpha, beta, point: RegimePoint, case: str = "global") -> EnvelopeValue:
     """Upper-bound shape for order-k spatial derivatives, stable families."""
-    return _shape("stable", d, k, alpha, beta, point, consts, case)
+    return _shape("stable", d, k, alpha, beta, point, case)
 
 
 def globalize_local(shape_value, rate_c, tau):

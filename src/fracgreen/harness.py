@@ -15,10 +15,12 @@ horizon or not), and one core serves :func:`verify_envelope` (Theorems 3.1,
   stable families the log-log slope must match the theorem exponent.
 
 A one-sided bound needs a finite fitted constant C with |d^k G| <= C shape,
-and for global stable bounds the off-diagonal slope.  The diffusion rate C in
-exp{-C ...} is fitted, not trusted: the off-diagonal log shape is affine in C,
-so its values at C = 1 and C = 2 give every trial rate.  Upper and lower
-exponential constants are fitted separately; nothing assumes they coincide.
+and for global stable bounds the off-diagonal slope.  The diffusion rate in
+exp{-rate ...} is the one envelope constant a shape reads.  With ``rate=None``
+it is fitted, not trusted: the off-diagonal log shape is affine in the rate,
+so its values at rates 1 and 2 give every trial rate.  A given rate is used
+as it is.  Upper and lower exponential rates are fitted separately; nothing
+assumes they coincide.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -84,12 +86,11 @@ SELECTORS = {
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Log-spaced (t, r) grid; r = 0 is prepended unless excluded."""
+    """A (t, r) grid for one theorem or proposition selector."""
 
     t_values: tuple
     r_values: tuple
     theorem: str
-    derivative_order: int = 0
 
     def __post_init__(self):
         if len(self.t_values) == 0 or len(self.r_values) == 0:
@@ -113,8 +114,9 @@ def _kernel_traits(kernel):
     return kernel.envelope_family, kernel.d, kernel.alpha
 
 
-def default_grid(theorem, kernel, beta, horizon=None, per_decade=5, include_r0=True, k=0):
-    """Grid covering both Omega <= 1 and Omega >= 1 with >= 5 points/decade."""
+def default_grid(theorem, kernel, beta, horizon=None):
+    """Log-spaced grid covering both Omega <= 1 and Omega >= 1 with 5 r
+    values per decade, and r = 0 first."""
     beta = _beta_value(beta)
     spec = _selector(theorem)
     family, d, alpha = _kernel_traits(kernel)
@@ -135,14 +137,12 @@ def default_grid(theorem, kernel, beta, horizon=None, per_decade=5, include_r0=T
         om_lo = 1e-7
     r_lo = (om_lo * t_mid**beta) ** (1.0 / expo)
     r_hi = (om_hi * t_mid**beta) ** (1.0 / expo)
-    n_r = max(int(per_decade * math.log10(r_hi / r_lo)) + 1, 8)
+    n_r = max(int(5 * math.log10(r_hi / r_lo)) + 1, 8)
     rs = np.geomspace(r_lo, r_hi, n_r)
-    r_values = ([0.0] if include_r0 else []) + [float(r) for r in rs]
     return SweepGrid(
         t_values=tuple(float(t) for t in ts),
-        r_values=tuple(r_values),
+        r_values=(0.0, *(float(r) for r in rs)),
         theorem=theorem,
-        derivative_order=k,
     )
 
 
@@ -265,19 +265,20 @@ def _check_envelope_order(family, k):
         raise CapabilityError("diffusion derivative envelopes are first order only")
 
 
-def envelope_value(family, d, alpha, beta, k, point, consts, case="global"):
-    """The envelope shape for a family and derivative order k (0: the value)."""
+def envelope_value(family, d, alpha, beta, k, point, rate=1.0, case="global"):
+    """The envelope shape for a family and derivative order k (0: the value);
+    ``rate`` is the diffusion tail's exponential rate (stable shapes have none)."""
     _check_envelope_order(family, k)
     if k == 0:
         if family == "diffusion":
-            return env.envelope_diffusion(d, beta, point, consts)
-        return env.envelope_stable(d, alpha, beta, point, consts)
+            return env.envelope_diffusion(d, beta, point, rate)
+        return env.envelope_stable(d, alpha, beta, point)
     if family == "diffusion":
-        return env.envelope_diffusion_deriv(d, beta, point, consts, case=case)
-    return env.envelope_stable_deriv(d, k, alpha, beta, point, consts, case=case)
+        return env.envelope_diffusion_deriv(d, beta, point, rate, case=case)
+    return env.envelope_stable_deriv(d, k, alpha, beta, point, case=case)
 
 
-def _collect_points(kernel, beta, grid, k, consts, case, horizon):
+def _collect_points(kernel, beta, grid, k, rate, case, horizon):
     family, d, alpha = _kernel_traits(kernel)
     rows = []
     for t in grid.t_values:
@@ -302,7 +303,7 @@ def _collect_points(kernel, beta, grid, k, consts, case, horizon):
                 log_g = log_env = math.nan
                 flag = f"error:{type(exc).__name__}"
             else:
-                log_env = envelope_value(family, d, alpha, beta, k, point, consts, case=case).log_value
+                log_env = envelope_value(family, d, alpha, beta, k, point, rate, case=case).log_value
                 if skipped:
                     flag = "skipped:diagonal-derivative"
                 else:
@@ -313,22 +314,22 @@ def _collect_points(kernel, beta, grid, k, consts, case, horizon):
     return rows
 
 
-def _refit_exponential_rate(rows, kernel, beta, k, case, consts):
+def _refit_exponential_rate(rows, kernel, beta, k, case):
     """Choose the exponential rate minimising the off-diagonal ratio spread.
 
-    The paper's estimates leave the rate constant C unspecified; the default
-    1.0 is never trusted.  Only the off-diagonal branches carry exp{-C ...},
-    so the on-diagonal rows are untouched, and there the log shape is affine
-    in C: its values at C = 1 and C = 2 give it at every trial rate.
+    The paper's estimates leave the rate unspecified, and the default 1 is
+    never trusted.  Only the off-diagonal branches carry exp{-rate ...}, so
+    the on-diagonal rows are untouched, and there the log shape is affine in
+    the rate: its values at 1 and 2 give every trial rate.  Fewer than 4
+    off-diagonal rows keep rate 1.
     """
     idx = [i for i, p in enumerate(rows) if p["flag"] == "ok" and p["omega"] > 1.0]
     if len(idx) < 4:
-        return consts, rows
+        return 1.0, rows
     family, d, alpha = _kernel_traits(kernel)
     points = [env.compute_omega(family, rows[i]["t"], rows[i]["r"], beta, alpha=alpha) for i in idx]
     le1, le2 = (
-        np.array([envelope_value(family, d, alpha, beta, k, point, replace(consts, c_beta_exponent=c),
-                                 case=case).log_value for point in points])
+        np.array([envelope_value(family, d, alpha, beta, k, point, c, case=case).log_value for point in points])
         for c in (1.0, 2.0)
     )
     slope = le2 - le1
@@ -340,7 +341,7 @@ def _refit_exponential_rate(rows, kernel, beta, k, case, consts):
     for i, le in zip(idx, le1 + (rate - 1.0) * slope):
         le = float(le)
         out[i] = {**rows[i], "log_envelope": le, "log_ratio": rows[i]["log_G"] - le}
-    return replace(consts, c_beta_exponent=rate), out
+    return rate, out
 
 
 def _per_side_rates(rows, beta):
@@ -390,7 +391,7 @@ def _power_slope(rows, dim, beta, alpha, expected, tol):
     return {**fr.as_dict(), "expected_exponent": expected}, bool(abs(fr.params["exponent"] - expected) <= tol)
 
 
-def _certify(selector, kernel, beta, k, grid, consts, ratio_ceiling, horizon, fit_rate):
+def _certify(selector, kernel, beta, k, grid, rate, ratio_ceiling, horizon):
     """The certification behind both public entry points (see the module docstring)."""
     beta = _beta_value(beta)
     spec = _selector(selector)
@@ -407,19 +408,22 @@ def _certify(selector, kernel, beta, k, grid, consts, ratio_ceiling, horizon, fi
         horizon = horizon if horizon is not None else kernel.horizon
         if horizon is None:
             raise SpecError(f"{selector} requires a horizon")
-    consts = consts or env.EnvelopeConstants(horizon_T=horizon)
-    grid = grid or default_grid(selector, kernel, beta, horizon=horizon, k=k)
+    grid = grid or default_grid(selector, kernel, beta, horizon=horizon)
+    fit_rate = rate is None and family == "diffusion" and spec.case != "local_large_time"
+    rate = 1.0 if rate is None else float(rate)
+    if not rate > 0.0:  # checked before any point: the stable shapes never read it
+        raise DomainError("exponential constant must be positive")
 
-    rows = _collect_points(kernel, beta, grid, k, consts, spec.case, horizon)
+    rows = _collect_points(kernel, beta, grid, k, rate, spec.case, horizon)
     fits = {}
-    if family == "diffusion" and fit_rate and spec.case != "local_large_time":
-        consts, rows = _refit_exponential_rate(rows, kernel, beta, k, spec.case, consts)
-        fits["exponential_rate_fitted"] = consts.c_beta_exponent
+    if fit_rate:
+        rate, rows = _refit_exponential_rate(rows, kernel, beta, k, spec.case)
+        fits["exponential_rate_fitted"] = rate
         sides = None if spec.one_sided else _per_side_rates(rows, beta)
         if sides:
             fits["per_side_rates"] = {
-                "upper": consts.c_beta_exponent + sides.get("rate_offset_upper", 0.0),
-                "lower": consts.c_beta_exponent + sides.get("rate_offset_lower", 0.0),
+                "upper": rate + sides.get("rate_offset_upper", 0.0),
+                "lower": rate + sides.get("rate_offset_lower", 0.0),
                 "detail": sides,
             }
     stats = _regime_stats(rows)
@@ -469,7 +473,7 @@ def _certify(selector, kernel, beta, k, grid, consts, ratio_ceiling, horizon, fi
 
     config = {("prop" if spec.one_sided else "theorem"): selector, "beta": beta, "d": d, "alpha": alpha,
               "horizon": horizon, "t_values": list(grid.t_values), "r_values": list(grid.r_values),
-              "constants": asdict(consts), **({"k": k, "case": spec.case} if spec.one_sided else {})}
+              "rate": rate, **({"k": k, "case": spec.case} if spec.one_sided else {})}
     return VerificationReport(
         theorem=selector, family=family, d=d, alpha=alpha, beta=beta, derivative_order=k,
         one_sided=spec.one_sided, ratio_ceiling=math.inf if ratio_ceiling is None else ratio_ceiling,
@@ -478,14 +482,21 @@ def _certify(selector, kernel, beta, k, grid, consts, ratio_ceiling, horizon, fi
     )
 
 
-def verify_envelope(theorem, kernel, beta, grid=None, consts=None, ratio_ceiling=1e3, horizon=None, fit_rate=True):
-    """Two-sided envelope certification for one theorem/kernel/beta combo."""
-    return _certify(theorem, kernel, beta, 0, grid, consts, ratio_ceiling, horizon, fit_rate)
+def verify_envelope(theorem, kernel, beta, grid=None, rate=None, ratio_ceiling=1e3, horizon=None):
+    """Two-sided envelope certification for one theorem/kernel/beta combo.
+
+    ``rate``: the diffusion tail's exponential rate; None fits it.
+    """
+    return _certify(theorem, kernel, beta, 0, grid, rate, ratio_ceiling, horizon)
 
 
-def verify_derivative_envelope(prop, kernel, beta, k=1, grid=None, consts=None, ratio_ceiling=None, horizon=None):
-    """One-sided certification: |d^k G| <= fitted_C x shape at every point."""
-    return _certify(prop, kernel, beta, k, grid, consts, ratio_ceiling, horizon, True)
+def verify_derivative_envelope(prop, kernel, beta, k=1, grid=None, rate=None, ratio_ceiling=None, horizon=None):
+    """One-sided certification: |d^k G| <= fitted_C x shape at every point.
+
+    ``rate``: the diffusion tail's exponential rate; None fits it, except in
+    the large-time case, whose tail uses rate 1.
+    """
+    return _certify(prop, kernel, beta, k, grid, rate, ratio_ceiling, horizon)
 
 
 def _json_default(obj):

@@ -476,7 +476,7 @@ class IsotropicStable:
     def max_derivative_order(self) -> int:
         return 1 if self.d == 1 else 0
 
-    def derivative(self, t, x, y, k=1, coord=0):
+    def derivative(self, t, x, y, k=1):
         """Signed spatial derivative d/dx of G(t, x - y); d = 1 only.
 
         For k = 1, ``t`` may be an array of times.

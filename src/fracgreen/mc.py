@@ -225,7 +225,7 @@ class EmpiricalDensity:
     counts: np.ndarray
     density: np.ndarray
     samples: np.ndarray = field(repr=False)
-    frac_green_density: np.ndarray | None = None
+    frac_green_density: np.ndarray
 
     @property
     def bin_centers(self):
@@ -250,27 +250,18 @@ def subordinated_path_samples(kernel, beta, t, cfg: McConfig, rng=None):
     return _position_given_time(kernel, sample_inverse_subordinator(beta, t, cfg, rng=rng), rng)
 
 
-def subordinated_density_mc(kernel, beta, t, cfg: McConfig, rng=None, span=None, pair_quadrature=True) -> EmpiricalDensity:
+def subordinated_density_mc(kernel, beta, t, cfg: McConfig, rng=None) -> EmpiricalDensity:
     """Histogram density estimate of X(E_t) on an auto-scaled window."""
+    from .subordination import FracGreenRequest, frac_green
+
     samples = subordinated_path_samples(kernel, beta, t, cfg, rng=rng)
-    if span is None:
-        lo, hi = np.quantile(samples, [0.001, 0.999])
-        pad = 0.2 * (hi - lo)
-        span = (lo - pad, hi + pad)
-    counts, edges = np.histogram(samples, bins=cfg.histogram_bins, range=span)
+    lo, hi = np.quantile(samples, [0.001, 0.999])
+    pad = 0.2 * (hi - lo)
+    counts, edges = np.histogram(samples, bins=cfg.histogram_bins, range=(lo - pad, hi + pad))
     width = np.diff(edges)
     density = counts / (cfg.sample_count * width)
-    paired = None
-    if pair_quadrature:
-        from .subordination import FracGreenRequest, frac_green
-
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        paired = np.array(
-            [
-                frac_green(FracGreenRequest(kernel=kernel, beta=beta, t=t, x=[c], y=[0.0]))
-                for c in centers
-            ]
-        )
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    paired = np.array([frac_green(FracGreenRequest(kernel=kernel, beta=beta, t=t, x=[c], y=[0.0])) for c in centers])
     return EmpiricalDensity(
         bin_edges=edges, counts=counts, density=density, samples=samples,
         frac_green_density=paired,

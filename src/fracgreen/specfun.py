@@ -8,10 +8,10 @@ beta-stable subordinator, and the Mittag-Leffler function ``E_beta``.
 ``w_beta`` is evaluated by two methods that are cross-checked in the tests:
 
 * a convergent alternating series in inverse powers of ``x`` (used for
-  ``x >= switch_point``), and
+  ``x >= SWITCH_POINT``), and
 * a non-oscillatory single integral over ``(0, pi)`` built from the
   monotone angular function ``A(phi)`` with ``A(0+) = c_beta`` (used for
-  ``x < switch_point``), on Gauss-Legendre panels built once for every beta;
+  ``x < SWITCH_POINT``), on Gauss-Legendre panels built once for every beta;
   in the deep left tail the integral concentrates at ``phi = 0`` and is
   evaluated in log form.
 
@@ -47,7 +47,6 @@ from .errors import DomainError, RangeGuardError
 __all__ = [
     "FracOrder",
     "StableDensityEval",
-    "StableEnvelopeConstants",
     "stable_density",
     "stable_density_eval",
     "stable_density_log",
@@ -63,7 +62,7 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 
-# Default evaluation-strategy knobs (see module docstring).
+# Evaluation-strategy constants (see module docstring).
 SWITCH_POINT = 1.0          # series for x >= switch, integral below
 ML_SERIES_GUARD = 50.0      # hard |z| guard for ml_series
 _ML_FLOAT_RELLOG = 4.0      # float summation while max term < e^4 |result|
@@ -95,28 +94,6 @@ class StableDensityEval:
     x: float
     value: float
     method_used: str  # "series" | "integral_rep" | "asymptotic"
-
-
-@dataclass(frozen=True)
-class StableEnvelopeConstants:
-    """Constants for the two-sided stable-density envelope.
-
-    ``c_beta = (1 - beta) * beta**(beta / (1 - beta))`` is the exponent
-    constant of the left-tail shape ``f_beta``; ``c_tilde`` is a prefactor
-    left free for fitting (default 1).
-    """
-
-    c_beta: float
-    c_tilde: float = 1.0
-
-    def __post_init__(self):
-        if self.c_beta <= 0 or self.c_tilde <= 0:
-            raise DomainError("envelope constants must be positive")
-
-    @classmethod
-    def from_order(cls, beta) -> "StableEnvelopeConstants":
-        b = _beta_value(beta)
-        return cls(c_beta=stable_exponent_constant(b))
 
 
 def stable_exponent_constant(beta) -> float:
@@ -336,11 +313,11 @@ def _asymptotic(b, lx):
     return (-b / (1.0 - b)) * lx >= math.log(_ASYMPTOTIC_M / (b * (1.0 - b)))
 
 
-def _w_log(b, lx, sw):
-    """log w_beta at lx = log x: series above the switch, integral below,
+def _w_log(b, lx):
+    """log w_beta at lx = log x: series from SWITCH_POINT up, integral below,
     asymptotic deep in the left tail."""
     out = np.empty_like(lx)
-    hi = lx >= math.log(sw)
+    hi = lx >= math.log(SWITCH_POINT)
     tiny = (~hi) & _asymptotic(b, lx)
     mid = (~hi) & (~tiny)
     if hi.any():
@@ -352,19 +329,18 @@ def _w_log(b, lx, sw):
     return out
 
 
-def stable_density_vec(beta, x, switch=None):
+def stable_density_vec(beta, x):
     """Vectorised w_beta for positive array arguments."""
-    return np.exp(stable_density_log_vec(beta, x, switch=switch))
+    return np.exp(stable_density_log_vec(beta, x))
 
 
-def stable_density_log_vec(beta, x, switch=None):
+def stable_density_log_vec(beta, x):
     """Vectorised log w_beta, safe far into the left tail."""
     b = _beta_value(beta)
-    sw = SWITCH_POINT if switch is None else float(switch)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(~(x > 0.0)):
         raise DomainError("stable density requires x > 0")
-    return _w_log(b, np.log(x), sw)
+    return _w_log(b, np.log(x))
 
 
 def subordination_log_weight(beta, zeta):
@@ -376,68 +352,63 @@ def subordination_log_weight(beta, zeta):
     """
     b = _beta_value(beta)
     lu = -np.atleast_1d(np.asarray(zeta, dtype=float)) / b
-    return lu + _w_log(b, lu, SWITCH_POINT)
+    return lu + _w_log(b, lu)
 
 
-def stable_density(beta, x, switch=None) -> float:
+def stable_density(beta, x) -> float:
     """w_beta(x): the one-sided stable density with Laplace transform e^{-s^beta}."""
-    return float(stable_density_vec(beta, float(x), switch=switch)[0])
+    return float(stable_density_vec(beta, float(x))[0])
 
 
-def stable_density_log(beta, x, switch=None) -> float:
+def stable_density_log(beta, x) -> float:
     """log w_beta(x), usable where the density itself underflows."""
-    return float(stable_density_log_vec(beta, float(x), switch=switch)[0])
+    return float(stable_density_log_vec(beta, float(x))[0])
 
 
-def stable_density_eval(beta, x, switch=None) -> StableDensityEval:
+def stable_density_eval(beta, x) -> StableDensityEval:
     """Like :func:`stable_density` but reporting which method was used."""
     b = _beta_value(beta)
     xf = float(x)
     if not xf > 0.0:
         raise DomainError("stable density requires x > 0")
-    sw = SWITCH_POINT if switch is None else float(switch)
-    if xf >= sw:
+    if xf >= SWITCH_POINT:
         method = "series"
     elif _asymptotic(b, math.log(xf)):
         method = "asymptotic"
     else:
         method = "integral_rep"
-    return StableDensityEval(x=xf, value=stable_density(b, xf, switch=switch), method_used=method)
+    return StableDensityEval(x=xf, value=stable_density(b, xf), method_used=method)
 
 
-def stable_density_envelope(beta, x, consts: StableEnvelopeConstants | None = None):
-    """Two-sided envelope shape for w_beta, ``exp`` of :func:`stable_density_envelope_log`.
+def stable_density_envelope(beta, x) -> float:
+    """Envelope shape for w_beta, ``exp`` of :func:`stable_density_envelope_log`.
 
-    Returns ``(lower_shape, upper_shape)``; both sides share the same shape
-    (constants are the caller's business), i.e. lower = c_tilde * shape and
-    upper = c_tilde * shape with the same c_tilde unless fitted otherwise.
+    Both sides of the estimate ``c shape <= w_beta <= C shape`` share this
+    shape; the constants c and C are the caller's business.
     """
-    shape = math.exp(stable_density_envelope_log(beta, x, consts))
-    return shape, shape
+    return math.exp(stable_density_envelope_log(beta, x))
 
 
-def stable_density_envelope_log(beta, x, consts: StableEnvelopeConstants | None = None) -> float:
+def stable_density_envelope_log(beta, x) -> float:
     """log of the envelope shape; survives where f_beta underflows.
 
-    For beta < 1/2 the shape is min(x^{-1-beta}, f_beta(x)); for beta >= 1/2
-    it is the piecewise form: power branch on (1, inf), f_beta on (0, 1].
+    f_beta(x) = x^{-(2-beta)/(2(1-beta))} exp{-c_beta x^{-beta/(1-beta)}},
+    with c_beta from :func:`stable_exponent_constant`.  For beta < 1/2 the
+    shape is min(x^{-1-beta}, f_beta(x)); for beta >= 1/2 it is the piecewise
+    form: power branch on (1, inf), f_beta on (0, 1].
     """
     b = _beta_value(beta)
     xf = float(x)
     if not xf > 0.0:
         raise DomainError("envelope requires x > 0")
-    if consts is None:
-        consts = StableEnvelopeConstants.from_order(b)
     log_power = (-1.0 - b) * math.log(xf)
     log_f = (
         -(2.0 - b) / (2.0 * (1.0 - b)) * math.log(xf)
-        - consts.c_beta * xf ** (-b / (1.0 - b))
+        - stable_exponent_constant(b) * xf ** (-b / (1.0 - b))
     )
     if b < 0.5:
-        log_shape = min(log_power, log_f)
-    else:
-        log_shape = log_power if xf > 1.0 else log_f
-    return math.log(consts.c_tilde) + log_shape
+        return min(log_power, log_f)
+    return log_power if xf > 1.0 else log_f
 
 
 def subordinator_density(beta, r, s) -> float:
@@ -491,14 +462,11 @@ def _ml_series_float(z, b, tol, deriv=False):
     while True:
         lg = gammaln(b * k + 1.0)
         if deriv:
-            logt = math.log(k) + (k - 1) * math.log(abs(z)) if z != 0 else (0.0 if k == 1 else -math.inf)
+            logt = math.log(k) + (k - 1) * math.log(abs(z))
             signpow = k - 1
         else:
-            logt = k * math.log(abs(z)) if z != 0 else (0.0 if k == 0 else -math.inf)
+            logt = k * math.log(abs(z))
             signpow = k
-        if z == 0:
-            terms.append(1.0 if not deriv and k == 0 else (1.0 / math.exp(lg) if deriv and k == 1 else 0.0))
-            break
         t = math.exp(logt - lg)
         if z < 0 and signpow % 2 == 1:
             t = -t

@@ -217,7 +217,7 @@ def _lattice_integral(log_kernel, beta, t, q_scale, tol, zeta_clip=None):
     a = j[keep][0] * _H0
     if b is None:
         b = j[keep][-1] * _H0
-    scale = top
+    scale = float(top)
     total = float(np.sum(signs[keep] * np.exp(vals[keep] - scale)))
     total_abs = float(np.sum(np.exp(vals[keep] - scale)))
     prev = _H0 * total

@@ -15,7 +15,6 @@ from scipy.special import erf
 from scipy.stats import kstest
 
 from fracgreen import asymptotics as asy
-from fracgreen import envelopes as env
 from fracgreen import harness as H
 from fracgreen import kernels as K
 from fracgreen import mc as M
@@ -244,10 +243,9 @@ class TestCriterion11Fd1dReduction:
         fd = K.VariableDiffusion1D("one", horizon=1.0, dx=0.006, dt=0.004)
         grid = H.default_grid("4.1", fd, 0.5, horizon=1.0)
         rep41 = H.verify_envelope("4.1", fd, 0.5, grid=grid)
-        # the ratio comparison is meaningful only against the same constants
-        shared = env.EnvelopeConstants(**rep41.config["constants"])
+        # the ratio comparison is meaningful only against the same rate
         rep31 = H.verify_envelope("3.1", K.ConstantDiffusion(1), 0.5, grid=grid,
-                                  consts=shared, fit_rate=False)
+                                  rate=rep41.fits["exponential_rate_fitted"])
         diffs = [
             abs(p1["log_ratio"] - p2["log_ratio"])
             for p1, p2 in zip(rep41.points, rep31.points)

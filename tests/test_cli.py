@@ -163,6 +163,22 @@ class TestVerifyCommand:
         csv_lines = (tmp_path / "rep.csv").read_text().strip().splitlines()
         assert len(csv_lines) - 1 == len(report["points"])
 
+    @pytest.mark.parametrize("args", [
+        ("--theorem", "3.1", "--d", "1"),
+        ("--theorem", "3.2", "--kernel", "stable", "--d", "1", "--alpha", "1.5"),
+    ])
+    def test_csv_numbers_parse(self, tmp_path, args):
+        # every numeric field is a plain float repr, never a numpy scalar's
+        out_path = tmp_path / "rep.json"
+        code, _, _ = run_cli("verify", *args, "--beta", "0.5", "--out", str(out_path))
+        assert code == 0
+        with open(tmp_path / "rep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) > 100
+        for row in rows:
+            for col in ("t", "r", "omega", "log_G", "log_envelope", "log_ratio"):
+                float(row[col])
+
     def test_diffusion_second_derivative_is_error_record(self, tmp_path):
         out_path = tmp_path / "rep.json"
         code, out, err = run_cli(

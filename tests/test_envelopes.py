@@ -64,7 +64,7 @@ class TestDiffusionEnvelope:
 
     def test_off_diagonal_log_form(self):
         p = _dpoint(1.0, 100.0, 0.5)  # Omega = 1e4
-        v = env.envelope_diffusion(3, 0.5, p, env.EnvelopeConstants(c_beta_exponent=1.0))
+        v = env.envelope_diffusion(3, 0.5, p, rate=1.0)
         expect = -1.5 * 0.0 - 1.5 * (1.0 / 3.0) * math.log(1e4) - 1e4 ** (2.0 / 3.0)
         assert v.log_value == pytest.approx(expect, rel=1e-12)
         assert v.value == pytest.approx(math.exp(v.log_value))
@@ -123,9 +123,8 @@ class TestDiffusionDerivativeEnvelope:
     def test_omega_one_exponential(self):
         # at the Omega = 1 overlap the off-diagonal tag selects the
         # exponential branch: (d+1)/2 polynomial factor is 1, leaving e^{-C}
-        consts = env.EnvelopeConstants(c_beta_exponent=0.7)
         p = env.RegimePoint(t=1.0, r=1.0, omega=1.0, regime=env.OFF_DIAG, family="diffusion")
-        v = env.envelope_diffusion_deriv(1, 0.5, p, consts)
+        v = env.envelope_diffusion_deriv(1, 0.5, p, rate=0.7)
         assert v.value == pytest.approx(math.exp(-0.7), rel=1e-12)
 
     def test_small_time_far_tail_selected(self):
@@ -188,8 +187,7 @@ class TestDiffusionDerivativeEnvelope:
         ],
     )
     def test_large_time_values(self, d, r, regime, expect):
-        consts = env.EnvelopeConstants(c_beta_exponent=0.7)
-        v = env.envelope_diffusion_deriv(d, 0.5, _dpoint(2.0, r, 0.5), consts, case="local_large_time")
+        v = env.envelope_diffusion_deriv(d, 0.5, _dpoint(2.0, r, 0.5), rate=0.7, case="local_large_time")
         assert v.regime == regime
         assert v.value == pytest.approx(expect, rel=1e-12)
 
@@ -370,11 +368,10 @@ class TestBranchConsistency:
         assert np.ptp(vals1) == 0.0
 
 
-class TestConstants:
-    def test_roundtrip(self):
-        c = env.EnvelopeConstants(c_beta_exponent=0.4, prefactor_low=0.1, prefactor_high=3.0, horizon_T=1.0)
-        assert env.EnvelopeConstants.from_json(c.to_json()) == c
-
-    def test_validation(self):
+class TestRate:
+    @pytest.mark.parametrize("rate", [0.0, -0.5, math.nan])
+    @pytest.mark.parametrize("shape", ["value", "deriv"])
+    def test_nonpositive_rate_rejected(self, rate, shape):
+        fn = env.envelope_diffusion if shape == "value" else env.envelope_diffusion_deriv
         with pytest.raises(DomainError):
-            env.EnvelopeConstants(prefactor_low=2.0, prefactor_high=1.0)
+            fn(1, 0.5, _dpoint(1.0, 3.0, 0.5), rate=rate)

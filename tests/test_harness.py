@@ -14,7 +14,7 @@ import pytest
 from fracgreen import envelopes as E
 from fracgreen import harness as H
 from fracgreen import kernels as K
-from fracgreen.errors import CapabilityError, FitError, SpecError
+from fracgreen.errors import CapabilityError, DomainError, FitError, SpecError
 from fracgreen.subordination import FracGreenRequest, frac_green_detailed
 
 
@@ -117,13 +117,33 @@ class TestVerifyEnvelope:
         # the refit reads every trial rate off the shapes at C = 1 and C = 2
         rate = small_diffusion_report.fits["exponential_rate_fitted"]
         assert rate != 1.0
-        consts = E.EnvelopeConstants(c_beta_exponent=rate)
         off = [p for p in small_diffusion_report.points if p["flag"] == "ok" and p["omega"] > 1.0]
         assert len(off) >= 8
         for p in off:
             point = E.compute_omega("diffusion", p["t"], p["r"], 0.5)
-            direct = H.envelope_value("diffusion", 3, None, 0.5, 0, point, consts).log_value
+            direct = H.envelope_value("diffusion", 3, None, 0.5, 0, point, rate).log_value
             assert p["log_envelope"] == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+    def test_given_rate_reproduces_fitted_envelopes(self, small_diffusion_report):
+        fitted = small_diffusion_report
+        rate = fitted.fits["exponential_rate_fitted"]
+        grid = H.SweepGrid(tuple(fitted.config["t_values"]), tuple(fitted.config["r_values"]), "3.1")
+        rep = H.verify_envelope("3.1", K.ConstantDiffusion(3), 0.5, grid=grid, rate=rate)
+        assert "exponential_rate_fitted" not in rep.fits and "per_side_rates" not in rep.fits
+        assert rep.config["rate"] == fitted.config["rate"] == rate
+        ok = [(p, q) for p, q in zip(fitted.points, rep.points) if p["flag"] == "ok"]
+        assert len(ok) > 30
+        for p, q in ok:
+            assert q["flag"] == "ok"
+            assert q["log_envelope"] == pytest.approx(p["log_envelope"], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kernel", [K.ConstantDiffusion(1), K.IsotropicStable(1, 1.5)], ids=["diffusion", "stable"])
+    def test_nonpositive_rate_rejected_before_any_point(self, kernel, monkeypatch):
+        evaluated = []
+        monkeypatch.setattr(H, "_eval_point", lambda *args: evaluated.append(args))
+        with pytest.raises(DomainError):
+            H.verify_envelope("3.1" if kernel.alpha is None else "3.2", kernel, 0.5, rate=0.0)
+        assert evaluated == []
 
     def test_family_mismatch(self):
         with pytest.raises(SpecError):
@@ -144,7 +164,6 @@ class TestVerifyDerivative:
             t_values=(0.5, 1.0, 2.0),
             r_values=(0.0,) + tuple(np.geomspace(0.03, 300.0, 18)),
             theorem="3.2",
-            derivative_order=1,
         )
         rep = H.verify_derivative_envelope("prop3.2", K.IsotropicStable(1, 1.0), 0.5, k=1, grid=grid)
         assert rep.passed
@@ -158,7 +177,6 @@ class TestVerifyDerivative:
             t_values=(1.0,),
             r_values=(0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
             theorem="3.1",
-            derivative_order=1,
         )
         rep = H.verify_derivative_envelope("prop3.1", K.ConstantDiffusion(1), 0.5, k=1, grid=grid)
         diag = [p for p in rep.points if p["r"] == 0.0]
@@ -170,7 +188,6 @@ class TestVerifyDerivative:
             t_values=(0.5,),
             r_values=tuple(np.geomspace(0.05, 12.0, 14)),
             theorem="3.2",
-            derivative_order=1,
         )
         rep = H.verify_derivative_envelope(
             "prop4.3-small", K.IsotropicStable(1, 1.0), 0.5, k=1, grid=grid, horizon=1.0
@@ -180,9 +197,9 @@ class TestVerifyDerivative:
 
     def test_diffusion_envelope_is_first_order_only(self):
         point = E.compute_omega("diffusion", 1.0, 0.5, 0.5)
-        assert H.envelope_value("diffusion", 1, None, 0.5, 1, point, E.EnvelopeConstants()).value > 0
+        assert H.envelope_value("diffusion", 1, None, 0.5, 1, point).value > 0
         with pytest.raises(CapabilityError):
-            H.envelope_value("diffusion", 1, None, 0.5, 2, point, E.EnvelopeConstants())
+            H.envelope_value("diffusion", 1, None, 0.5, 2, point)
 
     def test_diffusion_k2_rejected_before_any_point(self, monkeypatch):
         evaluated = []
@@ -330,5 +347,5 @@ def test_anisotropic_diagonal_row_is_skipped():
     # d = 2 >= alpha: the r = 0 row diverges and is skipped, not an error row
     kernel = K.AnisotropicStable2D(1.5, K.SpectralMeasure.uniform(1.5))
     grid = H.SweepGrid(t_values=(1.0,), r_values=(0.0, 1.0), theorem="3.2")
-    rows = H._collect_points(kernel, 0.5, grid, 0, E.EnvelopeConstants(), "global", None)
+    rows = H._collect_points(kernel, 0.5, grid, 0, 1.0, "global", None)
     assert [row["flag"] for row in rows] == ["skipped:diagonal-divergent", "ok"]
