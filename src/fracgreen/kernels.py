@@ -231,7 +231,11 @@ def _fourier_moment(alpha, m, trig, sigma):
     the ray theta = pi/(2 alpha), the standard rotations for stable
     densities (Nolan, Stoch. Models 1997).  For alpha < 1 and sigma < 1 the
     ray is theta = pi/4: on pi/2 the decay e^{-v^alpha cos(alpha theta)}
-    is so slow that quad loses the integral to roundoff.  Near the origin,
+    is so slow that quad loses the integral to roundoff.  For alpha < 1 the
+    ray is integrated in w = v^alpha, where that decay has an O(1) scale: in
+    v it spans v ~ 40^{1/alpha}, and at alpha = 0.2 quad lost F_{1,sin} at
+    sigma = 5.7e-5 to roundoff (99 % off).  Its absolute tolerance is the
+    rounding of the integrand's mass.  Near the origin,
     alpha > 1 uses oscillatory-weight quadrature on the real axis, cut
     where xi^m e^{-xi^alpha} falls below e^{-40}, with a relative tolerance
     of 1e-11: at quad's default of 1.5e-8 a node could be 1e-7 off.
@@ -256,6 +260,20 @@ def _fourier_moment(alpha, m, trig, sigma):
     damp, drift, phase = sigma * math.sin(theta) / scale, sigma * math.cos(theta) / scale, (m + 1) * theta
     wave, exp = getattr(math, trig), math.exp
 
+    if alpha < 1.0:
+        power, root = (m + 1.0) / alpha - 1.0, 1.0 / alpha
+
+        def fw(w):  # alpha v^m f0(v) dv/dw at v = w^{1/alpha}
+            v = w ** root
+            return w ** power * exp(-damp * v - a * w) * wave(phase + drift * v - b * w)
+
+        # each decay alone bounds Int |fw| by `mass`; a value cancelled far
+        # below it (sin at tiny sigma, cos near a zero of F) is known only
+        # to the rounding of that mass, so quad is asked for no more
+        mass = min(math.gamma(power + 1.0) / a ** (power + 1.0), alpha * math.factorial(m) / damp ** (m + 1))
+        val, _ = quad(fw, 0.0, np.inf, epsabs=max(1e-13, 1e-14 * mass), epsrel=1e-11, limit=400)
+        return val / (alpha * scale ** (m + 1))
+
     def f0(v):
         va = v ** alpha
         return exp(-damp * v - a * va) * wave(phase + drift * v - b * va)
@@ -264,8 +282,7 @@ def _fourier_moment(alpha, m, trig, sigma):
         va = v ** alpha
         return v * exp(-damp * v - a * va) * wave(phase + drift * v - b * va)
 
-    val, _ = quad(f1 if m else f0, 0.0, np.inf, epsabs=1e-13 if alpha < 1.0 else 1e-14,
-                  epsrel=1e-11, limit=400)
+    val, _ = quad(f1 if m else f0, 0.0, np.inf, epsabs=1e-14, epsrel=1e-11, limit=400)
     return val / scale ** (m + 1)
 
 

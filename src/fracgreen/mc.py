@@ -10,7 +10,8 @@ density integral,
 has Laplace transform exp(-lambda^beta), and dt^{1/beta} S is the increment
 over dt.  The inverse subordinator E_t is sampled exactly from one such
 draw per mixture component: E_t is the root of a monotone function of those
-draws, found by bisection in log u (a closed form for a pure order).
+draws, found by Newton steps in log u started from the closed form of the
+component that crosses t first (the exact value for a pure order).
 
 Randomness comes from counter-based Philox streams: one root key per
 campaign and one jump per task (the three orders of ``comparison_check``), so
@@ -180,7 +181,8 @@ class LevyKernelSpec:
         }
 
 
-# relative width in log u at which the bisection stops: a few units of rounding
+# relative size of a Newton step in log u at which a sample stops: a few
+# units of rounding, where the step's sign no longer tells the root's side
 _LOG_ROUNDING = 4.0 * np.finfo(float).eps
 
 
@@ -190,10 +192,13 @@ def sample_inverse_subordinator(beta, t, cfg: McConfig, rng=None, levy: LevyKern
     ``levy`` defaults to the pure order ``beta``.  For fixed u, D_u has the
     law of g(u) = sum_i (w_i u)^{1/beta_i} S_i with one unit draw S_i per
     mixture component; g increases in u, so the root of g(u) = t has the law
-    of E_t.  The component roots u_i(s) = (s/S_i)^{beta_i}/w_i bracket it in
-    [min_i u_i(t/k), min_i u_i(t)] for k components, and bisection in log u
-    closes the bracket to rounding.  For k = 1 the bracket has zero width and
-    is the closed form (t/S)^beta (Meerschaert & Scheffler 2004).
+    of E_t.  In v = log u, g is a sum of exponentials, increasing and convex,
+    so Newton steps started right of the root, at v = min_i log u_i(t) with
+    u_i(s) = (s/S_i)^{beta_i}/w_i the component roots, move down onto it
+    monotonically.  Each sample stops on its own once its signed step is at
+    most a few units of rounding; a common stop on |step| can cycle forever
+    on samples that rounding bounces across their root.  For a pure order
+    the start is the closed form (t/S)^beta (Meerschaert & Scheffler 2004).
     """
     if t <= 0:
         raise DomainError("t must be positive")
@@ -205,15 +210,15 @@ def sample_inverse_subordinator(beta, t, cfg: McConfig, rng=None, levy: LevyKern
     betas = np.array([[b] for _, b in levy.components])
     log_s = np.log([sample_stable_increment(b, 1.0, rng, size=cfg.sample_count) for _, b in levy.components])
 
-    def log_root(level):
-        return np.min(betas * (math.log(level) - log_s) - log_w, axis=0)
-
-    lo, hi = log_root(t / len(betas)), log_root(t)
-    while np.any(hi - lo > _LOG_ROUNDING * np.maximum(1.0, np.abs(hi))):
-        mid = 0.5 * (lo + hi)
-        below = np.exp((log_w + mid) / betas + log_s).sum(axis=0) < t
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    return np.exp(0.5 * (lo + hi))
+    v = np.min(betas * (math.log(t) - log_s) - log_w, axis=0)
+    todo = np.arange(v.size)
+    while todo.size:
+        vt = v[todo]
+        terms = np.exp((log_w + vt) / betas + log_s[:, todo])
+        step = (terms.sum(axis=0) - t) / (terms / betas).sum(axis=0)
+        v[todo] = vt - step
+        todo = todo[step > _LOG_ROUNDING * np.maximum(1.0, np.abs(vt))]
+    return np.exp(v)
 
 
 @dataclass

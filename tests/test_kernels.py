@@ -72,6 +72,21 @@ def mp_profile(alpha, d, rho):
         raise AssertionError(f"no 80-digit series for alpha={alpha}, d={d}, rho={rho}")
 
 
+def mp_ray_moment(alpha, m, trig, sigma):
+    """F_{m,trig}(sigma) = Int_0^inf xi^m e^{-xi^alpha} trig(sigma xi) dxi to 30
+    digits, along the ray xi = v e^{i pi/3} in w = v^alpha (alpha < 1.5).
+
+    The ray is one ``_fourier_moment`` does not take below alpha = 1.5; on it
+    both e^{-xi^alpha} and e^{i sigma xi} decay, so the series' gaps (alpha
+    near 1 at rho below about 1) have a reference too."""
+    with mp.workdps(30):
+        a, s, rot = mp.mpf(alpha), mp.mpf(sigma), mp.expjpi(mp.mpf(1) / 3)
+        z = rot ** (m + 1) / a * mp.quad(
+            lambda w: w ** ((m + 1) / a - 1) * mp.exp(-w * rot ** a + 1j * s * w ** (1 / a) * rot),
+            [0, 16, mp.inf])
+        return float(z.real if trig == "cos" else z.imag)
+
+
 class TestGaussian:
     def test_on_diagonal_d3(self):
         g = K.ConstantDiffusion(3)
@@ -299,6 +314,25 @@ class TestIsotropicStable:
         s = K.IsotropicStable(d, 0.999)
         for rho in (25.0, 40.0, 61.0, 128.0):
             assert math.exp(s.log_profile(rho)) == pytest.approx(mp_profile(0.999, d, rho), rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_near_alpha_one_below_the_tail(self, d):
+        # no series reaches these radii at alpha = 0.999; P_1 = F_{0,cos}/pi
+        # and P_3 = F_{1,sin}/(2 pi^2 rho)
+        s = K.IsotropicStable(d, 0.999)
+        for rho in (0.1, 0.5, 1.0, 5.0):
+            want = (mp_ray_moment(0.999, 0, "cos", rho) / math.pi if d == 1
+                    else mp_ray_moment(0.999, 1, "sin", rho) / (2.0 * math.pi ** 2 * rho))
+            assert math.exp(s.log_profile(rho)) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("m, trig, sigma", [(1, "sin", 1.9e-9), (1, "sin", 5.7e-5), (1, "cos", 2.2e-4)])
+    def test_fourier_moment_small_alpha_tiny_sigma(self, m, trig, sigma):
+        # in v the ray's decay spans v ~ 40^5 at alpha = 0.2: quad warned of
+        # roundoff at all three, and F_{1,sin}(5.7e-5) came out 99 % low
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = K._fourier_moment(0.2, m, trig, sigma)
+        assert got == pytest.approx(mp_ray_moment(0.2, m, trig, sigma), rel=1e-12, abs=0.0)
 
     def test_d2_far_profile_emits_no_integration_warning(self):
         with warnings.catch_warnings():

@@ -1,6 +1,7 @@
 """Tests for subordinator sampling, inverse subordinators and comparison checks."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -13,6 +14,43 @@ from fracgreen import subordination as S
 from fracgreen.errors import CapabilityError, CertificateError, DomainError
 
 MIXTURE = M.LevyKernelSpec(components=((0.5, 0.4), (0.5, 0.6)))
+# orders from 0.05 to 0.95, weights 1e6 apart, and two orders at one weight
+ROOT_MIXTURES = [
+    MIXTURE,
+    M.LevyKernelSpec(components=((0.2, 0.05), (1.0, 0.5), (2.0, 0.95))),
+    M.LevyKernelSpec(components=((1e-3, 0.3), (1e3, 0.7))),
+    M.LevyKernelSpec(components=((1.0, 0.1), (1.0, 0.9))),
+]
+EPS = np.finfo(float).eps
+
+
+def _unit_log_draws(levy, n, seed):
+    """log S_i, the unit draws ``sample_inverse_subordinator`` takes from
+    ``rng_stream(seed)``: one row per component, in component order."""
+    rng = M.rng_stream(seed)
+    return np.log([M.sample_stable_increment(b, 1.0, rng, size=n) for _, b in levy.components])
+
+
+def _log_g(levy, log_s, log_u):
+    """log g(u) = log sum_i (w_i u)^{1/beta_i} S_i for each sample."""
+    return np.log(sum(np.exp((math.log(w) + log_u) / b + ls) for (w, b), ls in zip(levy.components, log_s)))
+
+
+def _bisect_roots(levy, log_s, t):
+    """Reference E_t: bisection in log u of the component-root bracket
+    [min_i log u_i(t/k), min_i log u_i(t)] down to 4 eps relative."""
+    log_w = np.log([[w] for w, _ in levy.components])
+    betas = np.array([[b] for _, b in levy.components])
+
+    def log_root(level):
+        return np.min(betas * (math.log(level) - log_s) - log_w, axis=0)
+
+    lo, hi = log_root(t / len(betas)), log_root(t)
+    while np.any(hi - lo > 4.0 * EPS * np.maximum(1.0, np.abs(hi))):
+        mid = 0.5 * (lo + hi)
+        below = np.exp((log_w + mid) / betas + log_s).sum(axis=0) < t
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.exp(0.5 * (lo + hi))
 
 
 def _march_first_passage(levy, t, n, dt, rng, block=64):
@@ -150,6 +188,41 @@ class TestInverseSubordinator:
         for e in es:
             assert np.isfinite(e).all() and (e > 0).all()
         assert (np.diff(es, axis=0) >= 0).all()
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    @pytest.mark.parametrize("levy", ROOT_MIXTURES, ids=["two", "three", "wide-weights", "far-orders"])
+    def test_mixture_roots_match_bisection(self, levy, t):
+        cfg = M.McConfig(sample_count=4_000, seed=79)
+        got = M.sample_inverse_subordinator(None, t, cfg, levy=levy)
+        log_s = _unit_log_draws(levy, cfg.sample_count, cfg.seed)
+        np.testing.assert_allclose(got, _bisect_roots(levy, log_s, t), rtol=1e-13, atol=0.0)
+        # g(E_t) = t to the rounding of g's own exponents, which carry log t
+        # and log S_i: at t = 1 the bisection's roots of the 0.05-order
+        # mixture read 176 eps off, so the scale takes max|log S_i| in too
+        scale = np.maximum(np.maximum(1.0, abs(math.log(t))), np.abs(log_s).max(axis=0))
+        assert (np.abs(_log_g(levy, log_s, np.log(got)) - math.log(t)) <= 64 * EPS * scale).all()
+
+    def test_rounding_bounce_stops(self):
+        # at t = 1e6 rounding bounces some of these samples across their
+        # roots with steps just above the tolerance: a common stop on |step|
+        # never ends (980 samples still above it after 200 passes), a
+        # per-sample stop on the signed step takes 6 passes; the alarm turns
+        # a hang into a failure
+        levy = ROOT_MIXTURES[2]
+        cfg = M.McConfig(sample_count=20_000, seed=5)
+
+        def hang(signum, frame):
+            raise TimeoutError("the Newton loop did not stop")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(20)
+        try:
+            got = M.sample_inverse_subordinator(None, 1e6, cfg, levy=levy)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        log_s = _unit_log_draws(levy, cfg.sample_count, cfg.seed)
+        np.testing.assert_allclose(got, _bisect_roots(levy, log_s, 1e6), rtol=1e-13, atol=0.0)
 
     def test_mixture_matches_marcher(self):
         cfg = M.McConfig(sample_count=20_000, seed=73)
