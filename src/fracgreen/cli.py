@@ -118,20 +118,10 @@ def _cmd_kernel(p, fmt, out, config):
     kernel = _build_kernel(p)
     t_values = [float(v) for v in p.get("t", [1.0])]
     r_values = [float(v) for v in p.get("r", [0.0, 0.5, 1.0, 2.0])]
-    rows = []
-    for t in t_values:
-        for r in r_values:
-            if isinstance(kernel, K.ConstantDiffusion):
-                x = np.zeros(kernel.d)
-                x[0] = r
-                v = kernel.value(t, x, np.zeros(kernel.d))
-            elif isinstance(kernel, K.IsotropicStable):
-                v = kernel.value(t, r)
-            elif isinstance(kernel, K.AnisotropicStable2D):
-                v = kernel.value(t, (r, 0.0))
-            else:
-                v = kernel.value(t, r, 0.0)
-            rows.append({"t": t, "r": r, "value": v})
+    # the points r e_1, each against the origin
+    origin, points = np.zeros(kernel.d), np.zeros((len(r_values), kernel.d))
+    points[:, 0] = r_values
+    rows = [{"t": t, "r": r, "value": kernel.value(t, x, origin)} for t in t_values for r, x in zip(r_values, points)]
     _emit_table(rows, ["t", "r", "value"], fmt, out, config)
     return 0
 

@@ -49,12 +49,23 @@ Families:
   frozen-coefficient Gaussian.  Rungs, widths and steps depend on t alone,
   so no value depends on which request grew the history.
 
-Every family answers the subordination rule's questions itself, through
+Every family answers one protocol, so no caller needs to know which it has
+(only ``mc`` names the two d = 1 families it simulates directly):
 
+* ``log_value(t, x, y)`` and ``value(t, x, y)``, G(t, x, y) between points x
+  and y (vectors of length d, or numbers in d = 1), ``t`` an array of times
+  or one; ``t <= 0`` raises ``DomainError``;
+* ``derivative(t, x, y, k)``, the signed d^k G / dx_0^k, in the families
+  with derivatives (k from 1 to ``max_derivative_order()``; a value is
+  ``value``, so k = 0 raises);
+* ``rule_tol``, the stop tolerance of the subordination rule's h/2h
+  difference, set above the family's own evaluation noise (interpolated
+  profiles, angular trapezoids, the piecewise-smooth Crank-Nicolson
+  history);
 * ``family`` (its name), ``envelope_family`` (``"diffusion"`` or
-  ``"stable"``), ``d``, ``alpha`` (``None`` for the diffusion families) and
-  ``horizon`` (``None`` unless the kernel is only valid up to a finite time);
-* ``max_derivative_order()``;
+  ``"stable"``), ``d``, ``alpha`` (``None`` for the diffusion families),
+  ``horizon`` (``None`` unless the kernel is only valid up to a finite time)
+  and ``max_derivative_order()``;
 * ``base_integrand(x, y, k, t, beta)``, which returns the log|d^k G(s, x, y)|
   and sign as a function of an array of base times s (``None`` where the
   derivative vanishes identically), the scale ``q_scale`` of the kernel's
@@ -94,7 +105,6 @@ __all__ = [
     "VariableDiffusion1D",
     "SpectralMeasure",
     "StableOrder",
-    "gaussian_kernel",
     "coefficient_from_csv",
     "spectral_density_from_csv",
     "COEFFICIENT_BUILTINS",
@@ -127,6 +137,32 @@ def _distance(x, y) -> float:
     return float(np.sqrt((dx * dx).sum()))
 
 
+def _first(x) -> float:
+    """The first coordinate of a point given as a vector or a number."""
+    return float(np.atleast_1d(x)[0])
+
+
+def _times(t):
+    """t as a float array, checked positive."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0):
+        raise DomainError("kernel requires t > 0")
+    return t
+
+
+def _value(self, t, x, y) -> float:
+    """G(t, x, y) from ``log_value``, 0 where it underflows.  Each class binds
+    it as ``value`` in its own body, where perfbench's tracer patches it."""
+    lv = self.log_value(t, x, y)
+    return math.exp(lv) if lv > -745.0 else 0.0
+
+
+def _log_positive(v):
+    """log v where v > 0, -inf elsewhere."""
+    with np.errstate(divide="ignore"):
+        return np.where(v > 0.0, np.log(np.abs(v)), -np.inf)
+
+
 # ---------------------------------------------------------------------------
 # constant-coefficient diffusion
 # ---------------------------------------------------------------------------
@@ -137,6 +173,7 @@ class ConstantDiffusion:
     family = "constant_diffusion"
     envelope_family = "diffusion"
     alpha = None
+    rule_tol = 1e-10
 
     def __init__(self, d, matrix=None):
         self.d = int(d)
@@ -164,32 +201,32 @@ class ConstantDiffusion:
 
     def log_value(self, t, x, y):
         """log G(t, x, y); ``t`` may be an array of times."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0):
-            raise DomainError("kernel requires t > 0")
+        t = _times(t)
         _, q = self._quad_form(x, y)
         out = -0.5 * self.d * np.log(4.0 * math.pi * t) - 0.5 * self._logdet - q / (4.0 * t)
         return float(out) if out.ndim == 0 else out
 
-    def value(self, t, x, y) -> float:
-        lv = self.log_value(t, x, y)
-        return math.exp(lv) if lv > -745.0 else 0.0
+    value = _value
 
     def max_derivative_order(self) -> int:
         return 2
 
-    def derivative(self, t, x, y, k=1, coord=0):
-        """k-th derivative in x_coord of the kernel, closed form, k <= 2."""
-        if k == 0:
-            return self.value(t, x, y)
-        if k > 2:
-            raise CapabilityError("constant-diffusion derivatives supported up to order 2")
-        dx, q = self._quad_form(x, y)
-        g = self.value(t, x, y)
-        w = self._inv @ dx
-        if k == 1:
-            return -w[coord] / (2.0 * t) * g
-        return ((w[coord] / (2.0 * t)) ** 2 - self._inv[coord, coord] / (2.0 * t)) * g
+    def derivative(self, t, x, y, k):
+        """d^k G / dx_0^k, k = 1 or 2, in closed form; ``t`` may be an array of times."""
+        if k not in (1, 2):
+            raise CapabilityError("constant-diffusion derivatives are of order 1 or 2")
+        log_dk, sign = self._log_derivative(t, x, y, k)
+        out = sign * np.exp(log_dk)
+        return float(out) if out.ndim == 0 else out
+
+    def _log_derivative(self, t, x, y, k):
+        """(log|d^k G / dx_0^k|, sign) at times t: d^k G = factor * G, and
+        for k = 2 the factor changes sign at t = w1^2 / 2a."""
+        log_g = self.log_value(t, x, y)
+        dx, _ = self._quad_form(x, y)
+        w1, a = float((self._inv @ dx)[0]), float(self._inv[0, 0])
+        factor = -w1 / (2.0 * t) if k == 1 else (w1 / (2.0 * t)) ** 2 - a / (2.0 * t)
+        return _log_positive(np.abs(factor)) + log_g, np.sign(factor)
 
     def base_integrand(self, x, y, k, t, beta):
         """d^k G / dx_0^k for the subordination rule (see the module docstring)."""
@@ -198,23 +235,9 @@ class ConstantDiffusion:
         dx, q = self._quad_form(x, y)
         if k == 0:
             return (lambda s: (self.log_value(s, x, y), 1.0)), q, None
-        w1 = float((self._inv @ dx)[0])
-        a = float(self._inv[0, 0])
-        if k == 1 and w1 == 0.0:
+        if k == 1 and (self._inv @ dx)[0] == 0.0:
             return None, q, None
-
-        def logdk(s):
-            # d^k G = factor * G; for k = 2 the factor changes sign at s = w1^2 / 2a
-            factor = -w1 / (2.0 * s) if k == 1 else (w1 / (2.0 * s)) ** 2 - a / (2.0 * s)
-            with np.errstate(divide="ignore"):  # log 0 at the sign change
-                return np.log(np.abs(factor)) + self.log_value(s, x, y), np.sign(factor)
-
-        return logdk, q, None
-
-
-def gaussian_kernel(spec: ConstantDiffusion, t, x, y) -> float:
-    """Heat-kernel value for a constant-diffusion spec."""
-    return spec.value(float(t), x, y)
+        return (lambda s: self._log_derivative(s, x, y, k)), q, None
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +479,7 @@ class IsotropicStable:
 
     family = "isotropic_stable"
     envelope_family = "stable"
+    rule_tol = 1e-8
 
     def __init__(self, d, alpha):
         self.d = int(d)
@@ -465,45 +489,35 @@ class IsotropicStable:
         self.horizon = None
         if self.alpha < _MIN_ALPHA:
             raise CapabilityError(f"isotropic stable profiles validated for alpha >= {_MIN_ALPHA}")
+        if self.alpha < 2.0 and self.d not in _PROFILES:
+            raise CapabilityError("isotropic stable kernels implemented for d in {1, 2, 3} below alpha = 2")
         # alpha = 2 short-circuits to the Gaussian closed form everywhere
-        self._profile = _PROFILES[self.d](self.alpha) if self.alpha < 2.0 and self.d in _PROFILES else None
+        self._profile = _PROFILES[self.d](self.alpha) if self.alpha < 2.0 else None
 
     def log_profile(self, rho):
         """log P(rho), vectorised over an array of rho."""
         rho = np.abs(np.asarray(rho, dtype=float))
         if self.alpha == 2.0:
             return -rho * rho / 4.0 - 0.5 * self.d * math.log(4.0 * math.pi)
-        if self._profile is None:
-            raise CapabilityError("isotropic stable kernels implemented for d in {1, 2, 3}")
         return self._profile.log_value(rho)
 
-    def value(self, t, r) -> float:
-        lv = self.log_value(t, r)
-        return math.exp(lv) if lv > -745.0 else 0.0
-
-    def log_value(self, t, r):
-        """log G(t, r); ``t`` may be an array of times."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0):
-            raise DomainError("kernel requires t > 0")
-        r = abs(float(r))
-        out = -self.d / self.alpha * np.log(t) + self.log_profile(r * t ** (-1.0 / self.alpha))
+    def log_value(self, t, x, y):
+        """log G(t, x, y), a function of |x - y|; ``t`` may be an array of times."""
+        t = _times(t)
+        out = -self.d / self.alpha * np.log(t) + self.log_profile(_distance(x, y) * t ** (-1.0 / self.alpha))
         return float(out) if out.ndim == 0 else out
+
+    value = _value
 
     def max_derivative_order(self) -> int:
         return 1 if self.d == 1 else 0
 
-    def derivative(self, t, x, y, k=1):
-        """Signed spatial derivative d/dx of G(t, x - y); d = 1 only.
-
-        For k = 1, ``t`` may be an array of times.
-        """
-        if k == 0:
-            return self.value(t, abs(float(x) - float(y)))
-        if self.d != 1 or k > 1:
+    def derivative(self, t, x, y, k):
+        """Signed d/dx G(t, x, y), d = 1 and k = 1 only; ``t`` may be an array of times."""
+        if self.d != 1 or k != 1:
             raise CapabilityError("stable-kernel derivatives implemented for d = 1, k = 1")
-        rr = float(x) - float(y)
-        t = np.asarray(t, dtype=float)
+        rr = _first(x) - _first(y)
+        t = _times(t)
         s = t ** (-1.0 / self.alpha)
         if self.alpha == 2.0:
             rho = abs(rr) * s
@@ -522,17 +536,11 @@ class IsotropicStable:
             raise DomainError("fractional kernel diverges on the diagonal for d >= alpha")
         q = r ** self.alpha
         if k == 0:
-            return (lambda s: (self.log_value(s, r), 1.0)), q, None
+            return (lambda s: (self.log_value(s, x, y), 1.0)), q, None
         if r == 0.0:
             return None, q, None
-        rr = float(np.atleast_1d(x)[0]) - float(np.atleast_1d(y)[0])
-        sign = -math.copysign(1.0, rr)
-
-        def logd1(s):
-            with np.errstate(divide="ignore"):
-                return np.log(np.abs(self.derivative(s, abs(rr), 0.0, k=1))), sign
-
-        return logd1, q, None
+        sign = -math.copysign(1.0, _first(x) - _first(y))
+        return (lambda s: (_log_positive(np.abs(self.derivative(s, x, y, 1))), sign)), q, None
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +653,7 @@ class AnisotropicStable2D:
 
     family = "anisotropic_stable_2d"
     envelope_family = "stable"
+    rule_tol = 1e-7
 
     def __init__(self, alpha, spectral_measure: SpectralMeasure):
         self.alpha = _alpha_value(alpha)
@@ -690,28 +699,24 @@ class AnisotropicStable2D:
             raise CapabilityError("anisotropic evaluation lost positivity; out of validated range")
         return log_frozen + np.log1p(ratio)
 
-    def log_value(self, t, x):
-        """log G(t, x) at offset x (2-vector); ``t`` may be an array of times."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0):
-            raise DomainError("kernel requires t > 0")
-        x = np.asarray(x, dtype=float).reshape(2)
-        out = self._log_g(t.ravel(), float(np.hypot(x[0], x[1])), math.atan2(x[1], x[0]))
+    def log_value(self, t, x, y):
+        """log G(t, x, y) at 2-vectors x, y; ``t`` may be an array of times."""
+        t = _times(t)
+        xv = (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)).reshape(2)
+        out = self._log_g(t.ravel(), float(np.hypot(xv[0], xv[1])), math.atan2(xv[1], xv[0]))
         return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
-    def value(self, t, x) -> float:
-        lv = self.log_value(t, x)
-        return math.exp(lv) if lv > -745.0 else 0.0
+    value = _value
 
     def max_derivative_order(self) -> int:
         return 0
 
     def base_integrand(self, x, y, k, t, beta):
         """G for the subordination rule (see the module docstring)."""
-        xv = np.asarray(x, float) - np.asarray(y, float)
-        if not xv.any():
+        r = _distance(x, y)
+        if r == 0.0:
             raise DomainError("fractional kernel diverges on the diagonal for d = 2 >= alpha")
-        return (lambda s: (self.log_value(s, xv), 1.0)), _distance(x, y) ** self.alpha, None
+        return (lambda s: (self.log_value(s, x, y), 1.0)), r ** self.alpha, None
 
     def mass(self, t, half_width=None, n=401) -> float:
         """Numerical mass over a truncated square (tensor trapezoid), the grid
@@ -982,6 +987,7 @@ class VariableDiffusion1D:
     envelope_family = "diffusion"
     d = 1
     alpha = None
+    rule_tol = 1e-4
 
     def __init__(self, a, b=None, c=None, horizon=1.0, *, half_width=None, dx=0.01, dt=0.01):
         self.a = a if callable(a) else COEFFICIENT_BUILTINS[a]
@@ -1045,18 +1051,18 @@ class VariableDiffusion1D:
             raise
         return hist
 
-    def value(self, t, x, y, *, allow_beyond_horizon=False) -> float:
-        t = float(t)
-        if t <= 0:
-            raise DomainError("kernel requires t > 0")
-        if t > self.horizon and not allow_beyond_horizon:
-            raise HorizonError(f"t = {t:g} beyond horizon T = {self.horizon:g}")
-        hist = self.history(y, t_max=max(self.horizon, t))
-        return float(hist.eval(t, float(x)))
+    def value(self, t, x, y, *, allow_beyond_horizon=False):
+        """G(t, x, y) at the first coordinates of x and y; ``t`` may be an array of times."""
+        t = _times(t)
+        if np.any(t > self.horizon) and not allow_beyond_horizon:
+            raise HorizonError(f"t = {np.max(t):g} beyond horizon T = {self.horizon:g}")
+        out = self.history(_first(y), t_max=max(self.horizon, np.max(t))).eval(t, _first(x))
+        return float(out) if out.ndim == 0 else out
 
-    def log_value(self, t, x, y) -> float:
-        v = self.value(t, x, y)
-        return math.log(v) if v > 0 else -math.inf
+    def log_value(self, t, x, y):
+        """log of ``value``, -inf where that is not positive."""
+        out = _log_positive(self.value(t, x, y))
+        return float(out) if out.ndim == 0 else out
 
     def max_derivative_order(self) -> int:
         return 0
@@ -1071,15 +1077,9 @@ class VariableDiffusion1D:
         the request's own ``_clip(t, beta)``, to which the source's history is
         extended."""
         t_clip = self._clip(t, beta)
-        hist = self.history(float(np.atleast_1d(y)[0]), t_clip)
-        xf = float(np.atleast_1d(x)[0])
-
-        def log_kernel(s):
-            v = hist.eval(s, xf)
-            with np.errstate(divide="ignore"):
-                return np.where(v > 0.0, np.log(np.abs(v)), -np.inf), 1.0
-
-        return log_kernel, (xf - hist.y) ** 2, t_clip
+        hist = self.history(_first(y), t_clip)
+        xf = _first(x)
+        return (lambda s: (_log_positive(hist.eval(s, xf)), 1.0)), (xf - hist.y) ** 2, t_clip
 
     def grid_mass(self, t, y=0.0) -> float:
         hist = self.history(y, t_max=max(self.horizon, t))

@@ -15,10 +15,11 @@ Nodes lie on the fixed dyadic lattice zeta = k _H0 / 2^L; a request's window
 starts from the analytic bounds of ``_scan_window`` and is extended, then
 trimmed, on level 0 until phi at its ends is ``_DROP`` below the peak; h is
 then halved until the h/2h difference (relative to the sum of |integrand|) is
-below the family's tolerance.  That difference is the reported error estimate; reaching the
-finest level without it raises ``AccuracyError``.  omega_beta depends on beta
-alone: it is computed in log form and memoised per beta on the lattice in a
-bounded cache, so a sweep at one beta evaluates w_beta about once per node.
+below the kernel's ``rule_tol``.  That difference is the reported error
+estimate; reaching the finest level without it raises ``AccuracyError``.
+omega_beta depends on beta alone: it is computed in log form and memoised
+per beta on the lattice in a bounded cache, so a sweep at one beta evaluates
+w_beta about once per node.
 
 A family may clip the window at a base time (the variable-coefficient kernel
 is only simulated up to a finite time, and clips each request where the
@@ -91,15 +92,6 @@ _H0 = 0.5            # level-0 step of the zeta lattice
 _MAX_LEVEL = 12      # finest step _H0 / 2^12
 _DROP = 46.0         # window ends: phi this far below its largest node value
 _ZETA_LIMIT = 600.0  # |zeta| beyond which a window is not extended
-# stop tolerance of the h/2h difference, per base family: each sits above
-# that family's own evaluation noise (interpolated profiles, angular
-# trapezoids, the piecewise-smooth Crank-Nicolson history)
-_FAMILY_TOL = {
-    "constant_diffusion": 1e-10,
-    "isotropic_stable": 1e-8,
-    "anisotropic_stable_2d": 1e-7,
-    "variable_diffusion_1d": 1e-4,
-}
 _TRUNC_MASS = 1e-8   # largest neglected weight mass beyond a clipped window
 
 
@@ -273,9 +265,7 @@ def frac_green_detailed(req: FracGreenRequest) -> FracGreenResult:
     if log_kernel is None:
         return FracGreenResult(value=0.0, log_value=-math.inf)
     zeta_clip = None if s_clip is None else math.log(s_clip / tb)
-    log_int, sign, err, nodes = _lattice_integral(
-        log_kernel, beta, t, q_scale, _FAMILY_TOL[req.kernel.family], zeta_clip=zeta_clip
-    )
+    log_int, sign, err, nodes = _lattice_integral(log_kernel, beta, t, q_scale, req.kernel.rule_tol, zeta_clip)
     trunc = 0.0
     if s_clip is not None:
         # neglected weight beyond the clipped base time: u < u_min
@@ -284,7 +274,7 @@ def frac_green_detailed(req: FracGreenRequest) -> FracGreenResult:
         trunc = u_min * math.exp(lw) if lw > -700.0 else 0.0
         if trunc > _TRUNC_MASS:
             raise AccuracyError(
-                "fd1d simulation horizon too short for requested time",
+                "simulated horizon too short for the requested time",
                 estimate=math.exp(log_int - math.log(beta)),
                 achieved=trunc,
             )

@@ -8,9 +8,11 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fracgreen import cli
+from fracgreen import kernels as K
 
 
 def run_cli(*args):
@@ -101,6 +103,16 @@ class TestEnvelope:
         assert json.loads(err)["error"] == "SpecError"
 
 
+# (flags of `fracgreen kernel`, the kernel they build)
+KERNEL_TABLES = {
+    "gaussian": (("--kernel", "gaussian", "--d", "3"), lambda: K.ConstantDiffusion(3)),
+    "stable": (("--kernel", "stable", "--d", "2", "--alpha", "1.5"), lambda: K.IsotropicStable(2, 1.5)),
+    "anisotropic": (("--kernel", "anisotropic", "--alpha", "1.5", "--spectral", "two_bump"),
+                    lambda: K.AnisotropicStable2D(1.5, K.SpectralMeasure.from_callable(K.SPECTRAL_BUILTINS["two_bump"]))),
+    "fd1d": (("--kernel", "fd1d",), lambda: K.VariableDiffusion1D("one", horizon=1.0)),
+}
+
+
 class TestSpecfunKernel:
     def test_specfun_table(self, tmp_path):
         out_path = tmp_path / "sf.csv"
@@ -122,6 +134,19 @@ class TestSpecfunKernel:
         assert code == 0
         rows = list(csv.DictReader(out.splitlines()))
         assert float(rows[0]["value"]) == pytest.approx(1 / math.pi, rel=1e-8)
+
+    @pytest.mark.parametrize("family", sorted(KERNEL_TABLES))
+    def test_kernel_table_is_value_at_r_e1(self, family):
+        # one call for every family: each row is value(t, r e_1, 0)
+        flags, make = KERNEL_TABLES[family]
+        code, out, _ = run_cli("kernel", *flags, "--t", "0.3", "1", "--r", "0", "0.5", "2", "--format", "json")
+        assert code == 0
+        kernel, rows = make(), json.loads(out)["rows"]
+        assert len(rows) == 6
+        for row in rows:
+            x = np.zeros(kernel.d)
+            x[0] = row["r"]
+            assert row["value"] == kernel.value(row["t"], x, np.zeros(kernel.d))
 
 
 class TestConfigMerge:

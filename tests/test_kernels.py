@@ -18,6 +18,15 @@ from fracgreen import subordination as S
 from fracgreen.errors import CapabilityError, DomainError, HorizonError
 
 
+# the origin of the plane
+O2 = (0.0, 0.0)
+
+
+def e1(r, d):
+    """r times the first unit vector of R^d."""
+    return [r] + [0.0] * (d - 1)
+
+
 def cauchy_1d(t, r):
     return t / (math.pi * (t * t + r * r))
 
@@ -90,7 +99,7 @@ def mp_ray_moment(alpha, m, trig, sigma):
 class TestGaussian:
     def test_on_diagonal_d3(self):
         g = K.ConstantDiffusion(3)
-        assert K.gaussian_kernel(g, 1.0, [0, 0, 0], [0, 0, 0]) == pytest.approx(
+        assert g.value(1.0, [0, 0, 0], [0, 0, 0]) == pytest.approx(
             (4 * math.pi) ** -1.5, rel=1e-14, abs=0.0
         )
 
@@ -101,7 +110,7 @@ class TestGaussian:
 
     def test_off_diagonal_d2(self):
         g = K.ConstantDiffusion(2)
-        assert K.gaussian_kernel(g, 0.5, [1.0, 0.0], [0.0, 0.0]) == pytest.approx(
+        assert g.value(0.5, [1.0, 0.0], [0.0, 0.0]) == pytest.approx(
             (2 * math.pi) ** -1 * math.exp(-0.5), rel=1e-14, abs=0.0
         )
 
@@ -144,56 +153,56 @@ class TestGaussian:
 class TestIsotropicStable:
     def test_cauchy_closed_form(self):
         c = K.IsotropicStable(1, 1.0)
-        assert c.value(1.0, 0.0) == pytest.approx(1 / math.pi, rel=1e-9, abs=0.0)
-        assert c.value(2.0, 2.0) == pytest.approx(cauchy_1d(2.0, 2.0), rel=1e-9, abs=0.0)
+        assert c.value(1.0, [0.0], [0.0]) == pytest.approx(1 / math.pi, rel=1e-9, abs=0.0)
+        assert c.value(2.0, [2.0], [0.0]) == pytest.approx(cauchy_1d(2.0, 2.0), rel=1e-9, abs=0.0)
 
     def test_gaussian_limit(self):
         g = K.IsotropicStable(1, 2.0)
-        assert g.value(1.0, 0.0) == pytest.approx((4 * math.pi) ** -0.5, rel=1e-9, abs=0.0)
+        assert g.value(1.0, [0.0], [0.0]) == pytest.approx((4 * math.pi) ** -0.5, rel=1e-9, abs=0.0)
         ref = K.ConstantDiffusion(1)
         for r in (0.0, 0.5, 2.0):
-            assert g.value(0.7, r) == pytest.approx(ref.value(0.7, [r], [0.0]), rel=1e-7, abs=0.0)
+            assert g.value(0.7, [r], [0.0]) == pytest.approx(ref.value(0.7, [r], [0.0]), rel=1e-7, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.8, 1.5])
     def test_self_similarity(self, alpha):
         s = K.IsotropicStable(1, alpha)
         for t, r in [(0.3, 0.4), (2.5, 1.2), (7.0, 0.0)]:
-            direct = s.value(t, r)
-            scaled = t ** (-1.0 / alpha) * s.value(1.0, r * t ** (-1.0 / alpha))
+            direct = s.value(t, [r], [0.0])
+            scaled = t ** (-1.0 / alpha) * s.value(1.0, [r * t ** (-1.0 / alpha)], [0.0])
             assert direct == pytest.approx(scaled, rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5])
     def test_mass(self, alpha):
         s = K.IsotropicStable(1, alpha)
-        mass, _ = quad(lambda r: s.value(1.0, r), 0, np.inf, limit=300)
+        mass, _ = quad(lambda r: s.value(1.0, [r], [0.0]), 0, np.inf, limit=300)
         assert 2 * mass == pytest.approx(1.0, abs=1e-7)
 
     def test_poisson_d2_d3(self):
         for d in (2, 3):
             s = K.IsotropicStable(d, 1.0)
-            assert s.value(1.0, 0.0) == pytest.approx(poisson_kernel(d, 1.0, 0.0), rel=1e-9, abs=0.0)
-            assert s.value(1.5, 2.0) == pytest.approx(poisson_kernel(d, 1.5, 2.0), rel=1e-9, abs=0.0)
+            assert s.value(1.0, e1(0.0, d), e1(0.0, d)) == pytest.approx(poisson_kernel(d, 1.0, 0.0), rel=1e-9, abs=0.0)
+            assert s.value(1.5, e1(2.0, d), e1(0.0, d)) == pytest.approx(poisson_kernel(d, 1.5, 2.0), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_radial_quadrature_vs_closed_form_alpha1(self, d):
         # exercise the generic Hankel path by comparing alpha near 1 with
         # the exact alpha = 1 kernel bracketing
         s = K.IsotropicStable(d, 1.3)
-        v = s.value(1.0, 1.0)
+        v = s.value(1.0, e1(1.0, d), e1(0.0, d))
         assert v > 0
         # positivity and monotone decay in r
-        assert s.value(1.0, 2.0) < v
+        assert s.value(1.0, e1(2.0, d), e1(0.0, d)) < v
 
     def test_chapman_kolmogorov_d1(self):
         s = K.IsotropicStable(1, 1.0)
         t1, t2, r = 0.7, 0.5, 0.8
         conv, _ = quad(
-            lambda z: s.value(t1, abs(z)) * s.value(t2, abs(r - z)),
+            lambda z: s.value(t1, [0.0], [z]) * s.value(t2, [z], [r]),
             -np.inf,
             np.inf,
             limit=400,
         )
-        assert conv == pytest.approx(s.value(t1 + t2, r), abs=1e-4)
+        assert conv == pytest.approx(s.value(t1 + t2, [0.0], [r]), abs=1e-4)
 
     def test_chapman_kolmogorov_gaussian(self):
         g = K.ConstantDiffusion(1)
@@ -208,7 +217,7 @@ class TestIsotropicStable:
     def test_derivative_sign_and_fd(self):
         s = K.IsotropicStable(1, 1.5)
         h = 1e-5
-        fd = (s.value(1.0, 1.0 + h) - s.value(1.0, 1.0 - h)) / (2 * h)
+        fd = (s.value(1.0, [1.0 + h], [0.0]) - s.value(1.0, [1.0 - h], [0.0])) / (2 * h)
         got = s.derivative(1.0, 1.0, 0.0, k=1)
         assert got == pytest.approx(fd, rel=1e-5, abs=0.0)
         assert got < 0
@@ -230,7 +239,7 @@ class TestIsotropicStable:
             tail = K._radial_tail_series(alpha)(np.array([19.5, 20.0 + 1e-9]))
             spline = np.exp(s.log_profile(np.array([19.5, 20.0 - 1e-9])))
             assert spline == pytest.approx(tail, rel=1e-8, abs=0.0)
-            assert s.value(1.0, 100.0) > 0
+            assert s.value(1.0, (100.0, 0.0), (0.0, 0.0)) > 0
 
     def test_d2_tail_is_abel_transform_of_hankel_series(self):
         # termwise Hankel transform of the symbol expansion, the d = 2 tail
@@ -344,11 +353,23 @@ class TestIsotropicStable:
     def test_capability_limits(self):
         with pytest.raises(CapabilityError):
             K.IsotropicStable(1, 1.5).derivative(1.0, 1.0, 0.0, k=2)
-        with pytest.raises(CapabilityError):
-            K.IsotropicStable(4, 1.5).value(1.0, 1.0)
+        with pytest.raises(CapabilityError):  # at construction
+            K.IsotropicStable(4, 1.5)
         for d in (1, 2, 3):  # below the alpha the profiles are validated for
             with pytest.raises(CapabilityError):
                 K.IsotropicStable(d, 0.19)
+
+    def test_unsupported_dimension_fails_at_construction(self):
+        with pytest.raises(CapabilityError):
+            K.IsotropicStable(4, 1.5)
+        # alpha = 2 is the Gaussian closed form in any dimension
+        stable, gauss, x, y = K.IsotropicStable(4, 2.0), K.ConstantDiffusion(4), [0.3, -0.2, 0.5, 0.1], [0.0] * 4
+        for t in (0.1, 1.0):
+            assert stable.value(t, x, y) == pytest.approx(gauss.value(t, x, y), rel=1e-13, abs=0.0)
+
+    def test_derivative_reads_one_vector_points(self):
+        s = K.IsotropicStable(1, 1.5)
+        assert s.derivative(1.0, [1.0], [0.0], 1) == s.derivative(1.0, 1.0, 0.0, 1) < 0
 
     @pytest.mark.parametrize("alpha", [0.7, 1.5])
     def test_dimension_walk_d3_from_d1(self, alpha):
@@ -357,23 +378,23 @@ class TestIsotropicStable:
         s1, s3 = K.IsotropicStable(1, alpha), K.IsotropicStable(3, alpha)
         for rho in (0.05, 0.5, 2.0, 10.0, 19.5):
             walked = -s1.derivative(1.0, rho, 0.0, k=1) / (2 * math.pi * rho)
-            assert s3.value(1.0, rho) == pytest.approx(walked, rel=1e-7, abs=0.0)
+            assert s3.value(1.0, e1(rho, 3), e1(0.0, 3)) == pytest.approx(walked, rel=1e-7, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.7, 1.5])
     def test_d3_origin_closed_form(self, alpha):
         expect = math.gamma(3 / alpha) / (2 * math.pi**2 * alpha)
-        assert K.IsotropicStable(3, alpha).value(1.0, 0.0) == pytest.approx(expect, rel=1e-12, abs=0.0)
+        assert K.IsotropicStable(3, alpha).value(1.0, e1(0.0, 3), e1(0.0, 3)) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 class TestAnisotropic:
     def test_uniform_reduces_to_isotropic(self):
         an = K.AnisotropicStable2D(1.0, K.SpectralMeasure.uniform(1.0))
         assert np.allclose(an.w, 1.0, atol=1e-12)
-        assert an.value(1.0, (0.0, 0.0)) == pytest.approx(1 / (2 * math.pi), rel=1e-8, abs=0.0)
-        assert an.value(1.0, (1.0, 0.0)) == pytest.approx(
+        assert an.value(1.0, (0.0, 0.0), O2) == pytest.approx(1 / (2 * math.pi), rel=1e-8, abs=0.0)
+        assert an.value(1.0, (1.0, 0.0), O2) == pytest.approx(
             1 / (2 * math.pi * 2**1.5), rel=1e-7, abs=0.0
         )
-        assert an.value(1.0, (0.6, -0.8)) == pytest.approx(
+        assert an.value(1.0, (0.6, -0.8), O2) == pytest.approx(
             1 / (2 * math.pi * 2**1.5), rel=1e-7, abs=0.0
         )
 
@@ -381,13 +402,13 @@ class TestAnisotropic:
         an = K.AnisotropicStable2D(0.7, K.SpectralMeasure.uniform(0.7))
         iso = K.IsotropicStable(2, 0.7)
         for r in (0.0, 0.7, 1.3):
-            assert an.value(1.0, (r, 0.0)) == pytest.approx(iso.value(1.0, r), rel=1e-6, abs=0.0)
+            assert an.value(1.0, (r, 0.0), O2) == pytest.approx(iso.value(1.0, (r, 0.0), O2), rel=1e-6, abs=0.0)
 
     def test_two_bump_positive_and_anisotropic(self):
         mu = K.SpectralMeasure.from_callable(K.SPECTRAL_BUILTINS["two_bump"])
         an = K.AnisotropicStable2D(1.2, mu)
-        vx = an.value(1.0, (1.0, 0.0))
-        vy = an.value(1.0, (0.0, 1.0))
+        vx = an.value(1.0, (1.0, 0.0), O2)
+        vy = an.value(1.0, (0.0, 1.0), O2)
         assert vx > 0 and vy > 0
         assert abs(vx / vy - 1.0) > 1e-3  # direction dependence is real
 
@@ -402,7 +423,7 @@ class TestAnisotropic:
     def test_time_domain(self):
         an = K.AnisotropicStable2D(1.0, K.SpectralMeasure.uniform(1.0))
         with pytest.raises(DomainError):
-            an.value(-1.0, (0.0, 0.0))
+            an.value(-1.0, (0.0, 0.0), O2)
 
     def test_subordination_integrand_is_log_value_across_cap(self):
         an = K.AnisotropicStable2D(1.5, K.SpectralMeasure.uniform(1.5))
@@ -412,8 +433,8 @@ class TestAnisotropic:
         log_kernel, _, _ = an.base_integrand(x, y, 0, 1.0, 0.5)
         logs, sign = log_kernel(s)
         assert sign == 1.0
-        np.testing.assert_array_equal(logs, an.log_value(s, x - y))
-        assert logs == pytest.approx([an.log_value(si, x - y) for si in s], rel=1e-14, abs=0.0)
+        np.testing.assert_array_equal(logs, an.log_value(s, x, y))
+        assert logs == pytest.approx([an.log_value(si, x, y) for si in s], rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [1.0, 1.2, 1.5])
     def test_large_radius_matches_radial(self, alpha):
@@ -421,7 +442,7 @@ class TestAnisotropic:
         an = K.AnisotropicStable2D(alpha, K.SpectralMeasure.uniform(alpha))
         iso = K.IsotropicStable(2, alpha)
         for sigma in (1e3, 1e4, 1e5):
-            assert an.value(1.0, (sigma, 0.0)) == pytest.approx(iso.value(1.0, sigma), rel=1e-9, abs=0.0)
+            assert an.value(1.0, (sigma, 0.0), O2) == pytest.approx(iso.value(1.0, (sigma, 0.0), O2), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.8, 1.2, 1.5])
     @pytest.mark.parametrize("sigma", [1.0, 5.0])
@@ -434,7 +455,7 @@ class TestAnisotropic:
         w = an._w(theta)
         integrand = w ** (-2.0 / alpha) * an._cos(rho * np.cos(theta - phi) * w ** (-1.0 / alpha))
         expect = integrand.mean() / (2 * math.pi)
-        assert an.value(1.0, (rho * math.cos(phi), rho * math.sin(phi))) == pytest.approx(expect, rel=1e-6, abs=0.0)
+        assert an.value(1.0, (rho * math.cos(phi), rho * math.sin(phi)), O2) == pytest.approx(expect, rel=1e-6, abs=0.0)
 
     def test_alpha_below_validated_range_raises(self):
         with pytest.raises(CapabilityError):
@@ -446,7 +467,7 @@ class TestAnisotropic:
         given = K.SpectralMeasure(np.full(256, uniform.values[0]), angles=angles)
         a, b = K.AnisotropicStable2D(1.5, uniform), K.AnisotropicStable2D(1.5, given)
         for r in (0.5, 2.0, 5.0):
-            assert b.value(1.0, (r, 0.3)) == pytest.approx(a.value(1.0, (r, 0.3)), rel=1e-10, abs=0.0)
+            assert b.value(1.0, (r, 0.3), O2) == pytest.approx(a.value(1.0, (r, 0.3), O2), rel=1e-10, abs=0.0)
 
     def test_density_angles_must_increase_within_a_turn(self):
         with pytest.raises(DomainError):
@@ -481,6 +502,10 @@ class TestVariableDiffusion:
     def test_reduces_to_gaussian(self):
         fd = K.VariableDiffusion1D("one", horizon=1.0)
         assert fd.value(0.1, 0.0, 0.0) == pytest.approx((0.4 * math.pi) ** -0.5, abs=1e-3)
+
+    def test_value_reads_one_vector_points(self):
+        fd = K.VariableDiffusion1D("one", dx=0.05, dt=0.05)
+        assert fd.value(0.3, [0.5], [0.0]) == fd.value(0.3, 0.5, 0.0) > 0
 
     def test_grid_mass(self):
         fd = K.VariableDiffusion1D("one", horizon=1.0)
@@ -715,7 +740,7 @@ class TestSpectralCsv:
         mu = K.spectral_density_from_csv(path)
         assert mu.values.shape == (64,)
         an = K.AnisotropicStable2D(1.1, mu)
-        assert an.value(1.0, (0.5, 0.5)) > 0
+        assert an.value(1.0, (0.5, 0.5), O2) > 0
 
 
 def _uniform_aniso():
@@ -770,7 +795,7 @@ class TestBaseKernelProtocol:
     def test_odd_derivative_vanishes_on_diagonal(self, kernel, k):
         assert kernel.base_integrand([0.0], [0.0], k, 1.0, 0.5)[0] is None
 
-    @pytest.mark.parametrize("module", ["subordination", "harness", "mc"])
+    @pytest.mark.parametrize("module", ["subordination", "harness", "mc", "cli"])
     def test_callers_never_name_a_kernel_class(self, module):
         classes = {"ConstantDiffusion", "IsotropicStable", "AnisotropicStable2D", "VariableDiffusion1D"}
         tree = ast.parse(inspect.getsource(importlib.import_module(f"fracgreen.{module}")))
@@ -780,3 +805,52 @@ class TestBaseKernelProtocol:
                 assert not named & classes, f"{module}: isinstance on a kernel class, line {node.lineno}"
             if module == "subordination" and isinstance(node, ast.ImportFrom):
                 assert node.module != "kernels", "subordination imports from kernels"
+
+    def test_rule_names_no_family(self):
+        # the rule's stop tolerance is the kernel's own rule_tol
+        source = inspect.getsource(S)
+        for cls in (K.ConstantDiffusion, K.IsotropicStable, K.AnisotropicStable2D, K.VariableDiffusion1D):
+            assert cls.family not in source
+
+
+class TestProtocol:
+    """One call signature for every family: log_value(t, x, y), value(t, x, y)
+    and derivative(t, x, y, k), and the rule's integrand is log_value itself."""
+
+    TIMES = np.array([0.05, 0.2, 0.45])  # within the fd1d case's horizon
+
+    @pytest.mark.parametrize("family", sorted(PROTOCOL_CASES))
+    def test_value_is_exp_log_value(self, family):
+        make, _, x, y, _ = PROTOCOL_CASES[family]
+        kernel = make()
+        for t in self.TIMES:
+            assert kernel.value(t, x, y) == pytest.approx(math.exp(kernel.log_value(t, x, y)), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("family", sorted(PROTOCOL_CASES))
+    def test_array_of_times_equals_scalar_calls(self, family):
+        make, _, x, y, _ = PROTOCOL_CASES[family]
+        kernel = make()
+        logs = kernel.log_value(self.TIMES, x, y)
+        assert np.array_equal(logs, [kernel.log_value(t, x, y) for t in self.TIMES])
+
+    @pytest.mark.parametrize("family", sorted(PROTOCOL_CASES))
+    def test_integrand_is_log_value(self, family):
+        make, _, x, y, _ = PROTOCOL_CASES[family]
+        kernel = make()
+        log_kernel, _, _ = kernel.base_integrand(x, y, 0, 0.04, 0.5)
+        assert np.array_equal(log_kernel(self.TIMES)[0], kernel.log_value(self.TIMES, x, y))
+
+    @pytest.mark.parametrize("family, k, h", [("gaussian", 1, 1e-6), ("gaussian", 2, 1e-4), ("stable", 1, 1e-5)])
+    def test_derivative_is_difference_of_values(self, family, k, h):
+        make, _, x, y, _ = PROTOCOL_CASES[family]
+        kernel = make()
+        step = h * np.eye(len(x))[0]
+        v = [kernel.value(1.0, np.asarray(x) + j * step, y) for j in (-1, 0, 1)]
+        fd = (v[2] - v[0]) / (2 * h) if k == 1 else (v[2] - 2 * v[1] + v[0]) / h**2
+        assert kernel.derivative(1.0, x, y, k) == pytest.approx(fd, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("family", ["gaussian", "stable"])
+    def test_derivative_of_order_zero_raises(self, family):
+        make, _, x, y, _ = PROTOCOL_CASES[family]
+        with pytest.raises(CapabilityError):
+            make().derivative(1.0, x, y, 0)

@@ -40,7 +40,7 @@ def req(kernel, beta, t, x, y, k=0):
     return S.FracGreenRequest(kernel=kernel, beta=beta, t=t, x=x, y=y, derivative_order=k)
 
 
-GAUSS_TOL = S._FAMILY_TOL[K.ConstantDiffusion.family]
+GAUSS_TOL = K.ConstantDiffusion.rule_tol
 
 
 class TestFracGreenGaussian:
@@ -147,7 +147,7 @@ class TestFracGreenStable:
             / (math.pi * alpha * math.gamma(1.0 - beta / alpha))
         )
         assert math.isfinite(res.value) and res.value > 0
-        assert res.error_estimate < S._FAMILY_TOL[K.IsotropicStable.family]
+        assert res.error_estimate < K.IsotropicStable.rule_tol
         assert res.value == pytest.approx(exact, rel=1e-8)
 
     def test_anisotropic_matches_radial(self):
