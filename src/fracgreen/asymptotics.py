@@ -133,8 +133,7 @@ def oracle_J(spec: LaplaceIntegrandSpec) -> float:
     interior = [w for w in (w_max - width, w_max, w_max + width) if lo < w < hi]
 
     def f(w):
-        d = phi(w) - phi_max
-        return math.exp(d) if d > -745.0 else 0.0
+        return math.exp(phi(w) - phi_max)
 
     val, err = quad(f, lo, hi, points=sorted(interior), epsabs=1e-13, epsrel=1e-10, limit=400)
     if val <= 0.0 or not np.isfinite(val):

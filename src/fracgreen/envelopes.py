@@ -73,11 +73,7 @@ class EnvelopeValue:
 
 
 def _make_value(log_value: float, regime: str) -> EnvelopeValue:
-    if log_value == math.inf:
-        value = math.inf
-    else:
-        value = math.exp(log_value) if log_value > -745.0 else 0.0
-    return EnvelopeValue(value=value, log_value=log_value, regime=regime)
+    return EnvelopeValue(value=math.exp(log_value), log_value=log_value, regime=regime)
 
 
 def compute_omega(family, t, r, beta, alpha=None) -> RegimePoint:

@@ -53,19 +53,20 @@ Every family answers one protocol, so no caller needs to know which it has
 (only ``mc`` names the two d = 1 families it simulates directly):
 
 * ``log_value(t, x, y)`` and ``value(t, x, y)``, G(t, x, y) between points x
-  and y (vectors of length d, or numbers in d = 1), ``t`` an array of times
-  or one; ``t <= 0`` raises ``DomainError``;
+  and y, ``t`` an array of times or one; ``t <= 0`` raises ``DomainError``.
+  Every family reads its points through ``_points``: a point is a vector of
+  length d, or a number in d = 1, and anything else raises ``DomainError``;
 * ``derivative(t, x, y, k)``, the signed d^k G / dx_0^k, in the families
-  with derivatives (k from 1 to ``max_derivative_order()``; a value is
-  ``value``, so k = 0 raises);
+  with derivatives (k from 1 to ``max_derivative_order()``, else
+  ``CapabilityError``; a value is ``value``, so k = 0 raises);
 * ``rule_tol``, the stop tolerance of the subordination rule's h/2h
   difference, set above the family's own evaluation noise (interpolated
   profiles, angular trapezoids, the piecewise-smooth Crank-Nicolson
   history);
 * ``family`` (its name), ``envelope_family`` (``"diffusion"`` or
-  ``"stable"``), ``d``, ``alpha`` (``None`` for the diffusion families),
-  ``horizon`` (``None`` unless the kernel is only valid up to a finite time)
-  and ``max_derivative_order()``;
+  ``"stable"``), ``d``, ``alpha`` (a plain float in (0, 2], ``None`` for the
+  diffusion families), ``horizon`` (``None`` unless the kernel is only valid
+  up to a finite time) and ``max_derivative_order()``;
 * ``base_integrand(x, y, k, t, beta)``, which returns the log|d^k G(s, x, y)|
   and sign as a function of an array of base times s (``None`` where the
   derivative vanishes identically), the scale ``q_scale`` of the kernel's
@@ -86,7 +87,6 @@ Every family answers one protocol, so no caller needs to know which it has
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -104,7 +104,6 @@ __all__ = [
     "AnisotropicStable2D",
     "VariableDiffusion1D",
     "SpectralMeasure",
-    "StableOrder",
     "coefficient_from_csv",
     "spectral_density_from_csv",
     "COEFFICIENT_BUILTINS",
@@ -112,34 +111,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StableOrder:
-    """Validated spatial stability order alpha in (0, 2]; alpha = 2 is the
-    Gaussian sanity limit and is excluded from envelope verification."""
-
-    alpha: float
-
-    def __post_init__(self):
-        a = float(self.alpha)
-        if not (0.0 < a <= 2.0) or not math.isfinite(a):
-            raise DomainError(f"stable order must lie in (0, 2], got {self.alpha}")
-        object.__setattr__(self, "alpha", a)
-
-
 def _alpha_value(alpha) -> float:
-    if isinstance(alpha, StableOrder):
-        return alpha.alpha
-    return StableOrder(float(alpha)).alpha
+    """alpha as a float in (0, 2]; 2 is the Gaussian limit, which envelopes do not verify."""
+    a = float(alpha)
+    if not 0.0 < a <= 2.0:
+        raise DomainError(f"stable order must lie in (0, 2], got {alpha}")
+    return a
 
 
-def _distance(x, y) -> float:
-    dx = np.atleast_1d(np.asarray(x, dtype=float)) - np.atleast_1d(np.asarray(y, dtype=float))
+def _points(x, y, d):
+    """x and y as float vectors of shape (d,); in d = 1 a number is also a
+    point.  Anything else, a string or a ragged list too, raises ``DomainError``."""
+    try:
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"points must be vectors of {d} numbers") from None
+    x, y = np.atleast_1d(x, y) if d == 1 else (x, y)
+    if x.shape != (d,) or y.shape != (d,):
+        raise DomainError(f"points must be vectors of length {d}" + (" or numbers" if d == 1 else ""))
+    return x, y
+
+
+def _distance(x, y, d) -> float:
+    dx = np.subtract(*_points(x, y, d))
     return float(np.sqrt((dx * dx).sum()))
 
 
-def _first(x) -> float:
-    """The first coordinate of a point given as a vector or a number."""
-    return float(np.atleast_1d(x)[0])
+def _check_order(kernel, k):
+    """Require 1 <= k <= ``max_derivative_order()``: a value is ``value``."""
+    kmax = kernel.max_derivative_order()
+    if not 1 <= k <= kmax:
+        raise CapabilityError(f"{type(kernel).__name__} in d = {kernel.d}: derivative order {k} not in 1..{kmax}")
 
 
 def _times(t):
@@ -151,10 +153,9 @@ def _times(t):
 
 
 def _value(self, t, x, y) -> float:
-    """G(t, x, y) from ``log_value``, 0 where it underflows.  Each class binds
-    it as ``value`` in its own body, where perfbench's tracer patches it."""
-    lv = self.log_value(t, x, y)
-    return math.exp(lv) if lv > -745.0 else 0.0
+    """G(t, x, y) = exp(``log_value``).  Each class binds it as ``value`` in
+    its own body, where perfbench's tracer patches it."""
+    return math.exp(self.log_value(t, x, y))
 
 
 def _log_positive(v):
@@ -188,15 +189,12 @@ class ConstantDiffusion:
         if evals.min() <= 0:
             raise DomainError("diffusion matrix must be positive definite")
         self.matrix = A
-        self.ellipticity = float(max(evals.max(), 1.0 / evals.min()))
         self._inv = np.linalg.inv(A)
         self._logdet = float(np.linalg.slogdet(A)[1])
         self.horizon = None
 
     def _quad_form(self, x, y):
-        dx = np.atleast_1d(np.asarray(x, dtype=float)) - np.atleast_1d(np.asarray(y, dtype=float))
-        if dx.shape != (self.d,):
-            raise DomainError(f"points must have dimension {self.d}")
+        dx = np.subtract(*_points(x, y, self.d))
         return dx, float(dx @ self._inv @ dx)
 
     def log_value(self, t, x, y):
@@ -213,8 +211,7 @@ class ConstantDiffusion:
 
     def derivative(self, t, x, y, k):
         """d^k G / dx_0^k, k = 1 or 2, in closed form; ``t`` may be an array of times."""
-        if k not in (1, 2):
-            raise CapabilityError("constant-diffusion derivatives are of order 1 or 2")
+        _check_order(self, k)
         log_dk, sign = self._log_derivative(t, x, y, k)
         out = sign * np.exp(log_dk)
         return float(out) if out.ndim == 0 else out
@@ -230,7 +227,7 @@ class ConstantDiffusion:
 
     def base_integrand(self, x, y, k, t, beta):
         """d^k G / dx_0^k for the subordination rule (see the module docstring)."""
-        if _distance(x, y) == 0.0 and (k == 2 or (k == 0 and self.d >= 2)):
+        if _distance(x, y, self.d) == 0.0 and (k == 2 or (k == 0 and self.d >= 2)):
             raise DomainError("fractional kernel diverges on the diagonal for d + k >= 2")
         dx, q = self._quad_form(x, y)
         if k == 0:
@@ -396,9 +393,6 @@ class _profile_1d:
         return _spline_or_tail(rho, _TAIL_RHO, self._log_value,
                                lambda r: np.log(_tail_series(self.alpha, 0, "cos")(r) / math.pi))
 
-    def value(self, rho):
-        return np.exp(self.log_value(rho))
-
     def log_minus_deriv_over_rho(self, rho):
         """log(-P'(rho)/rho)."""
         return _spline_or_tail(rho, _TAIL_RHO, self._log_minus_over_rho,
@@ -504,7 +498,7 @@ class IsotropicStable:
     def log_value(self, t, x, y):
         """log G(t, x, y), a function of |x - y|; ``t`` may be an array of times."""
         t = _times(t)
-        out = -self.d / self.alpha * np.log(t) + self.log_profile(_distance(x, y) * t ** (-1.0 / self.alpha))
+        out = -self.d / self.alpha * np.log(t) + self.log_profile(_distance(x, y, self.d) * t ** (-1.0 / self.alpha))
         return float(out) if out.ndim == 0 else out
 
     value = _value
@@ -514,9 +508,8 @@ class IsotropicStable:
 
     def derivative(self, t, x, y, k):
         """Signed d/dx G(t, x, y), d = 1 and k = 1 only; ``t`` may be an array of times."""
-        if self.d != 1 or k != 1:
-            raise CapabilityError("stable-kernel derivatives implemented for d = 1, k = 1")
-        rr = _first(x) - _first(y)
+        _check_order(self, k)
+        rr = float(np.subtract(*_points(x, y, 1))[0])
         t = _times(t)
         s = t ** (-1.0 / self.alpha)
         if self.alpha == 2.0:
@@ -531,7 +524,8 @@ class IsotropicStable:
 
     def base_integrand(self, x, y, k, t, beta):
         """G (any d) or dG/dx (d = 1) for the subordination rule (see the module docstring)."""
-        r = _distance(x, y)
+        x, y = _points(x, y, self.d)
+        r = _distance(x, y, self.d)
         if r == 0.0 and k == 0 and self.d >= self.alpha:
             raise DomainError("fractional kernel diverges on the diagonal for d >= alpha")
         q = r ** self.alpha
@@ -539,7 +533,7 @@ class IsotropicStable:
             return (lambda s: (self.log_value(s, x, y), 1.0)), q, None
         if r == 0.0:
             return None, q, None
-        sign = -math.copysign(1.0, _first(x) - _first(y))
+        sign = -math.copysign(1.0, x[0] - y[0])
         return (lambda s: (_log_positive(np.abs(self.derivative(s, x, y, 1))), sign)), q, None
 
 
@@ -551,6 +545,7 @@ class IsotropicStable:
 # anisotropic remainder is integrated (see AnisotropicStable2D)
 _COS_SPLINE_CAP = 400.0
 _REMAINDER_BLOCK = 1 << 16  # rows times angles per block of the remainder
+_MEASURE_SAMPLES = 256  # angles of a measure built from a callable or a constant
 
 
 @lru_cache(maxsize=1)
@@ -614,18 +609,18 @@ class SpectralMeasure:
         self.values = vals
 
     @classmethod
-    def from_callable(cls, fn, n=256):
-        return cls(np.array([fn(a) for a in _uniform_angles(n)]))
+    def from_callable(cls, fn):
+        return cls(np.array([fn(a) for a in _uniform_angles(_MEASURE_SAMPLES)]))
 
     @classmethod
-    def uniform(cls, alpha, n=256):
+    def uniform(cls, alpha):
         """Uniform measure normalised so that w_mu is identically 1."""
         alpha = _alpha_value(alpha)
         mean_abs_cos = (
             math.gamma((alpha + 1.0) / 2.0) / (math.sqrt(math.pi) * math.gamma(alpha / 2.0 + 1.0))
         )
         const = 1.0 / (2.0 * math.pi * mean_abs_cos)
-        return cls(np.full(n, const))
+        return cls(np.full(_MEASURE_SAMPLES, const))
 
     def w_values(self, alpha):
         """w_mu on the angular grid: w(theta) = Int |cos(theta - s)|^alpha mu(ds), on
@@ -702,7 +697,7 @@ class AnisotropicStable2D:
     def log_value(self, t, x, y):
         """log G(t, x, y) at 2-vectors x, y; ``t`` may be an array of times."""
         t = _times(t)
-        xv = (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)).reshape(2)
+        xv = np.subtract(*_points(x, y, 2))
         out = self._log_g(t.ravel(), float(np.hypot(xv[0], xv[1])), math.atan2(xv[1], xv[0]))
         return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
@@ -713,7 +708,7 @@ class AnisotropicStable2D:
 
     def base_integrand(self, x, y, k, t, beta):
         """G for the subordination rule (see the module docstring)."""
-        r = _distance(x, y)
+        r = _distance(x, y, 2)
         if r == 0.0:
             raise DomainError("fractional kernel diverges on the diagonal for d = 2 >= alpha")
         return (lambda s: (self.log_value(s, x, y), 1.0)), r ** self.alpha, None
@@ -745,17 +740,26 @@ SPECTRAL_BUILTINS = {
 }
 
 
+def _two_columns(path):
+    """The two columns of a numeric CSV file."""
+    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    if data.shape[1] != 2:
+        raise DomainError(f"{path}: need two columns, got {data.shape[1]}")
+    return data[:, 0], data[:, 1]
+
+
 def coefficient_from_csv(path):
-    """Callable coefficient from a two-column (x, value) CSV file."""
-    data = np.loadtxt(path, delimiter=",")
-    xs, vals = data[:, 0], data[:, 1]
+    """Callable coefficient from a two-column (x, value) CSV file, x strictly increasing."""
+    xs, vals = _two_columns(path)
+    if not np.all(np.diff(xs) > 0.0):
+        raise DomainError(f"{path}: the x column must strictly increase")
     return lambda x: np.interp(np.asarray(x, dtype=float), xs, vals)
 
 
 def spectral_density_from_csv(path):
     """SpectralMeasure from a two-column (angle, value) CSV file."""
-    data = np.loadtxt(path, delimiter=",")
-    return SpectralMeasure(data[:, 1], angles=data[:, 0])
+    angles, vals = _two_columns(path)
+    return SpectralMeasure(vals, angles=angles)
 
 
 # the symmetrising scales stay within e^{+-_LOG_SCALE_MAX}, so u / s and s x
@@ -1052,11 +1056,12 @@ class VariableDiffusion1D:
         return hist
 
     def value(self, t, x, y, *, allow_beyond_horizon=False):
-        """G(t, x, y) at the first coordinates of x and y; ``t`` may be an array of times."""
+        """G(t, x, y); ``t`` may be an array of times."""
         t = _times(t)
+        x, y = (float(v[0]) for v in _points(x, y, 1))
         if np.any(t > self.horizon) and not allow_beyond_horizon:
             raise HorizonError(f"t = {np.max(t):g} beyond horizon T = {self.horizon:g}")
-        out = self.history(_first(y), t_max=max(self.horizon, np.max(t))).eval(t, _first(x))
+        out = self.history(y, t_max=max(self.horizon, np.max(t))).eval(t, x)
         return float(out) if out.ndim == 0 else out
 
     def log_value(self, t, x, y):
@@ -1076,10 +1081,10 @@ class VariableDiffusion1D:
         """G for the subordination rule (see the module docstring), clipped at
         the request's own ``_clip(t, beta)``, to which the source's history is
         extended."""
+        x, y = (float(v[0]) for v in _points(x, y, 1))
         t_clip = self._clip(t, beta)
-        hist = self.history(_first(y), t_clip)
-        xf = _first(x)
-        return (lambda s: (_log_positive(hist.eval(s, xf)), 1.0)), (xf - hist.y) ** 2, t_clip
+        hist = self.history(y, t_clip)
+        return (lambda s: (_log_positive(hist.eval(s, x)), 1.0)), (x - hist.y) ** 2, t_clip
 
     def grid_mass(self, t, y=0.0) -> float:
         hist = self.history(y, t_max=max(self.horizon, t))

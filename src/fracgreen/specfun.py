@@ -45,7 +45,6 @@ from scipy.special import gammaln
 from .errors import DomainError, RangeGuardError
 
 __all__ = [
-    "FracOrder",
     "StableDensityEval",
     "stable_density",
     "stable_density_eval",
@@ -60,31 +59,19 @@ __all__ = [
     "potential_density",
 ]
 
-_EPS = np.finfo(float).eps
-
 # Evaluation-strategy constants (see module docstring).
 SWITCH_POINT = 1.0          # series for x >= switch, integral below
 ML_SERIES_GUARD = 50.0      # hard |z| guard for ml_series
 _ML_FLOAT_RELLOG = 4.0      # float summation while max term < e^4 |result|
-
-
-@dataclass(frozen=True)
-class FracOrder:
-    """Validated fractional time order beta in (0, 1)."""
-
-    beta: float
-
-    def __post_init__(self):
-        b = float(self.beta)
-        if not (0.0 < b < 1.0) or not math.isfinite(b):
-            raise DomainError(f"fractional order must lie in (0, 1), got {self.beta}")
-        object.__setattr__(self, "beta", b)
+_ML_SERIES_TOL = 1e-12      # the float series stops at terms below 1e-14
 
 
 def _beta_value(beta) -> float:
-    if isinstance(beta, FracOrder):
-        return beta.beta
-    return FracOrder(float(beta)).beta
+    """The fractional order beta as a float in (0, 1)."""
+    b = float(beta)
+    if not 0.0 < b < 1.0:
+        raise DomainError(f"fractional order must lie in (0, 1), got {beta}")
+    return b
 
 
 @dataclass(frozen=True)
@@ -455,7 +442,7 @@ def _neumaier_sum(terms):
     return s + comp
 
 
-def _ml_series_float(z, b, tol, deriv=False):
+def _ml_series_float(z, b, deriv=False):
     terms = []
     k = 1 if deriv else 0
     biggest = 0.0
@@ -472,7 +459,7 @@ def _ml_series_float(z, b, tol, deriv=False):
             t = -t
         terms.append(t)
         biggest = max(biggest, abs(t))
-        if k > 3 and abs(t) < 0.01 * tol and abs(t) < 1e-6 * max(biggest, 1.0):
+        if k > 3 and abs(t) < 0.01 * _ML_SERIES_TOL and abs(t) < 1e-6 * max(biggest, 1.0):
             break
         k += 1
         if k > 100000:
@@ -503,7 +490,7 @@ def _ml_spectral(z, b, deriv=False):
     return out
 
 
-def _ml_ladder(beta, z, tol, deriv):
+def _ml_ladder(beta, z, deriv):
     """E_beta(z) or E'_beta(z) for |z| <= ML_SERIES_GUARD (see the module docstring)."""
     b = _beta_value(beta)
     z = float(z)
@@ -514,7 +501,7 @@ def _ml_ladder(beta, z, tol, deriv):
     if z == 0.0:
         return 1.0 / math.gamma(1.0 + b) if deriv else 1.0
     if z > 0.0:
-        return _ml_series_float(z, b, tol, deriv=deriv)
+        return _ml_series_float(z, b, deriv=deriv)
     # the float series loses tens of eps times its largest term to rounding:
     # it is kept while that term (of the series being summed: differentiated
     # terms are larger by about k / |z|) is within e^_ML_FLOAT_RELLOG of the
@@ -522,23 +509,23 @@ def _ml_ladder(beta, z, tol, deriv):
     # 1/Gamma(1 + b), and a larger term skips the sum
     maxlog = _ml_maxlog(z, b, deriv)
     if maxlog + gammaln(1.0 + b) <= _ML_FLOAT_RELLOG:
-        s = _ml_series_float(z, b, tol, deriv=deriv)
+        s = _ml_series_float(z, b, deriv=deriv)
         if maxlog - math.log(s) <= _ML_FLOAT_RELLOG:
             return s
     return _ml_spectral(z, b, deriv=deriv)
 
 
-def ml_series(beta, z, tol=1e-12) -> float:
+def ml_series(beta, z) -> float:
     """Mittag-Leffler function E_beta(z) = sum_k z^k / Gamma(k beta + 1).
 
     Guarded at |z| <= ML_SERIES_GUARD; beyond the guard use :func:`ml_pz`.
     """
-    return _ml_ladder(beta, z, tol, deriv=False)
+    return _ml_ladder(beta, z, deriv=False)
 
 
-def ml_series_deriv(beta, z, tol=1e-12) -> float:
+def ml_series_deriv(beta, z) -> float:
     """Term-wise differentiated series E'_beta(z), same guard as ml_series."""
-    return _ml_ladder(beta, z, tol, deriv=True)
+    return _ml_ladder(beta, z, deriv=True)
 
 
 def ml_pz(beta, s) -> float:

@@ -39,7 +39,6 @@ import numpy as np
 
 from .errors import AccuracyError, CapabilityError, CoverageError, DomainError, HorizonError
 from .specfun import (
-    FracOrder,
     _beta_value,
     stable_density_log,
     stable_exponent_constant,
@@ -54,7 +53,7 @@ class FracGreenRequest:
     """Evaluation request for the fractional kernel or a spatial derivative."""
 
     kernel: object
-    beta: float | FracOrder
+    beta: float
     t: float
     x: object
     y: object
@@ -93,6 +92,9 @@ _MAX_LEVEL = 12      # finest step _H0 / 2^12
 _DROP = 46.0         # window ends: phi this far below its largest node value
 _ZETA_LIMIT = 600.0  # |zeta| beyond which a window is not extended
 _TRUNC_MASS = 1e-8   # largest neglected weight mass beyond a clipped window
+_MAX_BETAS = 8       # betas a weight cache keeps, least recently used first out
+_MAX_NODES = 1 << 15  # values per beta; a table that outgrows it is dropped
+_MASS_THRESHOLD = 0.999  # least kernel mass a frac_solve grid must capture
 
 
 class _OmegaTable:
@@ -120,16 +122,12 @@ class _OmegaTable:
 
 
 class _WeightCache:
-    """omega_beta memoised per beta, keyed by zeta (exact on the lattice) in
-    a sorted array and looked up by bisection, with no per-node Python
-    work.  Bounded: at most ``max_betas`` betas, least recently used first
-    out, and at most ``max_nodes`` values per beta (a table that outgrows it
-    is dropped).  Values are computed elementwise, so none depends on which
-    request filled it."""
+    """omega_beta memoised per beta, keyed by zeta (exact on the lattice) in a
+    sorted array and looked up by bisection, with no per-node Python work,
+    within ``_MAX_BETAS`` and ``_MAX_NODES``.  Values are computed
+    elementwise, so none depends on which request filled it."""
 
-    def __init__(self, max_betas=8, max_nodes=1 << 15):
-        self.max_betas = max_betas
-        self.max_nodes = max_nodes
+    def __init__(self):
         self._tables = OrderedDict()
         self._lock = threading.Lock()
 
@@ -142,9 +140,9 @@ class _WeightCache:
             if todo.any():
                 out[todo] = subordination_log_weight(beta, zeta[todo])
                 table = table.merged(zeta[todo], out[todo])
-            if len(table) <= self.max_nodes:
+            if len(table) <= _MAX_NODES:
                 self._tables[beta] = table
-                if len(self._tables) > self.max_betas:
+                if len(self._tables) > _MAX_BETAS:
                     self._tables.popitem(last=False)
             return out
 
@@ -251,7 +249,7 @@ def _scan_window(beta, t, q_scale):
 
 def _result(log_int, sign, beta, err, nodes, trunc=0.0):
     logv = log_int - math.log(beta)
-    value = sign * (math.exp(logv) if logv > -745.0 else 0.0)
+    value = sign * math.exp(logv)
     return FracGreenResult(value=value, log_value=logv, truncated_mass_bound=trunc, error_estimate=err, nodes=nodes)
 
 
@@ -295,12 +293,12 @@ def frac_green_derivative(req: FracGreenRequest) -> float:
     return frac_green_detailed(req).value
 
 
-def frac_solve(kernel, beta, t, y_grid, y_values, x, mass_threshold=0.999) -> float:
+def frac_solve(kernel, beta, t, y_grid, y_values, x) -> float:
     """Apply the fractional evolution to initial data sampled on a grid.
 
     ``y_grid``/``y_values`` sample the initial condition; the result is the
     tensor-quadrature value of Int Gb(t, x, y) Y(y) dy.  Raises CoverageError
-    when the grid captures less than ``mass_threshold`` of the kernel mass, and
+    when the grid captures less than ``_MASS_THRESHOLD`` of the kernel mass, and
     DomainError when x lies on a node where the kernel diverges.
     """
     beta = _beta_value(beta)
@@ -310,8 +308,8 @@ def frac_solve(kernel, beta, t, y_grid, y_values, x, mass_threshold=0.999) -> fl
         raise DomainError("y_grid and y_values must be matching 1-D arrays")
     gvals = np.array([frac_green(FracGreenRequest(kernel=kernel, beta=beta, t=t, x=x, y=yy)) for yy in y_grid])
     mass = float(np.trapezoid(gvals, y_grid))
-    if mass < mass_threshold:
+    if mass < _MASS_THRESHOLD:
         raise CoverageError(
-            f"grid captures kernel mass {mass:.6f} < {mass_threshold:.6f}"
+            f"grid captures kernel mass {mass:.6f} < {_MASS_THRESHOLD:.6f}"
         )
     return float(np.trapezoid(gvals * y_values, y_grid))

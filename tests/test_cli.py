@@ -103,6 +103,17 @@ class TestEnvelope:
         assert json.loads(err)["error"] == "SpecError"
 
 
+class TestPointDimension:
+    @pytest.mark.parametrize("flags", [("--kernel", "gaussian", "--d", "3"),
+                                       ("--kernel", "stable", "--d", "3", "--alpha", "1.5"),
+                                       ("--kernel", "anisotropic", "--alpha", "1.5")])
+    def test_short_point_is_error_record(self, flags):
+        # one coordinate for a d >= 2 kernel: not broadcast, not read as a radius
+        code, out, err = run_cli("green", *flags, "--beta", "0.5", "--t", "1", "--x", "1", "--y", "0")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+
 # (flags of `fracgreen kernel`, the kernel they build)
 KERNEL_TABLES = {
     "gaussian": (("--kernel", "gaussian", "--d", "3"), lambda: K.ConstantDiffusion(3)),

@@ -297,6 +297,16 @@ class TestArgumentValidation:
             env.derivative_regime(p, beta, "diffusion")
 
 
+class TestMakeValue:
+    @pytest.mark.parametrize("log_value, value", [(math.inf, math.inf), (-math.inf, 0.0), (-800.0, 0.0), (0.0, 1.0)])
+    def test_value_is_exp_of_log(self, log_value, value):
+        ev = env._make_value(log_value, "x")
+        assert (ev.value, ev.log_value, ev.regime) == (value, log_value, "x")
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(env._make_value(math.nan, "x").value)
+
+
 class TestGlobalize:
     def test_zero_rate(self):
         assert env.globalize_local(1.0, 0.0, 5.0) == (1.0, 1.0)

@@ -228,9 +228,9 @@ class TestIsotropicStable:
         for alpha in (0.8, 1.5):
             p = K._profile_1d(alpha)
             lo = K._fourier_moment(alpha, 0, "cos", 59.0) / math.pi
-            assert p.value(59.0) == pytest.approx(lo, rel=1e-8, abs=0.0)
+            assert np.exp(p.log_value(59.0)) == pytest.approx(lo, rel=1e-8, abs=0.0)
             tail = K._tail_series(alpha, 0, "cos")(61.0) / math.pi
-            assert p.value(61.0) == pytest.approx(tail, rel=1e-12, abs=0.0)
+            assert np.exp(p.log_value(61.0)) == pytest.approx(tail, rel=1e-12, abs=0.0)
 
     def test_radial_tail_series_handoff(self):
         # the d = 2 spline hands over to the tail series at _RADIAL_TAIL_RHO = 20
@@ -730,8 +730,30 @@ class TestVariableDiffusion:
         fd = K.VariableDiffusion1D(a, horizon=0.2)
         assert fd.value(0.1, 0.0, 0.0) > 0
 
+    @pytest.mark.parametrize("rows", ["1,2\n0,1\n-1,3\n", "0,1\n0,2\n1,3\n", "nan,1\n0,2\n"])
+    def test_csv_coefficient_x_must_increase(self, tmp_path, rows):
+        # interpolating the first file would give a(0) = 3.0 where it says 1.0
+        path = tmp_path / "coef.csv"
+        path.write_text(rows)
+        with pytest.raises(DomainError):
+            K.coefficient_from_csv(path)
+
+    @pytest.mark.parametrize("rows", ["0\n1\n2\n", "0,1,2\n1,2,3\n"])
+    def test_csv_coefficient_needs_two_columns(self, tmp_path, rows):
+        path = tmp_path / "coef.csv"
+        path.write_text(rows)
+        with pytest.raises(DomainError):
+            K.coefficient_from_csv(path)
+
 
 class TestSpectralCsv:
+    @pytest.mark.parametrize("rows", ["0\n1\n2\n", "0,1,2\n1,2,3\n"])
+    def test_needs_two_columns(self, tmp_path, rows):
+        path = tmp_path / "mu.csv"
+        path.write_text(rows)
+        with pytest.raises(DomainError):
+            K.spectral_density_from_csv(path)
+
     def test_roundtrip(self, tmp_path):
         ang = np.linspace(0, 2 * math.pi, 64, endpoint=False)
         vals = 1.0 + 0.3 * np.cos(2 * ang)
@@ -854,3 +876,102 @@ class TestProtocol:
         make, _, x, y, _ = PROTOCOL_CASES[family]
         with pytest.raises(CapabilityError):
             make().derivative(1.0, x, y, 0)
+
+    def test_value_of_a_nan_log_is_nan(self):
+        class NanLog:
+            def log_value(self, t, x, y):
+                return math.nan
+
+        assert math.isnan(K._value(NanLog(), 1.0, 0.0, 0.0))
+
+
+# calls that read a pair of points, each at a time within the fd1d case's horizon
+POINT_CALLS = {
+    "log_value": lambda kernel, x, y: kernel.log_value(0.3, x, y),
+    "value": lambda kernel, x, y: kernel.value(0.3, x, y),
+    "base_integrand": lambda kernel, x, y: kernel.base_integrand(x, y, 0, 0.3, 0.5),
+    "derivative": lambda kernel, x, y: kernel.derivative(0.3, x, y, 1),
+}
+
+
+def _bad_point_pairs(x, y):
+    """Pairs that are not two points of the dimension of (x, y)."""
+    x, y = np.atleast_1d(x).tolist(), np.atleast_1d(y).tolist()
+    return [(x + [0.0], y), (x[:-1], y), (x, y + [0.0]), ([x], y), (np.array([x, x]), y),
+            ("one", y), (x, "zero"), ([x, [0.0] * (len(x) + 1)], y)]
+
+
+class TestPointReader:
+    """Every family reads its points through one reader: a vector of length
+    d, or a number in d = 1; anything else raises DomainError."""
+
+    @pytest.mark.parametrize(
+        "family, call",
+        [(f, c) for f in sorted(PROTOCOL_CASES) for c in POINT_CALLS if c != "derivative"]
+        + [("gaussian", "derivative"), ("stable", "derivative")],
+    )
+    def test_malformed_points_raise(self, family, call):
+        make, _, x, y, _ = PROTOCOL_CASES[family]
+        kernel = make()
+        for bad_x, bad_y in _bad_point_pairs(x, y):
+            with pytest.raises(DomainError):
+                POINT_CALLS[call](kernel, bad_x, bad_y)
+
+    @pytest.mark.parametrize("make", [lambda: K.ConstantDiffusion(1), lambda: K.IsotropicStable(1, 1.5),
+                                      lambda: K.VariableDiffusion1D("one", horizon=0.5, dx=0.05, dt=0.05)])
+    def test_number_is_a_point_in_d1(self, make):
+        kernel = make()
+        assert kernel.value(0.3, 0.5, 0.0) == kernel.value(0.3, [0.5], [0.0]) == kernel.value(
+            0.3, np.float64(0.5), np.array(0.0)) > 0
+
+    def test_number_is_not_a_point_in_d2(self):
+        with pytest.raises(DomainError):
+            K.ConstantDiffusion(2).value(0.3, 0.5, 0.0)
+
+    def test_gaussian_does_not_broadcast_a_short_point(self):
+        gauss = K.ConstantDiffusion(3)
+
+        def green(x):
+            return S.frac_green(S.FracGreenRequest(kernel=gauss, beta=0.5, t=1.0, x=x, y=(0.0, 0.0, 0.0)))
+
+        # a broadcast would read [1.0] as (1, 1, 1), where G is 0.008388363302330375
+        with pytest.raises(DomainError):
+            green([1.0])
+        assert green([1.0, 0.0, 0.0]) == pytest.approx(0.024852423879502747, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("x, y", [([1.0], [0.0]), ([1.0, 0.0], [0.0, 0.0]), ([1.0], [0.0, 0.0, 0.0])])
+    def test_stable_d3_does_not_read_short_points_as_a_radius(self, x, y):
+        stable = K.IsotropicStable(3, 1.5)
+        with pytest.raises(DomainError):
+            stable.value(1.0, x, y)
+        with pytest.raises(DomainError):
+            S.frac_green(S.FracGreenRequest(kernel=stable, beta=0.5, t=1.0, x=x, y=y))
+
+    def test_fd1d_does_not_read_first_coordinates(self):
+        fd = K.VariableDiffusion1D("one", dx=0.05, dt=0.05)
+        with pytest.raises(DomainError):
+            fd.value(0.3, [0.5, 9.0], [0.0, 3.0])
+        with pytest.raises(DomainError):
+            S.frac_green(S.FracGreenRequest(kernel=fd, beta=0.5, t=0.3, x=[0.5, 9.0], y=[0.0, 3.0]))
+
+    def test_anisotropic_short_point_is_a_domain_error(self):
+        an = _uniform_aniso()
+        with pytest.raises(DomainError):
+            an.value(1.0, [1.0], [0.0])
+        with pytest.raises(DomainError):
+            S.frac_green(S.FracGreenRequest(kernel=an, beta=0.5, t=1.0, x=[1.0], y=[0.0]))
+
+
+class TestStableOrder:
+    """The stable order alpha is a plain float, checked by ``_alpha_value``."""
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, 2.5, float("nan"), float("inf")])
+    def test_rejects_out_of_range(self, bad):
+        with pytest.raises(DomainError):
+            K._alpha_value(bad)
+        with pytest.raises(DomainError):
+            K.IsotropicStable(1, bad)
+
+    def test_accepts_two(self):
+        assert K._alpha_value(2.0) == 2.0
+        assert K.IsotropicStable(1, 2.0).alpha == 2.0

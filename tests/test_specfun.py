@@ -69,13 +69,15 @@ W_ORACLE = {
 
 
 class TestFracOrder:
+    """The fractional order beta is a plain float, checked by ``_beta_value``."""
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7, float("nan")])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(DomainError):
-            sf.FracOrder(bad)
+            sf._beta_value(bad)
 
     def test_accepts_interior(self):
-        assert sf.FracOrder(0.5).beta == 0.5
+        assert sf._beta_value(0.5) == 0.5
 
 
 class TestStableDensity:

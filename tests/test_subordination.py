@@ -255,8 +255,8 @@ class TestLatticeRule:
         for beta in np.linspace(0.2, 0.9, 200):
             S.frac_green(req(gauss1d, float(beta), 1.0, [0.5], [0.0]))
         sizes = [len(table) for table in cache._tables.values()]
-        assert 0 < len(sizes) <= cache.max_betas
-        assert max(sizes) <= cache.max_nodes
+        assert 0 < len(sizes) <= S._MAX_BETAS
+        assert max(sizes) <= S._MAX_NODES
 
     def test_finest_level_without_convergence_raises(self, gauss1d, monkeypatch):
         monkeypatch.setattr(S, "_MAX_LEVEL", 1)
