@@ -41,7 +41,8 @@ from scipy.special import stdtrit
 from . import envelopes as env
 from .errors import CapabilityError, DomainError, FitError, SpecError
 from .specfun import _beta_value
-from .subordination import FracGreenRequest, frac_green_detailed
+# frac_green_detailed stays bound here: perfbench's tracer patches this name
+from .subordination import FracGreenResult, frac_green_batch, frac_green_detailed  # noqa: F401
 
 __all__ = [
     "SweepGrid",
@@ -235,29 +236,26 @@ class VerificationReport:
     derivative_order: int
     one_sided: bool
     ratio_ceiling: float
-    points: list = field(default_factory=list)
+    points: np.ndarray = field(default_factory=lambda: np.empty(0, ROW_DTYPE))
     regime_stats: dict = field(default_factory=dict)
     fits: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     passed: bool = False
-    schema_version: int = 1
+    schema_version: int = 2
     config: dict = field(default_factory=dict)
 
     def as_dict(self):
-        # shallow: the fields hold plain dicts and lists, which json reads as they are
+        # shallow: the fields hold plain dicts and lists, which json reads as
+        # they are, and the rows, which _json_default reads
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _eval_point(kernel, beta, t, r, k):
-    """(log G or log |dG|, skip flag) at radius r along the first axis."""
-    x = np.zeros(kernel.d)
-    x[0] = r
-    req = FracGreenRequest(kernel=kernel, beta=beta, t=t, x=x, y=np.zeros(kernel.d), derivative_order=k)
-    if k > 0 and r == 0.0:
-        # odd symmetry: first derivative vanishes identically on the diagonal
-        return -math.inf, True
-    return frac_green_detailed(req).log_value, False
+# one row per grid point; nodes and error_estimate are the rule's, 0 and NaN
+# where no rule ran
+ROW_DTYPE = np.dtype([("t", float), ("r", float), ("omega", float), ("regime", object), ("log_G", float),
+                      ("log_envelope", float), ("log_ratio", float), ("flag", object),
+                      ("error_estimate", float), ("nodes", np.int64)])
 
 
 def _check_envelope_order(family, k):
@@ -279,43 +277,46 @@ def envelope_value(family, d, alpha, beta, k, point, rate=1.0, case="global"):
 
 
 def _collect_points(kernel, beta, grid, k, rate, case, horizon):
+    """The rows of a sweep: every point along the first axis evaluated in one batch."""
     family, d, alpha = _kernel_traits(kernel)
-    rows = []
-    for t in grid.t_values:
-        if ((horizon is not None and t > horizon * (1 + 1e-12))
-                or (case == "local_small_time" and t >= 1.0) or (case == "local_large_time" and t <= 1.0)):
-            continue
-        t = float(t)
-        for r in grid.r_values:
-            r = float(r)
-            point = env.compute_omega(family, t, r, beta, alpha=alpha)
-            regime = point.regime
-            if case == "local_small_time":
-                regime = env.derivative_regime(point, beta, family)
-            try:
-                log_g, skipped = _eval_point(kernel, beta, t, r, k)
-            except DomainError:
-                # known on-diagonal divergence (d >= 2 / d >= alpha); the
-                # envelope shape diverges there too
-                log_g = log_env = math.inf
-                flag = "skipped:diagonal-divergent"
-            except Exception as exc:  # per-point failures are flagged, not fatal
-                log_g = log_env = math.nan
-                flag = f"error:{type(exc).__name__}"
+    ts = [float(t) for t in grid.t_values
+          if not ((horizon is not None and t > horizon * (1 + 1e-12))
+                  or (case == "local_small_time" and t >= 1.0) or (case == "local_large_time" and t <= 1.0))]
+    rows = np.zeros(len(ts) * len(grid.r_values), ROW_DTYPE)
+    rows["t"] = np.repeat(ts, len(grid.r_values))
+    rows["r"] = np.tile(np.asarray(grid.r_values, dtype=float), len(ts))
+    # odd symmetry: a first derivative vanishes identically on the diagonal
+    skip = (rows["r"] == 0.0) & (k > 0)
+    x = np.zeros((len(rows), d))
+    x[:, 0] = rows["r"]
+    results = iter(frac_green_batch(kernel, beta, rows["t"][~skip], x[~skip], np.zeros_like(x[~skip]), k))
+    for i, (t, r) in enumerate(zip(rows["t"].tolist(), rows["r"].tolist())):
+        point = env.compute_omega(family, t, r, beta, alpha=alpha)
+        regime = env.derivative_regime(point, beta, family) if case == "local_small_time" else point.regime
+        res = None if skip[i] else next(results)
+        err, nodes = (res.error_estimate, res.nodes) if isinstance(res, FracGreenResult) else (math.nan, 0)
+        if isinstance(res, DomainError):
+            # known on-diagonal divergence (d >= 2 / d >= alpha); the
+            # envelope shape diverges there too
+            log_g = log_env = math.inf
+            flag = "skipped:diagonal-divergent"
+        elif isinstance(res, Exception):  # per-point failures are flagged, not fatal
+            log_g = log_env = math.nan
+            flag = f"error:{type(res).__name__}"
+        else:
+            log_env = envelope_value(family, d, alpha, beta, k, point, rate, case=case).log_value
+            if res is None:
+                log_g, err, flag = -math.inf, 0.0, "skipped:diagonal-derivative"
             else:
-                log_env = envelope_value(family, d, alpha, beta, k, point, rate, case=case).log_value
-                if skipped:
-                    flag = "skipped:diagonal-derivative"
-                else:
-                    flag = "ok" if np.isfinite(log_env) else "skipped:envelope-divergent"
-            rows.append({"t": t, "r": r, "omega": point.omega, "regime": regime, "log_G": log_g,
-                         "log_envelope": log_env, "log_ratio": log_g - log_env if flag == "ok" else math.nan,
-                         "flag": flag})
+                log_g, flag = res.log_value, "ok" if np.isfinite(log_env) else "skipped:envelope-divergent"
+        rows[i] = (t, r, point.omega, regime, log_g, log_env, log_g - log_env if flag == "ok" else math.nan, flag,
+                   err, nodes)
     return rows
 
 
 def _refit_exponential_rate(rows, kernel, beta, k, case):
-    """Choose the exponential rate minimising the off-diagonal ratio spread.
+    """Choose the exponential rate minimising the off-diagonal ratio spread,
+    and set the rows' envelopes and ratios at that rate.
 
     The paper's estimates leave the rate unspecified, and the default 1 is
     never trusted.  Only the off-diagonal branches carry exp{-rate ...}, so
@@ -323,34 +324,33 @@ def _refit_exponential_rate(rows, kernel, beta, k, case):
     the rate: its values at 1 and 2 give every trial rate.  Fewer than 4
     off-diagonal rows keep rate 1.
     """
-    idx = [i for i, p in enumerate(rows) if p["flag"] == "ok" and p["omega"] > 1.0]
+    idx = np.flatnonzero((rows["flag"] == "ok") & (rows["omega"] > 1.0))
     if len(idx) < 4:
-        return 1.0, rows
+        return 1.0
     family, d, alpha = _kernel_traits(kernel)
-    points = [env.compute_omega(family, rows[i]["t"], rows[i]["r"], beta, alpha=alpha) for i in idx]
+    points = [env.compute_omega(family, t, r, beta, alpha=alpha)
+              for t, r in zip(rows["t"][idx].tolist(), rows["r"][idx].tolist())]
     le1, le2 = (
         np.array([envelope_value(family, d, alpha, beta, k, point, c, case=case).log_value for point in points])
         for c in (1.0, 2.0)
     )
     slope = le2 - le1
-    log_g = np.array([rows[i]["log_G"] for i in idx])
+    log_g = rows["log_G"][idx]
     res = minimize_scalar(lambda c: np.ptp(log_g - le1 - (c - 1.0) * slope), bounds=(1e-3, 5.0),
                           method="bounded", options={"xatol": 1e-8})
     rate = float(res.x)
-    out = list(rows)
-    for i, le in zip(idx, le1 + (rate - 1.0) * slope):
-        le = float(le)
-        out[i] = {**rows[i], "log_envelope": le, "log_ratio": rows[i]["log_G"] - le}
-    return rate, out
+    rows["log_envelope"][idx] = le1 + (rate - 1.0) * slope
+    rows["log_ratio"][idx] = log_g - rows["log_envelope"][idx]
+    return rate
 
 
 def _per_side_rates(rows, beta):
     """Separate upper/lower exponential rates from the residual hulls."""
-    off = [p for p in rows if p["flag"] == "ok" and p["omega"] > 1.0]
+    off = rows[(rows["flag"] == "ok") & (rows["omega"] > 1.0)]
     if len(off) < 8:
         return None
-    xi = np.array([p["omega"] ** (1.0 / (2.0 - beta)) for p in off])
-    resid = np.array([p["log_ratio"] for p in off])
+    xi = off["omega"] ** (1.0 / (2.0 - beta))
+    resid = off["log_ratio"]
     med = np.median(resid)
     out = {}
     for label, mask in (("upper", resid >= med), ("lower", resid < med)):
@@ -364,15 +364,15 @@ def _per_side_rates(rows, beta):
 
 def _regime_stats(rows):
     out = {}
-    for regime in sorted({p["regime"] for p in rows}):
-        vals = [p["log_ratio"] for p in rows if p["regime"] == regime and p["flag"] == "ok"]
-        if not vals:
+    for regime in sorted(set(rows["regime"])):
+        vals = rows["log_ratio"][(rows["regime"] == regime) & (rows["flag"] == "ok")]
+        if not vals.size:
             continue
         out[regime] = {
-            "count": len(vals),
-            "min_log_ratio": float(min(vals)),
-            "max_log_ratio": float(max(vals)),
-            "spread": float(max(vals) - min(vals)),
+            "count": int(vals.size),
+            "min_log_ratio": float(vals.min()),
+            "max_log_ratio": float(vals.max()),
+            "spread": float(vals.max() - vals.min()),
         }
     return out
 
@@ -385,8 +385,8 @@ def _power_slope(rows, dim, beta, alpha, expected, tol):
     """
     if len(rows) < 8:
         return None
-    xs = np.array([p["omega"] for p in rows])
-    ys = np.array([math.exp(p["log_G"] + dim * beta / alpha * math.log(p["t"])) for p in rows])
+    xs = rows["omega"]
+    ys = np.exp(rows["log_G"] + dim * beta / alpha * np.log(rows["t"]))
     fr = fit_constants(xs, ys, model="power")
     return {**fr.as_dict(), "expected_exponent": expected}, bool(abs(fr.params["exponent"] - expected) <= tol)
 
@@ -417,7 +417,7 @@ def _certify(selector, kernel, beta, k, grid, rate, ratio_ceiling, horizon):
     rows = _collect_points(kernel, beta, grid, k, rate, spec.case, horizon)
     fits = {}
     if fit_rate:
-        rate, rows = _refit_exponential_rate(rows, kernel, beta, k, spec.case)
+        rate = _refit_exponential_rate(rows, kernel, beta, k, spec.case)
         fits["exponential_rate_fitted"] = rate
         sides = None if spec.one_sided else _per_side_rates(rows, beta)
         if sides:
@@ -427,29 +427,29 @@ def _certify(selector, kernel, beta, k, grid, rate, ratio_ceiling, horizon):
                 "detail": sides,
             }
     stats = _regime_stats(rows)
-    ok_rows = [p for p in rows if p["flag"] == "ok"]
-    log_ratios = [p["log_ratio"] for p in ok_rows]
+    ok_rows = rows[rows["flag"] == "ok"]
+    log_ratios = ok_rows["log_ratio"]
     flags = {}
     if spec.one_sided:
         tolerances = {"slope_tol": 0.15}
-        flags["fitted_constant_finite"] = bool(log_ratios) and np.isfinite(max(log_ratios))
-        if log_ratios:
-            fits["fitted_C"] = float(math.exp(max(log_ratios)))
+        flags["fitted_constant_finite"] = bool(log_ratios.size) and bool(np.isfinite(log_ratios.max()))
+        if log_ratios.size:
+            fits["fitted_C"] = math.exp(log_ratios.max())
     else:
         tolerances = {"ratio_ceiling": ratio_ceiling, "r_squared_min": 0.99, "slope_tol": 0.1}
         flags["regime_coverage"] = len(stats) >= 2
-        flags["all_ratios_finite"] = all(np.isfinite(log_ratios))
-        if log_ratios:
+        flags["all_ratios_finite"] = bool(np.isfinite(log_ratios).all())
+        if log_ratios.size:
             # realized prefactor window (the fitted two-sided constants)
-            fits["prefactors"] = {"low": float(math.exp(min(log_ratios))), "high": float(math.exp(max(log_ratios)))}
+            fits["prefactors"] = {"low": math.exp(log_ratios.min()), "high": math.exp(log_ratios.max())}
     if ratio_ceiling is not None:
         flags["ratio_ceiling"] = all(s["spread"] < math.log(ratio_ceiling) for s in stats.values())
 
     if family == "diffusion" and not spec.one_sided:
         # log G + (d beta / 2) log t should be linear in Omega^{1/(2-beta)}
-        off = [p for p in ok_rows if p["omega"] > 1.0]
-        xs = np.array([p["omega"] ** (1.0 / (2.0 - beta)) for p in off])
-        ys = np.array([p["log_G"] + d * beta / 2.0 * math.log(p["t"]) for p in off])
+        off = ok_rows[ok_rows["omega"] > 1.0]
+        xs = off["omega"] ** (1.0 / (2.0 - beta))
+        ys = off["log_G"] + d * beta / 2.0 * np.log(off["t"])
         flags["tail_linear_r2"] = flags["tail_slope_nonzero"] = False
         if xs.size >= 8:
             coef, half, r2 = _ols(np.column_stack([np.ones_like(xs), xs]), ys)
@@ -459,14 +459,14 @@ def _certify(selector, kernel, beta, k, grid, rate, ratio_ceiling, horizon):
     elif family == "stable" and spec.case == "global":
         tol = tolerances["slope_tol"]
         dim = d + k
-        far = [p for p in ok_rows if p["omega"] >= 3.0]
+        far = ok_rows[ok_rows["omega"] >= 3.0]
         fit = _power_slope(far, dim, beta, alpha, -1.0 - dim / alpha, tol)
         if fit:
             fits["off_diagonal_power"], flags["off_diagonal_slope"] = fit
         elif not spec.one_sided:
             flags["off_diagonal_slope"] = False
         if d > alpha and not spec.one_sided:
-            near = [p for p in ok_rows if p["omega"] <= 3e-3 and p["r"] > 0]
+            near = ok_rows[(ok_rows["omega"] <= 3e-3) & (ok_rows["r"] > 0)]
             fit = _power_slope(near, d, beta, alpha, 1.0 - d / alpha, tol)
             if fit:
                 fits["on_diagonal_power"], flags["on_diagonal_slope"] = fit
@@ -499,9 +499,16 @@ def verify_derivative_envelope(prop, kernel, beta, k=1, grid=None, rate=None, ra
     return _certify(prop, kernel, beta, k, grid, rate, ratio_ceiling, horizon)
 
 
+def _row_dicts(rows):
+    """Report rows as dicts of plain Python values."""
+    return [dict(zip(rows.dtype.names, row)) for row in rows.tolist()]
+
+
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
+    if isinstance(obj, np.ndarray) and obj.dtype == ROW_DTYPE:
+        return _row_dicts(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -511,14 +518,19 @@ def report_to_json(report: VerificationReport) -> str:
 
 
 def report_from_json(text: str) -> VerificationReport:
-    return VerificationReport(**json.loads(text))
+    fields = json.loads(text)
+    rows = [tuple(p[c] for c in ROW_DTYPE.names) for p in fields.pop("points")]
+    return VerificationReport(points=np.array(rows, dtype=ROW_DTYPE), **fields)
 
 
-CSV_COLUMNS = ["t", "r", "omega", "regime", "log_G", "log_envelope", "log_ratio", "flag"]
+CSV_COLUMNS = ["t", "r", "omega", "regime", "log_G", "log_envelope", "log_ratio", "flag", "error_estimate", "nodes"]
 
 
 def csv_text(columns, rows):
-    """CSV of row dicts under a header line; floats as repr, so they keep 17 digits."""
+    """CSV of row dicts, or of report rows, under a header line; floats as
+    repr, so they keep 17 digits."""
+    if isinstance(rows, np.ndarray):
+        rows = _row_dicts(rows)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(columns)

@@ -53,9 +53,12 @@ Every family answers one protocol, so no caller needs to know which it has
 (only ``mc`` names the two d = 1 families it simulates directly):
 
 * ``log_value(t, x, y)`` and ``value(t, x, y)``, G(t, x, y) between points x
-  and y, ``t`` an array of times or one; ``t <= 0`` raises ``DomainError``.
-  Every family reads its points through ``_points``: a point is a vector of
-  length d, or a number in d = 1, and anything else raises ``DomainError``;
+  and y, ``t`` an array of times or one; a t not in (0, inf) raises
+  ``DomainError``.  Every family reads its points through ``_points``: a
+  point is a vector of length d, or a number in d = 1, with finite
+  coordinates, and anything else raises ``DomainError``.  The Gaussian and
+  isotropic stable families also take one point per time (x, y of shape
+  t.shape + (d,)), which is how the rule evaluates many points in one call;
 * ``derivative(t, x, y, k)``, the signed d^k G / dx_0^k, in the families
   with derivatives (k from 1 to ``max_derivative_order()``, else
   ``CapabilityError``; a value is ``value``, so k = 0 raises);
@@ -67,21 +70,25 @@ Every family answers one protocol, so no caller needs to know which it has
   ``"stable"``), ``d``, ``alpha`` (a plain float in (0, 2], ``None`` for the
   diffusion families), ``horizon`` (``None`` unless the kernel is only valid
   up to a finite time) and ``max_derivative_order()``;
-* ``base_integrand(x, y, k, t, beta)``, which returns the log|d^k G(s, x, y)|
-  and sign as a function of an array of base times s (``None`` where the
-  derivative vanishes identically), the scale ``q_scale`` of the kernel's
-  small-time decay, and the base time the rule must not pass for the
-  fractional request at time t and order beta (``None`` without a limit).
-  The finite-horizon family clips each request at the horizon or the
-  weight's reach ``specfun.subordination_reach(beta, t)``, whichever is
-  later, plus 2 %, and grows the source's history to it.  That clip is a
-  far-tail accuracy guard, not the end of the stored data: a request whose
-  integrand has not decayed by its clip raises ``HorizonError`` even where
-  the shared history stores more.
-  ``base_integrand`` raises ``DomainError`` where the fractional kernel is
-  known to diverge on the diagonal (Gaussian: k = 2, or k = 0 with d >= 2;
-  stable: k = 0 with d >= alpha, which always holds for the anisotropic
-  family).
+* ``base_integrand(x, y, k, t, beta)`` for a batch of n points x_i, y_i and
+  fractional times t_i, which returns ``(log_kernel, setup)``.
+  ``log_kernel(s, i)`` gives log|d^k G(s, x_i, y_i)| and its sign at base
+  times s of the points i (one index, or one per time), through the
+  family's own ``log_value`` or ``derivative``.  ``setup[i]`` is the pair
+  (``q_scale``, the scale of the kernel's small-time decay; the base time
+  the rule must not pass for the fractional request at t_i and order beta,
+  ``None`` without a limit), ``None`` where the derivative vanishes
+  identically, or the exception the point raises, which fails that point
+  alone: ``DomainError`` for a malformed point or time, or where the
+  fractional kernel is known to diverge on the diagonal (Gaussian: k = 2,
+  or k = 0 with d >= 2; stable: k = 0 with d >= alpha, which always holds
+  for the anisotropic family).  The finite-horizon family clips each
+  request at the horizon or the weight's reach
+  ``specfun.subordination_reach(beta, t)``, whichever is later, plus 2 %,
+  and grows the source's history to it.  That clip is a far-tail accuracy
+  guard, not the end of the stored data: a request whose integrand has not
+  decayed by its clip raises ``HorizonError`` even where the shared history
+  stores more.
 """
 
 from __future__ import annotations
@@ -119,22 +126,52 @@ def _alpha_value(alpha) -> float:
     return a
 
 
-def _points(x, y, d):
+def _points(x, y, d, t=None):
     """x and y as float vectors of shape (d,); in d = 1 a number is also a
-    point.  Anything else, a string or a ragged list too, raises ``DomainError``."""
+    point.  With an array of times ``t``, x or y may also hold one point per
+    time, of shape t.shape + (d,).  Anything else, a string, a ragged list or
+    a coordinate that is not finite, raises ``DomainError``."""
     try:
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     except (TypeError, ValueError):
         raise DomainError(f"points must be vectors of {d} numbers") from None
     x, y = np.atleast_1d(x, y) if d == 1 else (x, y)
-    if x.shape != (d,) or y.shape != (d,):
+    shapes = ((d,), getattr(t, "shape", ()) + (d,))
+    if x.shape not in shapes or y.shape not in shapes:
         raise DomainError(f"points must be vectors of length {d}" + (" or numbers" if d == 1 else ""))
+    if not (_finite(x) and _finite(y)):
+        raise DomainError("points must have finite coordinates")
     return x, y
 
 
-def _distance(x, y, d) -> float:
-    dx = np.subtract(*_points(x, y, d))
-    return float(np.sqrt((dx * dx).sum()))
+def _finite(a) -> bool:
+    """Whether every entry of a is finite: one point's few coordinates in
+    Python, where a numpy reduction costs more than the check, many in numpy."""
+    return all(map(math.isfinite, a.tolist())) if a.ndim == 1 else bool(np.isfinite(a).all())
+
+
+def _norm(dx):
+    """|dx| over the last axis, summed axis by axis: a point gets the same
+    norm alone as among many, which a numpy reduction does not promise."""
+    square = dx[..., 0] * dx[..., 0]
+    for i in range(1, dx.shape[-1]):
+        square = square + dx[..., i] * dx[..., i]
+    return np.sqrt(square)
+
+
+def _batch(d, prepare, x, y, t):
+    """The points of a batch for ``base_integrand``: x and y stacked as (n, d)
+    arrays, and per point prepare(x_i, y_i, t_i) on its points as read by
+    ``_points`` and its time checked by ``_times``, or the exception any of
+    them raised, which fails that point alone."""
+    xs, ys, setup = np.zeros((len(t), d)), np.zeros((len(t), d)), []
+    for i, (xi, yi, ti) in enumerate(zip(x, y, t)):
+        try:
+            xs[i], ys[i] = _points(xi, yi, d)
+            setup.append(prepare(xs[i], ys[i], float(_times(ti))))
+        except Exception as exc:  # a point that cannot be integrated fails on its own
+            setup.append(exc)
+    return xs, ys, setup
 
 
 def _check_order(kernel, k):
@@ -145,10 +182,10 @@ def _check_order(kernel, k):
 
 
 def _times(t):
-    """t as a float array, checked positive."""
+    """t as a float array, checked 0 < t < inf."""
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise DomainError("kernel requires t > 0")
+    if not ((t > 0.0) & (t < math.inf)).all():
+        raise DomainError("kernel requires 0 < t < inf")
     return t
 
 
@@ -193,14 +230,17 @@ class ConstantDiffusion:
         self._logdet = float(np.linalg.slogdet(A)[1])
         self.horizon = None
 
-    def _quad_form(self, x, y):
-        dx = np.subtract(*_points(x, y, self.d))
-        return dx, float(dx @ self._inv @ dx)
+    def _quad_form(self, dx):
+        """(x - y)' A^{-1} (x - y) and the first entry of A^{-1} (x - y) from
+        dx = x - y over its last axis, as stacked products of one row each,
+        so a point gets the same values alone as among many."""
+        w = dx[..., None, :] @ self._inv
+        return (w @ dx[..., :, None])[..., 0, 0], w[..., 0, 0]
 
     def log_value(self, t, x, y):
-        """log G(t, x, y); ``t`` may be an array of times."""
+        """log G(t, x, y); ``t`` may be an array of times, and x and y one point per time."""
         t = _times(t)
-        _, q = self._quad_form(x, y)
+        q, _ = self._quad_form(np.subtract(*_points(x, y, self.d, t)))
         out = -0.5 * self.d * np.log(4.0 * math.pi * t) - 0.5 * self._logdet - q / (4.0 * t)
         return float(out) if out.ndim == 0 else out
 
@@ -210,7 +250,8 @@ class ConstantDiffusion:
         return 2
 
     def derivative(self, t, x, y, k):
-        """d^k G / dx_0^k, k = 1 or 2, in closed form; ``t`` may be an array of times."""
+        """d^k G / dx_0^k, k = 1 or 2, in closed form; ``t`` may be an array of
+        times, and x and y one point per time."""
         _check_order(self, k)
         log_dk, sign = self._log_derivative(t, x, y, k)
         out = sign * np.exp(log_dk)
@@ -220,21 +261,24 @@ class ConstantDiffusion:
         """(log|d^k G / dx_0^k|, sign) at times t: d^k G = factor * G, and
         for k = 2 the factor changes sign at t = w1^2 / 2a."""
         log_g = self.log_value(t, x, y)
-        dx, _ = self._quad_form(x, y)
-        w1, a = float((self._inv @ dx)[0]), float(self._inv[0, 0])
+        _, w1 = self._quad_form(np.subtract(*_points(x, y, self.d, t)))
+        a = float(self._inv[0, 0])
         factor = -w1 / (2.0 * t) if k == 1 else (w1 / (2.0 * t)) ** 2 - a / (2.0 * t)
         return _log_positive(np.abs(factor)) + log_g, np.sign(factor)
 
     def base_integrand(self, x, y, k, t, beta):
         """d^k G / dx_0^k for the subordination rule (see the module docstring)."""
-        if _distance(x, y, self.d) == 0.0 and (k == 2 or (k == 0 and self.d >= 2)):
-            raise DomainError("fractional kernel diverges on the diagonal for d + k >= 2")
-        dx, q = self._quad_form(x, y)
+
+        def prepare(x, y, t):
+            q, w1 = self._quad_form(x - y)
+            if q == 0.0 and (k == 2 or (k == 0 and self.d >= 2)):  # A is positive definite: x = y
+                raise DomainError("fractional kernel diverges on the diagonal for d + k >= 2")
+            return None if k == 1 and w1 == 0.0 else (float(q), None)
+
+        xs, ys, setup = _batch(self.d, prepare, x, y, t)
         if k == 0:
-            return (lambda s: (self.log_value(s, x, y), 1.0)), q, None
-        if k == 1 and (self._inv @ dx)[0] == 0.0:
-            return None, q, None
-        return (lambda s: self._log_derivative(s, x, y, k)), q, None
+            return (lambda s, i: (self.log_value(s, xs[i], ys[i]), 1.0)), setup
+        return (lambda s, i: self._log_derivative(s, xs[i], ys[i], k)), setup
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +540,11 @@ class IsotropicStable:
         return self._profile.log_value(rho)
 
     def log_value(self, t, x, y):
-        """log G(t, x, y), a function of |x - y|; ``t`` may be an array of times."""
+        """log G(t, x, y), a function of |x - y|; ``t`` may be an array of
+        times, and x and y one point per time."""
         t = _times(t)
-        out = -self.d / self.alpha * np.log(t) + self.log_profile(_distance(x, y, self.d) * t ** (-1.0 / self.alpha))
+        r = _norm(np.subtract(*_points(x, y, self.d, t)))
+        out = -self.d / self.alpha * np.log(t) + self.log_profile(r * t ** (-1.0 / self.alpha))
         return float(out) if out.ndim == 0 else out
 
     value = _value
@@ -507,34 +553,36 @@ class IsotropicStable:
         return 1 if self.d == 1 else 0
 
     def derivative(self, t, x, y, k):
-        """Signed d/dx G(t, x, y), d = 1 and k = 1 only; ``t`` may be an array of times."""
+        """Signed d/dx G(t, x, y), d = 1 and k = 1 only; ``t`` may be an array of
+        times, and x and y one point per time."""
         _check_order(self, k)
-        rr = float(np.subtract(*_points(x, y, 1))[0])
         t = _times(t)
+        rr = np.subtract(*_points(x, y, 1, t))[..., 0]
         s = t ** (-1.0 / self.alpha)
         if self.alpha == 2.0:
-            rho = abs(rr) * s
+            rho = np.abs(rr) * s
             dmag = -(rho / 2.0) * np.exp(-rho * rho / 4.0) / math.sqrt(4.0 * math.pi)
         else:
-            dmag = self._profile.deriv(abs(rr) * s)
+            dmag = self._profile.deriv(np.abs(rr) * s)
         # the profile decreases in rho: the derivative has the sign of -(x - y)
         mag = np.abs(t ** (-2.0 / self.alpha) * dmag)
-        out = math.copysign(1.0, -rr) * mag if rr != 0.0 else np.zeros_like(t)
+        out = np.where(rr == 0.0, 0.0, np.copysign(mag, -rr))
         return float(out) if out.ndim == 0 else out
 
     def base_integrand(self, x, y, k, t, beta):
         """G (any d) or dG/dx (d = 1) for the subordination rule (see the module docstring)."""
-        x, y = _points(x, y, self.d)
-        r = _distance(x, y, self.d)
-        if r == 0.0 and k == 0 and self.d >= self.alpha:
-            raise DomainError("fractional kernel diverges on the diagonal for d >= alpha")
-        q = r ** self.alpha
+
+        def prepare(x, y, t):
+            r = float(_norm(x - y))
+            if r == 0.0 and k == 0 and self.d >= self.alpha:
+                raise DomainError("fractional kernel diverges on the diagonal for d >= alpha")
+            return None if r == 0.0 and k else (r ** self.alpha, None)
+
+        xs, ys, setup = _batch(self.d, prepare, x, y, t)
         if k == 0:
-            return (lambda s: (self.log_value(s, x, y), 1.0)), q, None
-        if r == 0.0:
-            return None, q, None
-        sign = -math.copysign(1.0, x[0] - y[0])
-        return (lambda s: (_log_positive(np.abs(self.derivative(s, x, y, 1))), sign)), q, None
+            return (lambda s, i: (self.log_value(s, xs[i], ys[i]), 1.0)), setup
+        sign = -np.copysign(1.0, xs[:, 0] - ys[:, 0])
+        return (lambda s, i: (_log_positive(np.abs(self.derivative(s, xs[i], ys[i], 1))), sign[i])), setup
 
 
 # ---------------------------------------------------------------------------
@@ -707,11 +755,25 @@ class AnisotropicStable2D:
         return 0
 
     def base_integrand(self, x, y, k, t, beta):
-        """G for the subordination rule (see the module docstring)."""
-        r = _distance(x, y, 2)
-        if r == 0.0:
-            raise DomainError("fractional kernel diverges on the diagonal for d = 2 >= alpha")
-        return (lambda s: (self.log_value(s, x, y), 1.0)), r ** self.alpha, None
+        """G for the subordination rule (see the module docstring), one
+        ``log_value`` call per point: ``_log_g`` evaluates w once per offset."""
+
+        def prepare(x, y, t):
+            r = float(_norm(x - y))
+            if r == 0.0:
+                raise DomainError("fractional kernel diverges on the diagonal for d = 2 >= alpha")
+            return r ** self.alpha, None
+
+        def log_kernel(s, i):
+            if np.ndim(i) == 0:
+                return self.log_value(s, xs[i], ys[i]), 1.0
+            out = np.empty(s.size)
+            for p in np.unique(i):
+                out[i == p] = self.log_value(s[i == p], xs[p], ys[p])
+            return out, 1.0
+
+        xs, ys, setup = _batch(2, prepare, x, y, t)
+        return log_kernel, setup
 
     def mass(self, t, half_width=None, n=401) -> float:
         """Numerical mass over a truncated square (tensor trapezoid), the grid
@@ -1078,13 +1140,25 @@ class VariableDiffusion1D:
         return max(self.horizon, subordination_reach(beta, t)) * 1.02
 
     def base_integrand(self, x, y, k, t, beta):
-        """G for the subordination rule (see the module docstring), clipped at
-        the request's own ``_clip(t, beta)``, to which the source's history is
-        extended."""
-        x, y = (float(v[0]) for v in _points(x, y, 1))
-        t_clip = self._clip(t, beta)
-        hist = self.history(y, t_clip)
-        return (lambda s: (_log_positive(hist.eval(s, x)), 1.0)), (x - hist.y) ** 2, t_clip
+        """G for the subordination rule (see the module docstring), each point
+        clipped at its own ``_clip(t, beta)``, to which its source's history
+        is extended."""
+        hists = {}  # by source, as each point last extended it
+
+        def prepare(x, y, t):
+            x, y, t_clip = float(x[0]), float(y[0]), self._clip(t, beta)
+            hists[y] = self.history(y, t_clip)
+            return (x - y) ** 2, t_clip
+
+        def log_kernel(s, i):
+            x, src, out = np.broadcast_to(xs[i, 0], s.shape), np.broadcast_to(ys[i, 0], s.shape), np.empty(s.size)
+            for y, hist in hists.items():
+                at = src == y
+                out[at] = _log_positive(hist.eval(s[at], x[at]))
+            return out, 1.0
+
+        xs, ys, setup = _batch(1, prepare, x, y, t)
+        return log_kernel, setup
 
     def grid_mass(self, t, y=0.0) -> float:
         hist = self.history(y, t_max=max(self.horizon, t))

@@ -17,6 +17,13 @@ trimmed, on level 0 until phi at its ends is ``_DROP`` below the peak; h is
 then halved until the h/2h difference (relative to the sum of |integrand|) is
 below the kernel's ``rule_tol``.  That difference is the reported error
 estimate; reaching the finest level without it raises ``AccuracyError``.
+
+The rule takes a batch of points at one beta and one kernel
+(``frac_green_batch``; a single request is a batch of one).  Each point
+keeps its own window, clip, stop level, error estimate and node count, and
+its sums are its own; each round of window growth or refinement makes one
+kernel call and one omega lookup over every point that still needs nodes.
+A point that raises fails on its own and the rest of the batch goes on.
 omega_beta depends on beta alone: it is computed in log form and memoised
 per beta on the lattice in a bounded cache, so a sweep at one beta evaluates
 w_beta about once per node.
@@ -34,6 +41,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -45,7 +53,8 @@ from .specfun import (
     subordination_log_weight,
 )
 
-__all__ = ["FracGreenRequest", "frac_green", "frac_green_detailed", "frac_green_derivative", "frac_solve"]
+__all__ = ["FracGreenRequest", "frac_green", "frac_green_batch", "frac_green_detailed", "frac_green_derivative",
+           "frac_solve"]
 
 
 @dataclass(frozen=True)
@@ -60,15 +69,18 @@ class FracGreenRequest:
     derivative_order: int = 0
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise DomainError("frac_green requires t > 0")
-        if self.derivative_order < 0:
-            raise DomainError("derivative order must be >= 0")
-        kmax = self.kernel.max_derivative_order()
-        if self.derivative_order > kmax:
-            raise CapabilityError(
-                f"{type(self.kernel).__name__} supports derivatives up to order {kmax}"
-            )
+        if not 0.0 < self.t < math.inf:
+            raise DomainError("frac_green requires 0 < t < inf")
+        _check_order(self.kernel, self.derivative_order)
+
+
+def _check_order(kernel, k):
+    """Require 0 <= k <= the kernel's ``max_derivative_order()``."""
+    if k < 0:
+        raise DomainError("derivative order must be >= 0")
+    kmax = kernel.max_derivative_order()
+    if k > kmax:
+        raise CapabilityError(f"{type(kernel).__name__} supports derivatives up to order {kmax}")
 
 
 @dataclass(frozen=True)
@@ -108,10 +120,7 @@ class _OmegaTable:
         return self.zeta.size - 1
 
     def merged(self, zeta, omega):
-        """A new table with these nodes added (none of them in this one)."""
-        if not (zeta[1:] > zeta[:-1]).all():  # a lattice window comes sorted
-            zeta, first = np.unique(zeta, return_index=True)
-            omega = omega[first]
+        """A new table with these nodes added (sorted, none of them in this one)."""
         at = np.searchsorted(self.zeta, zeta) + np.arange(zeta.size)
         old = np.ones(self.zeta.size + zeta.size, dtype=bool)
         old[at] = False
@@ -138,8 +147,12 @@ class _WeightCache:
             out = table.omega[at]
             todo = table.zeta[at] != zeta
             if todo.any():
-                out[todo] = subordination_log_weight(beta, zeta[todo])
-                table = table.merged(zeta[todo], out[todo])
+                new, back = zeta[todo], slice(None)
+                if not (new[1:] > new[:-1]).all():  # a batch asks for a node once per point: compute it once
+                    new, back = np.unique(new, return_inverse=True)
+                omega = subordination_log_weight(beta, new)
+                out[todo] = omega[back]
+                table = table.merged(new, omega)
             if len(table) <= _MAX_NODES:
                 self._tables[beta] = table
                 if len(self._tables) > _MAX_BETAS:
@@ -150,43 +163,33 @@ class _WeightCache:
 _WEIGHTS = _WeightCache()
 
 
-def _lattice_integral(log_kernel, beta, t, q_scale, tol, zeta_clip=None):
-    """Trapezoid rule for Int sign * exp(phi) dzeta on the shared lattice.
-
-    ``log_kernel(s)`` maps an array of base times to (log|kernel part|,
-    sign), the sign a scalar or an array.  Returns (log|I|, sign of I, error
-    estimate, nodes used).  ``zeta_clip`` bounds the window on the right (the
+def _point_rule(beta, t, q_scale, tol, zeta_clip):
+    """Trapezoid rule for Int sign * exp(phi) dzeta on the shared lattice, for
+    one point, as a generator: it yields each array of zeta nodes where it
+    needs phi, is sent back (phi, sign) there, and returns (log|I|, sign of
+    I, error estimate).  ``zeta_clip`` bounds the window on the right (the
     finite-horizon family); an integrand that has not decayed there raises
     HorizonError.
     """
-    lb = beta * math.log(t)
-    nodes = 0
-
-    def phi(zeta):
-        nonlocal nodes
-        nodes += zeta.size
-        log_k, sign = log_kernel(np.exp(lb + zeta))
-        return log_k + _WEIGHTS.omega(beta, zeta), np.broadcast_to(sign, zeta.shape)
-
     lo, hi = _scan_window(beta, t, q_scale)
     j_limit = int(_ZETA_LIMIT / _H0)
     j_max = j_limit if zeta_clip is None else min(math.floor(zeta_clip / _H0), j_limit)
     j = np.arange(math.floor(lo / _H0), min(math.ceil(hi / _H0), j_max) + 1)
-    vals, signs = phi(j * _H0)
+    vals, signs = yield j * _H0
 
     # extend level 0 until phi has fallen by _DROP at both ends; at the clip
     # the window ends at the clip itself if phi has fallen by then
     b = None
     while True:
         top = vals.max()
-        if not np.isfinite(top):
+        if not math.isfinite(top):
             raise AccuracyError("integrand identically negligible on the scan window")
         grow_left = vals[0] > top - _DROP
         grow_right = vals[-1] > top - _DROP and b is None
         if not (grow_left or grow_right):
             break
         if grow_right and j[-1] == j_max and zeta_clip is not None:
-            if phi(np.array([zeta_clip]))[0][0] > top - _DROP:
+            if (yield np.array([zeta_clip]))[0][0] > top - _DROP:
                 raise HorizonError(f"integrand has not decayed at the stored horizon (zeta = {zeta_clip:g})")
             b = zeta_clip
             continue
@@ -197,7 +200,7 @@ def _lattice_integral(log_kernel, beta, t, q_scale, tol, zeta_clip=None):
             new = np.arange(j[-1] + 1, min(j[-1] + n, j_max) + 1)
         if new.size == 0:
             raise AccuracyError(f"subordination integrand has not decayed within |zeta| <= {_ZETA_LIMIT:g}")
-        v, s = phi(new * _H0)
+        v, s = yield new * _H0
         parts = ((new, j), (v, vals), (s, signs)) if grow_left else ((j, new), (vals, v), (signs, s))
         j, vals, signs = (np.concatenate(p) for p in parts)
 
@@ -208,31 +211,84 @@ def _lattice_integral(log_kernel, beta, t, q_scale, tol, zeta_clip=None):
     if b is None:
         b = j[keep][-1] * _H0
     scale = float(top)
-    total = float(np.sum(signs[keep] * np.exp(vals[keep] - scale)))
-    total_abs = float(np.sum(np.exp(vals[keep] - scale)))
+    e = np.exp(vals[keep] - scale)
+    total = float((signs[keep] * e).sum())
+    total_abs = float(e.sum())
     prev = _H0 * total
 
     for level in range(1, _MAX_LEVEL + 1):
         h = _H0 / 2 ** level
         # the nodes this level adds inside [a, b]: (2 i + 1) h
-        v, s = phi((2.0 * np.arange(math.ceil((a / h - 1.0) / 2.0), math.floor((b / h - 1.0) / 2.0) + 1) + 1.0) * h)
-        if v.size and v.max() > scale:
-            shrink = math.exp(scale - v.max())
-            total, total_abs, prev, scale = total * shrink, total_abs * shrink, prev * shrink, float(v.max())
+        v, s = yield np.arange(2 * math.ceil((a / h - 1.0) / 2.0) + 1, 2 * math.floor((b / h - 1.0) / 2.0) + 2, 2) * h
+        peak = v.max() if v.size else -math.inf
+        if peak > scale:
+            shrink = math.exp(scale - peak)
+            total, total_abs, prev, scale = total * shrink, total_abs * shrink, prev * shrink, float(peak)
         e = np.exp(v - scale)
-        total += float(np.sum(s * e))
-        total_abs += float(np.sum(e))
+        total += float((s * e).sum())
+        total_abs += float(e.sum())
         err = abs(h * total - prev) / (h * total_abs)
         if err < tol:
             if total == 0.0:
-                return -math.inf, 0.0, err, nodes
-            return scale + math.log(h * abs(total)), math.copysign(1.0, total), err, nodes
+                return -math.inf, 0.0, err
+            return scale + math.log(h * abs(total)), math.copysign(1.0, total), err
         prev = h * total
     raise AccuracyError(
         "subordination quadrature above tolerance at the finest lattice level",
         estimate=scale + math.log(abs(prev)) if prev else -math.inf,
         achieved=err,
     )
+
+
+def _run_rules(log_kernel, beta, lb, rules):
+    """Run the point rules {i: ``_point_rule`` generator} together.  Each
+    round gathers the nodes that every unfinished rule asks for, makes one
+    kernel call and one omega lookup over all of them, and sends each rule
+    its own slice.
+
+    ``log_kernel(s, i)`` maps base times s of the points i (one index, or
+    one per node) to (log|kernel part|, sign), the sign a scalar or an
+    array; ``lb[i]`` is beta log t of point i.  Returns {i: (log|I|, sign of
+    I, error estimate, nodes used), or the exception that ended rule i}: a
+    kernel call that raises is repeated point by point, so only the points
+    that raise fail.
+    """
+    out, nodes, asks = {}, dict.fromkeys(rules, 0), {}
+
+    def advance(i, sent):
+        try:
+            asks[i] = rules[i].send(sent)
+        except StopIteration as stop:
+            out[i] = (*stop.value, nodes[i])
+        except Exception as exc:  # the point fails on its own
+            out[i] = exc
+
+    for i in rules:
+        advance(i, None)
+    while asks:
+        pts, zetas, asks, failed = list(asks), list(asks.values()), {}, {}
+        if len(pts) == 1:
+            zeta, at, parts = zetas[0], pts[0], [slice(None)]
+        else:
+            zeta, at = np.concatenate(zetas), np.repeat(pts, [z.size for z in zetas])
+            parts = [slice(end - z.size, end) for z, end in zip(zetas, accumulate(z.size for z in zetas))]
+        try:
+            log_k, sign = log_kernel(np.exp(lb[at] + zeta), at)
+        except Exception:
+            log_k, sign = np.full(zeta.size, np.nan), np.zeros(zeta.size)
+            for i, part in zip(pts, parts):
+                try:
+                    log_k[part], sign[part] = log_kernel(np.exp(lb[i] + zeta[part]), i)
+                except Exception as exc:
+                    failed[i] = exc
+        vals, sign = log_k + _WEIGHTS.omega(beta, zeta), np.broadcast_to(sign, zeta.shape)
+        for i, z, part in zip(pts, zetas, parts):
+            nodes[i] += z.size
+            if i in failed:
+                out[i] = failed[i]
+            else:
+                advance(i, (vals[part], sign[part]))
+    return out
 
 
 def _scan_window(beta, t, q_scale):
@@ -247,27 +303,40 @@ def _scan_window(beta, t, q_scale):
     return min(lo, -10.0), max(hi, 5.0)
 
 
-def _result(log_int, sign, beta, err, nodes, trunc=0.0):
-    logv = log_int - math.log(beta)
-    value = sign * math.exp(logv)
-    return FracGreenResult(value=value, log_value=logv, truncated_mass_bound=trunc, error_estimate=err, nodes=nodes)
+def frac_green_batch(kernel, beta, t, x, y, derivative_order=0) -> list:
+    """Fractional Green's function (or a signed spatial derivative) at many
+    points at one beta and one kernel: ``t`` holds n times, and ``x`` and
+    ``y`` n points each.  Returns per point its ``FracGreenResult``, or the
+    exception its evaluation raised, which leaves the other points alone.
+    An order the kernel does not have raises for the whole batch."""
+    beta = _beta_value(beta)
+    _check_order(kernel, derivative_order)
+    log_kernel, setup = kernel.base_integrand(x, y, derivative_order, t, beta)
+    lb, rules = np.zeros(len(setup)), {}
+    for i, point in enumerate(setup):
+        if isinstance(point, tuple):  # (q_scale, s_clip): integrate
+            ti, (q_scale, s_clip) = float(t[i]), point
+            lb[i] = beta * math.log(ti)
+            zeta_clip = None if s_clip is None else math.log(s_clip / ti ** beta)
+            rules[i] = _point_rule(beta, ti, q_scale, kernel.rule_tol, zeta_clip)
+    # None: the derivative vanishes identically; an exception: the point failed
+    out = [FracGreenResult(value=0.0, log_value=-math.inf) if point is None else point for point in setup]
+    for i, rule in _run_rules(log_kernel, beta, lb, rules).items():
+        try:
+            out[i] = rule if isinstance(rule, Exception) else _result(beta, float(t[i]), setup[i][1], *rule)
+        except AccuracyError as exc:
+            out[i] = exc
+    # a failure is a per-point value: without its traceback it holds no frame,
+    # so no frame of this batch outlives it in a reference cycle
+    return [o.with_traceback(None) if isinstance(o, Exception) else o for o in out]
 
 
-def frac_green_detailed(req: FracGreenRequest) -> FracGreenResult:
-    """Fractional Green's function (or a signed spatial derivative) with its
-    log value, error estimate, node count and truncation bound."""
-    beta = _beta_value(req.beta)
-    t = float(req.t)
-    tb = t ** beta
-    log_kernel, q_scale, s_clip = req.kernel.base_integrand(req.x, req.y, req.derivative_order, t, beta)
-    if log_kernel is None:
-        return FracGreenResult(value=0.0, log_value=-math.inf)
-    zeta_clip = None if s_clip is None else math.log(s_clip / tb)
-    log_int, sign, err, nodes = _lattice_integral(log_kernel, beta, t, q_scale, req.kernel.rule_tol, zeta_clip)
+def _result(beta, t, s_clip, log_int, sign, err, nodes):
+    """The result of one point's rule, with the weight mass neglected beyond
+    a clipped base time s_clip (u < u_min); more than _TRUNC_MASS raises."""
     trunc = 0.0
     if s_clip is not None:
-        # neglected weight beyond the clipped base time: u < u_min
-        u_min = (tb / s_clip) ** (1.0 / beta)
+        u_min = (t ** beta / s_clip) ** (1.0 / beta)
         lw = stable_density_log(beta, u_min)
         trunc = u_min * math.exp(lw) if lw > -700.0 else 0.0
         if trunc > _TRUNC_MASS:
@@ -276,7 +345,22 @@ def frac_green_detailed(req: FracGreenRequest) -> FracGreenResult:
                 estimate=math.exp(log_int - math.log(beta)),
                 achieved=trunc,
             )
-    return _result(log_int, sign, beta, err, nodes, trunc=trunc)
+    logv = log_int - math.log(beta)
+    return FracGreenResult(value=sign * math.exp(logv), log_value=logv, truncated_mass_bound=trunc,
+                           error_estimate=err, nodes=nodes)
+
+
+def frac_green_detailed(req: FracGreenRequest) -> FracGreenResult:
+    """Fractional Green's function (or a signed spatial derivative) with its
+    log value, error estimate, node count and truncation bound: a batch of one."""
+    return _raised(frac_green_batch(req.kernel, req.beta, [req.t], [req.x], [req.y], req.derivative_order)[0])
+
+
+def _raised(res):
+    """A batch's result for one point, raised if it is a failure."""
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def frac_green(req: FracGreenRequest) -> float:
@@ -306,7 +390,8 @@ def frac_solve(kernel, beta, t, y_grid, y_values, x) -> float:
     y_values = np.asarray(y_values, dtype=float)
     if y_grid.ndim != 1 or y_grid.shape != y_values.shape:
         raise DomainError("y_grid and y_values must be matching 1-D arrays")
-    gvals = np.array([frac_green(FracGreenRequest(kernel=kernel, beta=beta, t=t, x=x, y=yy)) for yy in y_grid])
+    results = frac_green_batch(kernel, beta, [t] * y_grid.size, [x] * y_grid.size, y_grid)
+    gvals = np.array([_raised(res).value for res in results])
     mass = float(np.trapezoid(gvals, y_grid))
     if mass < _MASS_THRESHOLD:
         raise CoverageError(

@@ -114,6 +114,21 @@ class TestPointDimension:
         assert json.loads(err)["error"] == "DomainError"
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_non_finite_time_is_error_record(self, t):
+        code, out, err = run_cli("green", "--kernel", "gaussian", "--d", "1", "--beta", "0.5", "--t", t,
+                                 "--x", "0.5", "--y", "0")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+    def test_non_finite_point_is_error_record(self):
+        code, out, err = run_cli("green", "--kernel", "gaussian", "--d", "1", "--beta", "0.5", "--t", "1",
+                                 "--x", "nan", "--y", "0")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+
 # (flags of `fracgreen kernel`, the kernel they build)
 KERNEL_TABLES = {
     "gaussian": (("--kernel", "gaussian", "--d", "3"), lambda: K.ConstantDiffusion(3)),

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,7 +141,7 @@ class TestVerifyEnvelope:
     @pytest.mark.parametrize("kernel", [K.ConstantDiffusion(1), K.IsotropicStable(1, 1.5)], ids=["diffusion", "stable"])
     def test_nonpositive_rate_rejected_before_any_point(self, kernel, monkeypatch):
         evaluated = []
-        monkeypatch.setattr(H, "_eval_point", lambda *args: evaluated.append(args))
+        monkeypatch.setattr(H, "frac_green_batch", lambda *args: evaluated.append(args))
         with pytest.raises(DomainError):
             H.verify_envelope("3.1" if kernel.alpha is None else "3.2", kernel, 0.5, rate=0.0)
         assert evaluated == []
@@ -203,14 +204,14 @@ class TestVerifyDerivative:
 
     def test_diffusion_k2_rejected_before_any_point(self, monkeypatch):
         evaluated = []
-        monkeypatch.setattr(H, "_eval_point", lambda *args: evaluated.append(args))
+        monkeypatch.setattr(H, "frac_green_batch", lambda *args: evaluated.append(args))
         with pytest.raises(CapabilityError):
             H.verify_derivative_envelope("prop3.1", K.ConstantDiffusion(1), 0.5, k=2)
         assert evaluated == []
 
     @pytest.mark.parametrize("kernel, k", [(K.IsotropicStable(2, 1.5), 1), (K.IsotropicStable(1, 1.2), 2)])
     def test_stable_order_beyond_kernel_rejected_before_any_point(self, kernel, k, monkeypatch):
-        monkeypatch.setattr(H, "_eval_point", lambda *args: pytest.fail("evaluated a point"))
+        monkeypatch.setattr(H, "frac_green_batch", lambda *args: pytest.fail("evaluated a point"))
         with pytest.raises(CapabilityError):
             H.verify_derivative_envelope("prop3.2", kernel, 0.5, k=k)
 
@@ -224,7 +225,7 @@ class TestVerifyDerivative:
         lambda: H.verify_derivative_envelope("prop3.1", K.ConstantDiffusion(1), 0.5, k=0),
     ])
     def test_selector_kind_must_match_order(self, call, monkeypatch):
-        monkeypatch.setattr(H, "_eval_point", lambda *args: pytest.fail("evaluated a point"))
+        monkeypatch.setattr(H, "frac_green_batch", lambda *args: pytest.fail("evaluated a point"))
         with pytest.raises(SpecError):
             call()
 
@@ -266,6 +267,38 @@ class TestReports:
         assert text == json.dumps(deep, sort_keys=True, default=H._json_default, separators=(",", ":"))
         assert H.csv_text(H.CSV_COLUMNS, rep.points) == H.csv_text(H.CSV_COLUMNS, deep["points"])
         assert H.report_to_json(H.report_from_json(text)) == text
+
+    def test_rows_carry_error_and_nodes(self, small_stable_report, tmp_path):
+        rows = small_stable_report.points
+        ok = rows[rows["flag"] == "ok"]
+        assert ok.size > 30 and (ok["nodes"] > 0).all()
+        assert (ok["error_estimate"] < K.IsotropicStable.rule_tol).all()
+        diag = rows[rows["flag"] == "skipped:diagonal-divergent"]  # d = 1 >= alpha = 1 at r = 0
+        assert diag.size and (diag["nodes"] == 0).all() and np.isnan(diag["error_estimate"]).all()
+        H.write_report_files(small_stable_report, tmp_path / "r.json", tmp_path / "r.csv")
+        back = json.loads((tmp_path / "r.json").read_text())["points"]
+        assert [p["nodes"] for p in back] == rows["nodes"].tolist()
+        lines = (tmp_path / "r.csv").read_text().splitlines()
+        assert lines[0].endswith(",error_estimate,nodes")
+        assert [int(line.rsplit(",", 1)[1]) for line in lines[1:]] == rows["nodes"].tolist()
+
+    def test_points_are_one_compact_record_array(self):
+        # the rows of a Theorem 3.2 default-grid report, held as one record
+        # array; as a list of dicts they held about four times as much
+        kernel = K.IsotropicStable(1, 1.5)
+        grid = H.default_grid("3.2", kernel, 0.5)
+        H.verify_envelope("3.2", kernel, 0.5, grid=grid)  # splines and weights built outside the count
+        tracemalloc.start()
+        try:
+            rep = H.verify_envelope("3.2", kernel, 0.5, grid=grid)
+            rows = len(rep.points)
+            with_points = tracemalloc.get_traced_memory()[0]
+            rep.points = None
+            held = with_points - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert rows > 200
+        assert held < 40_000
 
     def test_import_leaves_scipy_stats_out(self):
         src = str(pathlib.Path(H.__file__).resolve().parents[1])

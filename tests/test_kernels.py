@@ -22,6 +22,18 @@ from fracgreen.errors import CapabilityError, DomainError, HorizonError
 O2 = (0.0, 0.0)
 
 
+def integrand_of_one(kernel, x, y, k, t, beta):
+    """``base_integrand`` for a batch of one point: (log_kernel(s), q_scale,
+    s_clip), with None for log_kernel where d^k G vanishes identically; the
+    point's own exception is raised."""
+    log_kernel, (point,) = kernel.base_integrand([x], [y], k, [t], beta)
+    if isinstance(point, Exception):
+        raise point
+    if point is None:
+        return None, None, None
+    return (lambda s: log_kernel(s, 0)), *point
+
+
 def e1(r, d):
     """r times the first unit vector of R^d."""
     return [r] + [0.0] * (d - 1)
@@ -430,7 +442,7 @@ class TestAnisotropic:
         x, y = np.array([3.0, 4.0]), np.array([1.0, 1.0])
         s_cap = (math.hypot(2.0, 3.0) / K._COS_SPLINE_CAP) ** 1.5 / an.w.min()
         s = s_cap * np.geomspace(0.1, 10.0, 9)
-        log_kernel, _, _ = an.base_integrand(x, y, 0, 1.0, 0.5)
+        log_kernel, _, _ = integrand_of_one(an, x, y, 0, 1.0, 0.5)
         logs, sign = log_kernel(s)
         assert sign == 1.0
         np.testing.assert_array_equal(logs, an.log_value(s, x, y))
@@ -787,7 +799,7 @@ class TestBaseKernelProtocol:
         kernel = make()
         assert (kernel.envelope_family, kernel.d, kernel.alpha) == traits
         assert H._kernel_traits(kernel) == traits
-        log_kernel, q, clip = kernel.base_integrand(x, y, 0, 1e-4, 0.5)
+        log_kernel, q, clip = integrand_of_one(kernel, x, y, 0, 1e-4, 0.5)
         assert q == pytest.approx(q_scale, rel=1e-14, abs=0.0)
         log_g, sign = log_kernel(np.array([0.3]))
         assert np.all(np.isfinite(log_g)) and np.all(np.asarray(sign) == 1.0)
@@ -796,7 +808,7 @@ class TestBaseKernelProtocol:
             # t^beta (55/c_beta)^(1-beta), c_beta = 1/4 at beta = 1/2, whichever
             # is later, plus 2 %
             assert clip == pytest.approx(0.51, rel=1e-14, abs=0.0)
-            assert kernel.base_integrand(x, y, 0, 0.04, 0.5)[2] == pytest.approx(
+            assert integrand_of_one(kernel, x, y, 0, 0.04, 0.5)[2] == pytest.approx(
                 0.2 * math.sqrt(220.0) * 1.02, rel=1e-14, abs=0.0
             )
         else:
@@ -809,13 +821,13 @@ class TestBaseKernelProtocol:
     )
     def test_diagonal_divergence_raised_by_family(self, kernel, k):
         with pytest.raises(DomainError):
-            kernel.base_integrand([0.0] * kernel.d, [0.0] * kernel.d, k, 1.0, 0.5)
+            integrand_of_one(kernel, [0.0] * kernel.d, [0.0] * kernel.d, k, 1.0, 0.5)
 
     @pytest.mark.parametrize(
         "kernel, k", [(K.ConstantDiffusion(1), 1), (K.IsotropicStable(1, 1.5), 1)]
     )
     def test_odd_derivative_vanishes_on_diagonal(self, kernel, k):
-        assert kernel.base_integrand([0.0], [0.0], k, 1.0, 0.5)[0] is None
+        assert integrand_of_one(kernel, [0.0], [0.0], k, 1.0, 0.5)[0] is None
 
     @pytest.mark.parametrize("module", ["subordination", "harness", "mc", "cli"])
     def test_callers_never_name_a_kernel_class(self, module):
@@ -859,7 +871,7 @@ class TestProtocol:
     def test_integrand_is_log_value(self, family):
         make, _, x, y, _ = PROTOCOL_CASES[family]
         kernel = make()
-        log_kernel, _, _ = kernel.base_integrand(x, y, 0, 0.04, 0.5)
+        log_kernel, _, _ = integrand_of_one(kernel, x, y, 0, 0.04, 0.5)
         assert np.array_equal(log_kernel(self.TIMES)[0], kernel.log_value(self.TIMES, x, y))
 
     @pytest.mark.parametrize("family, k, h", [("gaussian", 1, 1e-6), ("gaussian", 2, 1e-4), ("stable", 1, 1e-5)])
@@ -889,7 +901,7 @@ class TestProtocol:
 POINT_CALLS = {
     "log_value": lambda kernel, x, y: kernel.log_value(0.3, x, y),
     "value": lambda kernel, x, y: kernel.value(0.3, x, y),
-    "base_integrand": lambda kernel, x, y: kernel.base_integrand(x, y, 0, 0.3, 0.5),
+    "base_integrand": lambda kernel, x, y: integrand_of_one(kernel, x, y, 0, 0.3, 0.5),
     "derivative": lambda kernel, x, y: kernel.derivative(0.3, x, y, 1),
 }
 
@@ -953,6 +965,49 @@ class TestPointReader:
             fd.value(0.3, [0.5, 9.0], [0.0, 3.0])
         with pytest.raises(DomainError):
             S.frac_green(S.FracGreenRequest(kernel=fd, beta=0.5, t=0.3, x=[0.5, 9.0], y=[0.0, 3.0]))
+
+    @pytest.mark.parametrize(
+        "family, call",
+        [(f, c) for f in sorted(PROTOCOL_CASES) for c in POINT_CALLS if c != "derivative"]
+        + [("gaussian", "derivative"), ("stable", "derivative")],
+    )
+    def test_non_finite_coordinates_raise(self, family, call):
+        make, _, x, y, _ = PROTOCOL_CASES[family]
+        kernel = make()
+        for bad in (math.nan, math.inf, -math.inf):
+            bad_pairs = ((np.append(bad, np.atleast_1d(x)[1:]), y), (x, np.append(np.atleast_1d(y)[:-1], bad)))
+            for bad_x, bad_y in bad_pairs:
+                with pytest.raises(DomainError, match="finite"):
+                    POINT_CALLS[call](kernel, bad_x, bad_y)
+
+    @pytest.mark.parametrize("family", sorted(PROTOCOL_CASES))
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0])
+    def test_time_must_be_positive_and_finite(self, family, t):
+        make, _, x, y, _ = PROTOCOL_CASES[family]
+        kernel = make()
+        with pytest.raises(DomainError):
+            kernel.log_value(t, x, y)
+        with pytest.raises(DomainError):
+            kernel.log_value(np.array([0.3, t]), x, y)
+        with pytest.raises(DomainError):
+            S.FracGreenRequest(kernel=kernel, beta=0.5, t=t, x=x, y=y)
+
+    def test_non_finite_point_fails_frac_green_as_input_error(self):
+        with pytest.raises(DomainError, match="finite"):
+            S.frac_green(S.FracGreenRequest(kernel=K.ConstantDiffusion(1), beta=0.5, t=1.0, x=math.nan, y=0.0))
+
+    def test_one_point_per_time(self):
+        # the rule evaluates many points in one call: point i at time i
+        times = np.array([0.05, 0.2, 0.45])
+        for kernel, xs in ((K.ConstantDiffusion(2, [[2.0, 0.5], [0.5, 1.0]]), [[1.0, 0.5], [-0.3, 2.0], [0.0, 0.0]]),
+                           (K.IsotropicStable(1, 1.5), [[2.0], [-0.5], [0.0]])):
+            ys = np.zeros_like(np.asarray(xs))
+            assert np.array_equal(kernel.log_value(times, xs, ys),
+                                  [kernel.log_value(t, x, y) for t, x, y in zip(times, xs, ys)])
+            assert np.array_equal(kernel.derivative(times, xs, ys, 1),
+                                  [kernel.derivative(t, x, y, 1) for t, x, y in zip(times, xs, ys)])
+        with pytest.raises(DomainError):  # one point per time, not per anything else
+            K.ConstantDiffusion(1).log_value(times, [[1.0], [2.0]], [0.0])
 
     def test_anisotropic_short_point_is_a_domain_error(self):
         an = _uniform_aniso()

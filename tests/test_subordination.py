@@ -332,3 +332,98 @@ class TestFracGreenFd1d:
         fd = K.VariableDiffusion1D("one", horizon=0.5)
         with pytest.raises(CapabilityError):
             S.FracGreenRequest(kernel=fd, beta=0.5, t=0.3, x=0.0, y=0.0, derivative_order=1)
+
+
+# (kernel factory, derivative orders, points x against y = 0) per family; the
+# point i is taken at time BATCH_TIMES[i % 3]
+BATCH_CASES = {
+    "gaussian d=1": (lambda: K.ConstantDiffusion(1), (0, 1, 2), [[0.3], [-1.2], [2.5], [0.0]]),
+    "gaussian d=2": (lambda: K.ConstantDiffusion(2, [[2.0, 0.5], [0.5, 1.0]]), (0, 1),
+                     [[1.0, 0.5], [-0.4, 1.3], [2.0, -1.0]]),
+    "gaussian d=3": (lambda: K.ConstantDiffusion(3), (0,), [[0.5, 0.0, 0.0], [1.0, -2.0, 0.5], [0.1, 0.1, 0.1]]),
+    "stable d=1": (lambda: K.IsotropicStable(1, 1.5), (0, 1), [[0.0], [0.7], [-3.0], [80.0]]),
+    "stable d=2": (lambda: K.IsotropicStable(2, 1.5), (0,), [[0.3, 0.4], [5.0, 0.0], [30.0, 1.0]]),
+    "stable d=3": (lambda: K.IsotropicStable(3, 1.5), (0,), [[0.3, 0.0, 0.4], [2.0, 1.0, 0.0], [70.0, 0.0, 0.0]]),
+    "anisotropic": (lambda: K.AnisotropicStable2D(1.5, K.SpectralMeasure.from_callable(K.SPECTRAL_BUILTINS["two_bump"])),
+                    (0,), [[1.0, 0.5], [-2.0, 3.0], [0.2, -0.1]]),
+    "fd1d": (lambda: K.VariableDiffusion1D("sin_bump", horizon=0.5, dx=0.05, dt=0.05), (0,),
+             [[0.3], [1.1], [-0.8], [0.0]]),
+}
+BATCH_TIMES = (0.3, 1.0, 0.05)
+
+
+class TestBatch:
+    """A sweep evaluates all its points in one batch; each point's result
+    must be what it gets alone, in a batch of one."""
+
+    @pytest.mark.parametrize("family, k", [(f, k) for f, (_, ks, _) in BATCH_CASES.items() for k in ks])
+    def test_batch_equals_batches_of_one(self, family, k):
+        make, _, xs = BATCH_CASES[family]
+        kernel = make()
+        ts = [BATCH_TIMES[i % 3] for i in range(len(xs))]
+        ys = [[0.0] * len(x) for x in xs]
+        batch = S.frac_green_batch(kernel, 0.6, ts, xs, ys, k)
+        for t, x, y, got in zip(ts, xs, ys, batch):
+            (alone,) = S.frac_green_batch(kernel, 0.6, [t], [x], [y], k)
+            if x == [0.0] and k == 2:  # the diagonal diverges for d + k >= 2
+                assert type(got) is type(alone) is DomainError
+                continue
+            assert isinstance(got, S.FracGreenResult), (x, got)
+            for name in ("value", "log_value", "error_estimate", "nodes", "truncated_mass_bound"):
+                assert getattr(got, name) == getattr(alone, name), (x, name)
+            assert got == S.frac_green_detailed(req(kernel, 0.6, t, x, y, k))
+
+    def test_fd1d_batch_over_sources(self):
+        # one history per source, each read only by its own points
+        fd = K.VariableDiffusion1D("sin_bump", horizon=0.5, dx=0.05, dt=0.05)
+        ts, xs, ys = [0.3, 0.05, 1.0, 0.3], [0.4, 0.4, -1.0, 2.0], [-0.5, 0.0, 0.5, 0.0]
+        batch = S.frac_green_batch(fd, 0.6, ts, xs, ys)
+        fresh = K.VariableDiffusion1D("sin_bump", horizon=0.5, dx=0.05, dt=0.05)
+        assert batch == [S.frac_green_detailed(req(fresh, 0.6, *point)) for point in zip(ts, xs, ys)]
+        assert sorted(fd._histories) == [-0.5, 0.0, 0.5]
+
+    def test_mixed_batch_fails_point_by_point(self):
+        # a kernel call that raises for one point is repeated point by point,
+        # and each failure is the one the point raises alone
+        def expect(kernel, ts, xs, failures):
+            batch = S.frac_green_batch(kernel, 0.3, ts, xs, [[0.0]] * len(xs))
+            for i, (t, x, got) in enumerate(zip(ts, xs, batch)):
+                if i in failures:
+                    assert type(got) is failures[i], (x, got)
+                    with pytest.raises(failures[i]):
+                        S.frac_green_detailed(req(kernel, 0.3, t, x, [0.0]))
+                else:
+                    assert got == S.frac_green_detailed(req(kernel, 0.3, t, x, [0.0])), x
+
+        # fd1d: a point beyond the user's half-width raises in the history's
+        # evaluation, a non-finite time in the request
+        fd = K.VariableDiffusion1D("one", horizon=0.5, dx=0.05, dt=0.05, half_width=2.0)
+        expect(fd, [0.3, 0.3, 0.2, math.inf, 0.3], [[0.5], [3.0], [0.2], [0.5], [1.0]],
+               {1: HorizonError, 3: DomainError})
+        # stable alpha = 1.05 on the diagonal: phi decays too slowly to close
+        # the window within the zeta limit; NaN is no point
+        st = K.IsotropicStable(1, 1.05)
+        expect(st, [1.0, 1.0, 1.0, 2.0], [[0.0], [0.5], [math.nan], [1.0]], {0: AccuracyError, 2: DomainError})
+        # Gaussian d = 2 diverges on the diagonal
+        g2 = K.ConstantDiffusion(2)
+        batch = S.frac_green_batch(g2, 0.3, [1.0, 1.0, 1.0], [[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]], [[0.0, 0.0]] * 3)
+        assert type(batch[0]) is DomainError
+        assert batch[1:] == [S.frac_green_detailed(req(g2, 0.3, 1.0, x, [0.0, 0.0])) for x in ([1.0, 0.0], [0.5, 0.5])]
+
+    def test_order_beyond_kernel_fails_the_batch(self):
+        with pytest.raises(CapabilityError):
+            S.frac_green_batch(K.IsotropicStable(2, 1.5), 0.5, [1.0], [[1.0, 0.0]], [[0.0, 0.0]], 1)
+
+    def test_one_kernel_call_per_round(self, gauss1d, monkeypatch):
+        # 12 points cost no more kernel calls than the slowest of them alone
+        calls, log_value = [], K.ConstantDiffusion.log_value
+        monkeypatch.setattr(K.ConstantDiffusion, "log_value", lambda *a: calls.append(1) or log_value(*a))
+        ts, xs = [0.2, 1.0, 5.0] * 4, [[r] for r in (0.0, 0.1, 1.0, 3.0) for _ in range(3)]
+        alone = []
+        for t, x in zip(ts, xs):
+            calls.clear()
+            S.frac_green_detailed(req(gauss1d, 0.5, t, x, [0.0]))
+            alone.append(len(calls))
+        calls.clear()
+        S.frac_green_batch(gauss1d, 0.5, ts, xs, [[0.0]] * 12)
+        assert len(calls) == max(alone) < sum(alone)
