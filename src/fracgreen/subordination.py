@@ -311,6 +311,8 @@ def frac_green_batch(kernel, beta, t, x, y, derivative_order=0) -> list:
     An order the kernel does not have raises for the whole batch."""
     beta = _beta_value(beta)
     _check_order(kernel, derivative_order)
+    if not len(t) == len(x) == len(y):
+        raise DomainError(f"a batch takes one time and two points per point, got {len(t)}, {len(x)} and {len(y)}")
     log_kernel, setup = kernel.base_integrand(x, y, derivative_order, t, beta)
     lb, rules = np.zeros(len(setup)), {}
     for i, point in enumerate(setup):

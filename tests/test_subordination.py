@@ -414,6 +414,10 @@ class TestBatch:
         with pytest.raises(CapabilityError):
             S.frac_green_batch(K.IsotropicStable(2, 1.5), 0.5, [1.0], [[1.0, 0.0]], [[0.0, 0.0]], 1)
 
+    def test_batch_lengths_must_agree(self, gauss1d):
+        with pytest.raises(DomainError):
+            S.frac_green_batch(gauss1d, 0.5, [1.0, 2.0], [0.5], [0.0, 0.0])
+
     def test_one_kernel_call_per_round(self, gauss1d, monkeypatch):
         # 12 points cost no more kernel calls than the slowest of them alone
         calls, log_value = [], K.ConstantDiffusion.log_value
