@@ -281,7 +281,7 @@ def _run_rules(log_kernel, beta, lb, rules):
                     log_k[part], sign[part] = log_kernel(np.exp(lb[i] + zeta[part]), i)
                 except Exception as exc:
                     failed[i] = exc
-        vals, sign = log_k + _WEIGHTS.omega(beta, zeta), np.broadcast_to(sign, zeta.shape)
+        vals, sign = log_k + _WEIGHTS.omega(beta, zeta), (sign if np.ndim(sign) else np.full(zeta.size, sign))
         for i, z, part in zip(pts, zetas, parts):
             nodes[i] += z.size
             if i in failed:
