@@ -328,6 +328,17 @@ def _add_common(sub):
     sub.add_argument("--config", type=str, default=None, help="JSON parameter file (flags win)")
 
 
+def _add_kernel_flags(sub):
+    """The flags ``_build_kernel`` reads, one group for every command that builds a kernel."""
+    kg = sub.add_argument_group("kernel")
+    kg.add_argument("--kernel", choices=("gaussian", "stable", "anisotropic", "fd1d"), default=None)
+    kg.add_argument("--d", type=int, default=None)
+    kg.add_argument("--alpha", type=float, default=None)
+    for name in ("spectral", "coeff-a", "coeff-b", "coeff-c"):  # each a builtin name or a CSV path
+        kg.add_argument(f"--{name}", type=str, default=None)
+    kg.add_argument("--horizon", type=float, default=None)
+
+
 def _parser():
     ap = argparse.ArgumentParser(prog="fracgreen", description=__doc__.splitlines()[0])
     ap.add_argument("--version", action="version", version=f"fracgreen {__version__}")
@@ -341,28 +352,18 @@ def _parser():
     _add_common(sp)
 
     kp = subs.add_parser("kernel", help="tabulate base spatial kernels")
-    kp.add_argument("--kernel", choices=("gaussian", "stable", "anisotropic", "fd1d"), default=None)
-    kp.add_argument("--d", type=int, default=None)
-    kp.add_argument("--alpha", type=float, default=None)
+    _add_kernel_flags(kp)
     kp.add_argument("--t", type=float, nargs="*", default=None)
     kp.add_argument("--r", type=float, nargs="*", default=None)
-    kp.add_argument("--spectral", type=str, default=None)
-    kp.add_argument("--coeff-a", dest="coeff_a", type=str, default=None)
-    kp.add_argument("--coeff-b", dest="coeff_b", type=str, default=None)
-    kp.add_argument("--coeff-c", dest="coeff_c", type=str, default=None)
-    kp.add_argument("--horizon", type=float, default=None)
     _add_common(kp)
 
     gp = subs.add_parser("green", help="fractional Green's function values")
-    gp.add_argument("--kernel", choices=("gaussian", "stable", "anisotropic", "fd1d"), default=None)
-    gp.add_argument("--d", type=int, default=None)
-    gp.add_argument("--alpha", type=float, default=None)
+    _add_kernel_flags(gp)
     gp.add_argument("--beta", type=float, required=True)
     gp.add_argument("--t", type=float, required=True)
     gp.add_argument("--x", type=float, nargs="*", default=None)
     gp.add_argument("--y", type=float, nargs="*", default=None)
     gp.add_argument("--derivative", type=int, default=None)
-    gp.add_argument("--horizon", type=float, default=None)
     _add_common(gp)
 
     ep = subs.add_parser("envelope", help="two-sided estimate shapes")
@@ -381,14 +382,10 @@ def _parser():
     vp = subs.add_parser("verify", help="run an envelope certification sweep")
     vp.add_argument("--theorem", type=str, default=None)
     vp.add_argument("--prop", type=str, default=None, help="derivative proposition selector")
-    vp.add_argument("--kernel", choices=("gaussian", "stable", "anisotropic", "fd1d"), default=None)
-    vp.add_argument("--d", type=int, default=None)
-    vp.add_argument("--alpha", type=float, default=None)
+    _add_kernel_flags(vp)
     vp.add_argument("--beta", type=float, required=True)
     vp.add_argument("--k", type=int, default=None)
-    vp.add_argument("--horizon", type=float, default=None)
     vp.add_argument("--ratio-ceiling", dest="ratio_ceiling", type=float, default=None)
-    vp.add_argument("--coeff-a", dest="coeff_a", type=str, default=None)
     _add_common(vp)
 
     lp = subs.add_parser("laplace-check", help="Laplace-method asymptotics vs quadrature oracle")
@@ -401,6 +398,9 @@ def _parser():
 
     mp = subs.add_parser("mc", help="Monte Carlo campaigns")
     mp.add_argument("--campaign", choices=("increment", "inverse", "subordinated", "comparison"), default=None)
+    mp.add_argument("--kernel", choices=("gaussian", "stable"), default=None,
+                    help="the d = 1 family a subordinated campaign simulates")
+    mp.add_argument("--alpha", type=float, default=None)
     mp.add_argument("--beta", type=float, default=None)
     mp.add_argument("--t", type=float, default=None)
     mp.add_argument("--n", type=int, default=None)

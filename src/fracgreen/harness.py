@@ -285,15 +285,12 @@ def _collect_points(kernel, beta, grid, k, rate, case, horizon):
     rows = np.zeros(len(ts) * len(grid.r_values), ROW_DTYPE)
     rows["t"] = np.repeat(ts, len(grid.r_values))
     rows["r"] = np.tile(np.asarray(grid.r_values, dtype=float), len(ts))
-    # odd symmetry: a first derivative vanishes identically on the diagonal
-    skip = (rows["r"] == 0.0) & (k > 0)
     x = np.zeros((len(rows), d))
     x[:, 0] = rows["r"]
-    results = iter(frac_green_batch(kernel, beta, rows["t"][~skip], x[~skip], np.zeros_like(x[~skip]), k))
-    for i, (t, r) in enumerate(zip(rows["t"].tolist(), rows["r"].tolist())):
+    results = frac_green_batch(kernel, beta, rows["t"], x, np.zeros_like(x), k)
+    for i, (t, r, res) in enumerate(zip(rows["t"].tolist(), rows["r"].tolist(), results)):
         point = env.compute_omega(family, t, r, beta, alpha=alpha)
         regime = env.derivative_regime(point, beta, family) if case == "local_small_time" else point.regime
-        res = None if skip[i] else next(results)
         err, nodes = (res.error_estimate, res.nodes) if isinstance(res, FracGreenResult) else (math.nan, 0)
         if isinstance(res, DomainError):
             # known on-diagonal divergence (d >= 2 / d >= alpha); the
@@ -304,11 +301,10 @@ def _collect_points(kernel, beta, grid, k, rate, case, horizon):
             log_g = log_env = math.nan
             flag = f"error:{type(res).__name__}"
         else:
-            log_env = envelope_value(family, d, alpha, beta, k, point, rate, case=case).log_value
-            if res is None:
-                log_g, err, flag = -math.inf, 0.0, "skipped:diagonal-derivative"
-            else:
-                log_g, flag = res.log_value, "ok" if np.isfinite(log_env) else "skipped:envelope-divergent"
+            log_g, log_env = res.log_value, envelope_value(family, d, alpha, beta, k, point, rate, case=case).log_value
+            # no nodes: by odd symmetry the kernel's first derivative vanishes identically on the diagonal
+            flag = ("skipped:diagonal-derivative" if nodes == 0
+                    else "ok" if np.isfinite(log_env) else "skipped:envelope-divergent")
         rows[i] = (t, r, point.omega, regime, log_g, log_env, log_g - log_env if flag == "ok" else math.nan, flag,
                    err, nodes)
     return rows
@@ -321,19 +317,17 @@ def _refit_exponential_rate(rows, kernel, beta, k, case):
     The paper's estimates leave the rate unspecified, and the default 1 is
     never trusted.  Only the off-diagonal branches carry exp{-rate ...}, so
     the on-diagonal rows are untouched, and there the log shape is affine in
-    the rate: its values at 1 and 2 give every trial rate.  Fewer than 4
-    off-diagonal rows keep rate 1.
+    the rate: its values at 1, which the rows hold, and at 2 give every
+    trial rate.  Fewer than 4 off-diagonal rows keep rate 1.
     """
     idx = np.flatnonzero((rows["flag"] == "ok") & (rows["omega"] > 1.0))
     if len(idx) < 4:
         return 1.0
     family, d, alpha = _kernel_traits(kernel)
-    points = [env.compute_omega(family, t, r, beta, alpha=alpha)
-              for t, r in zip(rows["t"][idx].tolist(), rows["r"][idx].tolist())]
-    le1, le2 = (
-        np.array([envelope_value(family, d, alpha, beta, k, point, c, case=case).log_value for point in points])
-        for c in (1.0, 2.0)
-    )
+    le1 = rows["log_envelope"][idx]
+    le2 = np.array([envelope_value(family, d, alpha, beta, k, env.compute_omega(family, t, r, beta, alpha=alpha),
+                                   2.0, case=case).log_value
+                    for t, r in zip(rows["t"][idx].tolist(), rows["r"][idx].tolist())])
     slope = le2 - le1
     log_g = rows["log_G"][idx]
     res = minimize_scalar(lambda c: np.ptp(log_g - le1 - (c - 1.0) * slope), bounds=(1e-3, 5.0),
@@ -402,8 +396,6 @@ def _certify(selector, kernel, beta, k, grid, rate, ratio_ceiling, horizon):
     if family != spec.family:
         raise SpecError(f"{selector} expects a {spec.family} kernel")
     _check_envelope_order(family, k)
-    if k > kernel.max_derivative_order():
-        raise CapabilityError(f"{type(kernel).__name__} gives derivatives up to order {kernel.max_derivative_order()}")
     if spec.local:
         horizon = horizon if horizon is not None else kernel.horizon
         if horizon is None:

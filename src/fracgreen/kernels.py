@@ -44,24 +44,26 @@ Families:
   it, never rebuilds it.  Its domain widens with t (the Gaussian-tail
   half-width a little ahead of the current time, capped by a user
   ``half_width``), and only a geometric ladder of rungs is stored, between
-  which log(sqrt(t) G) is linear in 1/t.
-  Before the splice time, and beyond the domain of the rung read, G is the
+  which log(sqrt(t) G) is linear in 1/t (``_History.log_eval``).  Before
+  the splice time, and beyond the domain of the rung read, G is the
   frozen-coefficient Gaussian.  Rungs, widths and steps depend on t alone,
   so no value depends on which request grew the history.
 
 Every family answers one protocol, so no caller needs to know which it has
-(only ``mc`` names the two d = 1 families it simulates directly):
+(only ``mc`` names the two d = 1 families it simulates directly).  Its one
+answer is log|d^k G| with its sign, which no family forms from a linear G;
+``value`` and ``derivative`` are exp of it, each one shared definition:
 
-* ``log_value(t, x, y)`` and ``value(t, x, y)``, G(t, x, y) between points x
-  and y, ``t`` an array of times or one; a t not in (0, inf) raises
-  ``DomainError``.  Every family reads its points through ``_points``: a
-  point is a vector of length d, or a number in d = 1, with finite
+* ``log_value(t, x, y)`` and ``value(t, x, y)``, log G and G between x and
+  y, ``t`` one time or an array (giving an array); a t not in (0, inf)
+  raises ``DomainError``.  Every family reads its points through ``_points``:
+  a point is a vector of length d, or a number in d = 1, with finite
   coordinates, and anything else raises ``DomainError``.  The Gaussian and
   isotropic stable families also take one point per time (x, y of shape
   t.shape + (d,)), which is how the rule evaluates many points in one call;
-* ``derivative(t, x, y, k)``, the signed d^k G / dx_0^k, in the families
-  with derivatives (k from 1 to ``max_derivative_order()``, else
-  ``CapabilityError``; a value is ``value``, so k = 0 raises);
+* ``derivative(t, x, y, k)``, the signed d^k G / dx_0^k (k from 1 to
+  ``max_derivative_order()``, else ``CapabilityError``; a value is
+  ``value``, so k = 0 raises), from ``_log_derivative(t, x, y, k)``;
 * ``rule_tol``, the stop tolerance of the subordination rule's h/2h
   difference, set above the family's own evaluation noise (interpolated
   profiles, angular trapezoids, the piecewise-smooth Crank-Nicolson
@@ -74,7 +76,7 @@ Every family answers one protocol, so no caller needs to know which it has
   fractional times t_i, which returns ``(log_kernel, setup)``.
   ``log_kernel(s, i)`` gives log|d^k G(s, x_i, y_i)| and its sign at base
   times s of the points i (one index, or one per time), through the
-  family's own ``log_value`` or ``derivative``.  ``setup[i]`` is the pair
+  family's own ``log_value`` or ``_log_derivative``.  ``setup[i]`` is the pair
   (``q_scale``, the scale of the kernel's small-time decay; the base time
   the rule must not pass for the fractional request at t_i and order beta,
   ``None`` without a limit), ``None`` where the derivative vanishes
@@ -189,10 +191,21 @@ def _times(t):
     return t
 
 
-def _value(self, t, x, y) -> float:
-    """G(t, x, y) = exp(``log_value``).  Each class binds it as ``value`` in
-    its own body, where perfbench's tracer patches it."""
-    return math.exp(self.log_value(t, x, y))
+def _value(self, t, x, y, **kw):
+    """G(t, x, y) = exp(``log_value``), by ``math.exp`` for one time (numpy's
+    differs in the last bit).  Each class binds it as ``value`` in its own
+    body, where perfbench's tracer patches it."""
+    log_g = self.log_value(t, x, y, **kw)
+    return math.exp(log_g) if np.ndim(log_g) == 0 else np.exp(log_g)
+
+
+def _derivative(self, t, x, y, k):
+    """The signed d^k G / dx_0^k = sign exp(log|d^k G|) of the family's
+    ``_log_derivative``, bound as ``derivative`` like ``_value``."""
+    _check_order(self, k)
+    log_dk, sign = self._log_derivative(t, x, y, k)
+    out = sign * np.exp(log_dk)
+    return float(out) if out.ndim == 0 else out
 
 
 def _log_positive(v):
@@ -249,17 +262,11 @@ class ConstantDiffusion:
     def max_derivative_order(self) -> int:
         return 2
 
-    def derivative(self, t, x, y, k):
-        """d^k G / dx_0^k, k = 1 or 2, in closed form; ``t`` may be an array of
-        times, and x and y one point per time."""
-        _check_order(self, k)
-        log_dk, sign = self._log_derivative(t, x, y, k)
-        out = sign * np.exp(log_dk)
-        return float(out) if out.ndim == 0 else out
+    derivative = _derivative
 
     def _log_derivative(self, t, x, y, k):
-        """(log|d^k G / dx_0^k|, sign) at times t: d^k G = factor * G, and
-        for k = 2 the factor changes sign at t = w1^2 / 2a."""
+        """(log|d^k G / dx_0^k|, sign) at times t, k = 1 or 2: d^k G = factor
+        * G, and for k = 2 the factor changes sign at t = w1^2 / 2a."""
         log_g = self.log_value(t, x, y)
         _, w1 = self._quad_form(np.subtract(*_points(x, y, self.d, t)))
         a = float(self._inv[0, 0])
@@ -442,9 +449,6 @@ class _profile_1d:
         return _spline_or_tail(rho, _TAIL_RHO, self._log_minus_over_rho,
                                lambda r: np.log(_tail_series(self.alpha, 1, "sin")(r) / (math.pi * r)))
 
-    def deriv(self, rho):
-        return -np.abs(np.asarray(rho, dtype=float)) * np.exp(self.log_minus_deriv_over_rho(rho))
-
 
 class _profile_3d:
     """P_3 = -P_1'/(2 pi rho), the dimension walk from the d = 1 derivative spline."""
@@ -493,7 +497,8 @@ class _profile_2d:
         rho = nodes[1:].reshape(-1, 1)  # nodes[0] = 0
         x, w = np.polynomial.legendre.leggauss(64)
         top = np.arccosh(_TAIL_RHO / rho)
-        body = -0.5 * top[:, 0] * (_profile_1d(self.alpha).deriv(rho * np.cosh(0.5 * top * (x + 1.0))) @ w) / math.pi
+        r = rho * np.cosh(0.5 * top * (x + 1.0))  # -P_1'(r) = r (-P_1'/r)
+        body = 0.5 * top[:, 0] * ((r * np.exp(_profile_1d(self.alpha).log_minus_deriv_over_rho(r))) @ w) / math.pi
         log_coef, weight, p = _abel_coefficients(self.alpha)
         with np.errstate(divide="ignore"):  # I_T underflows to 0 in the high terms at small rho
             log_env = log_coef - p * np.log(rho) + np.log(betainc(p / 2.0, 0.5, (rho / _TAIL_RHO) ** 2))
@@ -552,22 +557,18 @@ class IsotropicStable:
     def max_derivative_order(self) -> int:
         return 1 if self.d == 1 else 0
 
-    def derivative(self, t, x, y, k):
-        """Signed d/dx G(t, x, y), d = 1 and k = 1 only; ``t`` may be an array of
-        times, and x and y one point per time."""
-        _check_order(self, k)
+    derivative = _derivative
+
+    def _log_derivative(self, t, x, y, k):
+        """(log|dG/dx|, sign) at times t, d = 1 and k = 1: dG/dx = -(x - y)
+        t^{-3/alpha} (-P'/rho)(rho), rho = |x - y| t^{-1/alpha}, with -P'/rho
+        = P/2 at alpha = 2; the sign is that of y - x, +0 on the diagonal."""
         t = _times(t)
         rr = np.subtract(*_points(x, y, 1, t))[..., 0]
-        s = t ** (-1.0 / self.alpha)
-        if self.alpha == 2.0:
-            rho = np.abs(rr) * s
-            dmag = -(rho / 2.0) * np.exp(-rho * rho / 4.0) / math.sqrt(4.0 * math.pi)
-        else:
-            dmag = self._profile.deriv(np.abs(rr) * s)
-        # the profile decreases in rho: the derivative has the sign of -(x - y)
-        mag = np.abs(t ** (-2.0 / self.alpha) * dmag)
-        out = np.where(rr == 0.0, 0.0, np.copysign(mag, -rr))
-        return float(out) if out.ndim == 0 else out
+        rho = np.abs(rr) * t ** (-1.0 / self.alpha)
+        log_p = (self.log_profile(rho) - math.log(2.0) if self.alpha == 2.0
+                 else self._profile.log_minus_deriv_over_rho(rho))
+        return _log_positive(np.abs(rr)) - 3.0 / self.alpha * np.log(t) + log_p, np.sign(-rr)
 
     def base_integrand(self, x, y, k, t, beta):
         """G (any d) or dG/dx (d = 1) for the subordination rule (see the module docstring)."""
@@ -581,8 +582,7 @@ class IsotropicStable:
         xs, ys, setup = _batch(self.d, prepare, x, y, t)
         if k == 0:
             return (lambda s, i: (self.log_value(s, xs[i], ys[i]), 1.0)), setup
-        sign = -np.copysign(1.0, xs[:, 0] - ys[:, 0])
-        return (lambda s, i: (_log_positive(np.abs(self.derivative(s, xs[i], ys[i], 1))), sign[i])), setup
+        return (lambda s, i: self._log_derivative(s, xs[i], ys[i], k)), setup
 
 
 # ---------------------------------------------------------------------------
@@ -803,8 +803,11 @@ SPECTRAL_BUILTINS = {
 
 
 def _two_columns(path):
-    """The two columns of a numeric CSV file."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    """The two columns of a numeric CSV file, else ``DomainError``."""
+    try:
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"{path}: not a readable numeric CSV ({exc})") from None
     if data.shape[1] != 2:
         raise DomainError(f"{path}: need two columns, got {data.shape[1]}")
     return data[:, 0], data[:, 1]
@@ -1000,12 +1003,13 @@ class _History:
         self._centres = np.cumsum(2 * self.rung_nodes + 1) - self.rung_nodes - 1
         self.xs = self.y + self.dx * np.arange(-m, m + 1, dtype=float)
 
-    def eval(self, t, x):
-        """G at base times t and points x (arrays that broadcast; the spatial
-        weights are computed once per call).  Between rungs, log(sqrt(t) G) is
-        linear in 1/t, which is exact for frozen-coefficient Gaussians with
-        their prefactor.  At t <= t_splice, and at a point beyond the domain
-        of the earlier rung, G is that frozen-coefficient Gaussian."""
+    def log_eval(self, t, x):
+        """log G at base times t and points x (arrays that broadcast; the
+        spatial weights are computed once per call).  Between rungs, log(sqrt(t)
+        G) is linear in 1/t, which is exact for frozen-coefficient Gaussians
+        with their prefactor (G linear in t where a rung is not positive).  At
+        t <= t_splice, and at a point beyond the domain of the earlier rung, G
+        is that frozen-coefficient Gaussian, which never underflows here."""
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         r = x - self.y
@@ -1018,7 +1022,7 @@ class _History:
             raise HorizonError(f"history stored up to t = {self.t_max:g}, asked for {np.max(t):g}")
         mid = 0.5 * (x + self.y)
         a = self.a(mid)
-        gauss = np.exp(-r**2 / (4.0 * a * t) + self.c(mid) * t) / np.sqrt(4.0 * math.pi * a * t)
+        log_gauss = -r**2 / (4.0 * a * t) + self.c(mid) * t - 0.5 * np.log(4.0 * math.pi * a * t)
 
         # x between the nodes o and o + 1 counted from the source
         xs, m = self.xs, (self.xs.size - 1) // 2
@@ -1033,12 +1037,12 @@ class _History:
             return (1.0 - wx) * self.profiles[c + np.clip(o, -mi, mi)] + wx * self.profiles[c + np.clip(o + 1, -mi, mi)]
 
         t0, t1, v0, v1 = self.times[it - 1], self.times[it], rung(it - 1), rung(it)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             w = (1.0 / t - 1.0 / t0) / (1.0 / t1 - 1.0 / t0)
             log_g = (1.0 - w) * np.log(v0 * np.sqrt(t0)) + w * np.log(v1 * np.sqrt(t1)) - 0.5 * np.log(t)
-            g = np.where((v0 > 0.0) & (v1 > 0.0), np.exp(log_g), v0 + (t - t0) / (t1 - t0) * (v1 - v0))
+        log_g = np.where((v0 > 0.0) & (v1 > 0.0), log_g, _log_positive(v0 + (t - t0) / (t1 - t0) * (v1 - v0)))
         beyond = np.abs(r) > self.rung_nodes[it - 1] * self.dx
-        return np.where((t <= self.t_splice) | beyond, gauss, g)
+        return np.where((t <= self.t_splice) | beyond, log_gauss, log_g)
 
 
 class VariableDiffusion1D:
@@ -1117,19 +1121,17 @@ class VariableDiffusion1D:
             raise
         return hist
 
-    def value(self, t, x, y, *, allow_beyond_horizon=False):
-        """G(t, x, y); ``t`` may be an array of times."""
+    def log_value(self, t, x, y, *, allow_beyond_horizon=False):
+        """log G(t, x, y), -inf where the history is not positive; ``t`` may be
+        an array of times, beyond the horizon only ``allow_beyond_horizon``."""
         t = _times(t)
         x, y = (float(v[0]) for v in _points(x, y, 1))
         if np.any(t > self.horizon) and not allow_beyond_horizon:
             raise HorizonError(f"t = {np.max(t):g} beyond horizon T = {self.horizon:g}")
-        out = self.history(y, t_max=max(self.horizon, np.max(t))).eval(t, x)
+        out = self.history(y, t_max=max(self.horizon, np.max(t))).log_eval(t, x)
         return float(out) if out.ndim == 0 else out
 
-    def log_value(self, t, x, y):
-        """log of ``value``, -inf where that is not positive."""
-        out = _log_positive(self.value(t, x, y))
-        return float(out) if out.ndim == 0 else out
+    value = _value
 
     def max_derivative_order(self) -> int:
         return 0
@@ -1154,7 +1156,7 @@ class VariableDiffusion1D:
             x, src, out = np.broadcast_to(xs[i, 0], s.shape), np.broadcast_to(ys[i, 0], s.shape), np.empty(s.size)
             for y, hist in hists.items():
                 at = src == y
-                out[at] = _log_positive(hist.eval(s[at], x[at]))
+                out[at] = hist.log_eval(s[at], x[at])
             return out, 1.0
 
         xs, ys, setup = _batch(1, prepare, x, y, t)
@@ -1162,4 +1164,4 @@ class VariableDiffusion1D:
 
     def grid_mass(self, t, y=0.0) -> float:
         hist = self.history(y, t_max=max(self.horizon, t))
-        return float(np.trapezoid(hist.eval(t, hist.xs), hist.xs))
+        return float(np.trapezoid(np.exp(hist.log_eval(t, hist.xs)), hist.xs))

@@ -257,7 +257,7 @@ def subordinated_path_samples(kernel, beta, t, cfg: McConfig, rng=None):
 
 def subordinated_density_mc(kernel, beta, t, cfg: McConfig, rng=None) -> EmpiricalDensity:
     """Histogram density estimate of X(E_t) on an auto-scaled window."""
-    from .subordination import FracGreenRequest, frac_green
+    from .subordination import _raised, frac_green_batch
 
     samples = subordinated_path_samples(kernel, beta, t, cfg, rng=rng)
     lo, hi = np.quantile(samples, [0.001, 0.999])
@@ -266,7 +266,9 @@ def subordinated_density_mc(kernel, beta, t, cfg: McConfig, rng=None) -> Empiric
     width = np.diff(edges)
     density = counts / (cfg.sample_count * width)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    paired = np.array([frac_green(FracGreenRequest(kernel=kernel, beta=beta, t=t, x=[c], y=[0.0])) for c in centers])
+    # every bin centre in one batch; a centre that fails raises, as frac_green would
+    results = frac_green_batch(kernel, beta, [t] * centers.size, centers[:, None], np.zeros((centers.size, 1)))
+    paired = np.array([_raised(res).value for res in results])
     return EmpiricalDensity(
         bin_edges=edges, counts=counts, density=density, samples=samples,
         frac_green_density=paired,

@@ -129,6 +129,40 @@ class TestNonFiniteInput:
         assert json.loads(err)["error"] == "DomainError"
 
 
+class TestKernelFlags:
+    """`kernel`, `green` and `verify` share the flags `_build_kernel` reads,
+    and `mc` takes the family and order of its subordinated campaign."""
+
+    @pytest.mark.parametrize("args", [
+        ("green", "--spectral", "two_bump", "--beta", "0.5", "--t", "1"),
+        ("green", "--kernel", "fd1d", "--coeff-a", "sin_bump", "--beta", "0.5", "--t", "0.3", "--x", "0.5"),
+        ("mc", "--campaign", "subordinated", "--kernel", "stable", "--alpha", "1.5", "--n", "2000", "--bins", "20"),
+    ])
+    def test_flags_are_accepted(self, args):
+        code, out, err = run_cli(*args)
+        assert code == 0 and err == ""
+        if args[0] == "mc":
+            assert json.loads(out)["config"]["params"]["kernel"] == "stable"
+
+    @pytest.mark.parametrize("command, required", [("kernel", ()), ("green", ("--beta", "0.5", "--t", "1")),
+                                                   ("verify", ("--beta", "0.5"))])
+    def test_commands_share_the_kernel_flags(self, command, required):
+        flags = ("--kernel", "fd1d", "--d", "1", "--alpha", "1.5", "--spectral", "two_bump", "--coeff-a", "one",
+                 "--coeff-b", "zero", "--coeff-c", "sin_bump", "--horizon", "2")
+        ns = cli._parser().parse_args([command, *flags, *required])
+        assert (ns.kernel, ns.d, ns.alpha, ns.spectral, ns.coeff_a, ns.coeff_b, ns.coeff_c, ns.horizon) == (
+            "fd1d", 1, 1.5, "two_bump", "one", "zero", "sin_bump", 2.0)
+
+    @pytest.mark.parametrize("content", [None, "x,a\n0.0,one\n"], ids=["missing", "not-numeric"])
+    def test_unreadable_coefficient_csv_is_error_record(self, tmp_path, content):
+        path = tmp_path / "coef.csv"
+        if content is not None:
+            path.write_text(content)
+        code, out, err = run_cli("kernel", "--kernel", "fd1d", "--coeff-a", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+
 # (flags of `fracgreen kernel`, the kernel they build)
 KERNEL_TABLES = {
     "gaussian": (("--kernel", "gaussian", "--d", "3"), lambda: K.ConstantDiffusion(3)),

@@ -236,6 +236,26 @@ class TestIsotropicStable:
         assert s.derivative(1.0, 0.0, 1.0, k=1) > 0
         assert s.derivative(1.0, 0.5, 0.5, k=1) == 0.0
 
+    @pytest.mark.parametrize("alpha", [0.7, 1.5, 2.0])
+    def test_log_derivative_equals_linear_formula(self, alpha):
+        # sign exp(log|dG/dx|) against the product t^{-2/alpha} P'(rho),
+        # P' = -rho exp(log(-P'/rho)) (the Gaussian's at alpha = 2), on rho
+        # across the spline and the tail (rho > 60), and +0.0 on the diagonal
+        s = K.IsotropicStable(1, alpha)
+        rho = np.geomspace(1e-3, 10.0 if alpha == 2.0 else 300.0, 80)
+        for t in (0.3, 1.0, 2.5):
+            rr = np.concatenate([rho, -rho]) * t ** (1.0 / alpha)
+            got = s.derivative(np.full(rr.size, t), rr[:, None], np.zeros((rr.size, 1)), 1)
+            r = np.abs(rr) * t ** (-1.0 / alpha)
+            if alpha == 2.0:
+                dmag = -(r / 2.0) * np.exp(-r * r / 4.0) / math.sqrt(4.0 * math.pi)
+            else:
+                dmag = -r * np.exp(s._profile.log_minus_deriv_over_rho(r))
+            linear = np.copysign(np.abs(t ** (-2.0 / alpha) * dmag), -rr)
+            assert np.max(np.abs(got / linear - 1.0)) < 1e-14
+        for diagonal in (s.derivative(1.0, 0.3, 0.3, 1), s.derivative(np.array([1.0]), [[0.0]], [[0.0]], 1)[0]):
+            assert diagonal == 0.0 and math.copysign(1.0, diagonal) == 1.0
+
     def test_far_tail_series_consistency(self):
         for alpha in (0.8, 1.5):
             p = K._profile_1d(alpha)
@@ -519,6 +539,23 @@ class TestVariableDiffusion:
         fd = K.VariableDiffusion1D("one", dx=0.05, dt=0.05)
         assert fd.value(0.3, [0.5], [0.0]) == fd.value(0.3, 0.5, 0.0) > 0
 
+    def test_log_value_where_g_underflows(self):
+        # before the splice time G is the frozen Gaussian, formed in the log
+        # domain: exp of it underflows here (log G = -2247.8)
+        fd = K.VariableDiffusion1D("one", dx=0.05, dt=0.05)
+        got, ref = fd.log_value(0.001, 3.0, 0.0), K.ConstantDiffusion(1).log_value(0.001, 3.0, 0.0)
+        assert ref < -2000.0 and got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("x", [1.0, 4.0])
+    def test_far_tail_at_small_time_is_ok(self, x):
+        # criterion 11's grid at beta = 0.8 and t = 1e-6, where log G is
+        # -3254 and -32828: every base time the rule reads is in the log domain
+        fd = K.VariableDiffusion1D("one", dx=0.006, dt=0.004)
+        got, ref = (S.frac_green_detailed(S.FracGreenRequest(kernel=kernel, beta=0.8, t=1e-6, x=x, y=0.0))
+                    for kernel in (fd, K.ConstantDiffusion(1)))
+        assert ref.log_value < -3000.0
+        assert abs(got.log_value - ref.log_value) < 1e-3
+
     def test_grid_mass(self):
         fd = K.VariableDiffusion1D("one", horizon=1.0)
         assert fd.grid_mass(0.1) == pytest.approx(1.0, abs=1e-4)
@@ -616,7 +653,7 @@ class TestVariableDiffusion:
         for name in ("times", "rung_nodes", "profiles", "xs"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         s = np.geomspace(1e-3, 10.0, 200)
-        assert np.array_equal(a.eval(s, 1.3), b.eval(s, 1.3))
+        assert np.array_equal(np.exp(a.log_eval(s, 1.3)), np.exp(b.log_eval(s, 1.3)))
 
     def test_failed_extension_drops_the_history(self, monkeypatch):
         # a history stepped part way cannot be continued: the next request
@@ -655,7 +692,7 @@ class TestVariableDiffusion:
             x = fd.dx * k  # on a node, inside every rung
             assert x < hist.rung_nodes[0] * fd.dx
             exact = np.exp(-x**2 / (4.0 * ts)) / np.sqrt(4.0 * math.pi * ts)
-            assert np.max(np.abs(hist.eval(ts, x) / exact - 1.0)) < 1e-14
+            assert np.max(np.abs(np.exp(hist.log_eval(ts, x)) / exact - 1.0)) < 1e-14
 
     def test_ladder_matches_every_step_history(self, monkeypatch):
         # variable diffusion, drift and potential, where the rule is not
@@ -670,7 +707,7 @@ class TestVariableDiffusion:
         ts = np.sqrt(ladder.times[:-1] * ladder.times[1:])
         ts = ts[(ts > ladder.t_splice) & (ts <= 2.0)]
         xs = np.linspace(-3.0, 3.0, 121)
-        got, ref = ladder.eval(ts[:, None], xs), every.eval(ts[:, None], xs)
+        got, ref = np.exp(ladder.log_eval(ts[:, None], xs)), np.exp(every.log_eval(ts[:, None], xs))
         assert np.max(np.abs(got - ref) / ref.max(axis=1, keepdims=True)) < 2e-4
 
     @pytest.mark.parametrize("make", [
@@ -719,7 +756,7 @@ class TestVariableDiffusion:
         def worst(t):
             x = dx * np.arange(int(3.0 * math.sqrt(2.0 * t) / dx) + 1)  # nodes
             exact = np.exp(-x**2 / (4.0 * t)) / np.sqrt(4.0 * math.pi * t)
-            return np.max(np.abs(hist.eval(t, x) / exact - 1.0))
+            return np.max(np.abs(np.exp(hist.log_eval(t, x)) / exact - 1.0))
 
         at_horizon = worst(h)  # 2.37e-4
         assert max(worst(t) for t in np.geomspace(h, 15.0 * h, 61)[1:]) <= at_horizon  # 2.18e-4
@@ -866,6 +903,17 @@ class TestProtocol:
         kernel = make()
         logs = kernel.log_value(self.TIMES, x, y)
         assert np.array_equal(logs, [kernel.log_value(t, x, y) for t in self.TIMES])
+
+    @pytest.mark.parametrize("family", sorted(PROTOCOL_CASES))
+    def test_value_takes_an_array_of_times(self, family):
+        # np.exp of the array of logs; a scalar call goes through math.exp,
+        # which may differ from it in the last bit
+        make, _, x, y, _ = PROTOCOL_CASES[family]
+        kernel = make()
+        values = kernel.value(self.TIMES, x, y)
+        assert isinstance(values, np.ndarray) and values.shape == self.TIMES.shape
+        assert np.array_equal(values, np.exp(kernel.log_value(self.TIMES, x, y)))
+        np.testing.assert_allclose(values, [kernel.value(t, x, y) for t in self.TIMES], rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("family", sorted(PROTOCOL_CASES))
     def test_integrand_is_log_value(self, family):

@@ -243,12 +243,8 @@ class TestSubordinatedDensity:
         samples = M.subordinated_path_samples(K.ConstantDiffusion(1), 0.5, 1.0, cfg)
         g1 = K.ConstantDiffusion(1)
         grid = np.linspace(0.0, 14.0, 141)
-        pdf = np.array(
-            [
-                S.frac_green(S.FracGreenRequest(kernel=g1, beta=0.5, t=1.0, x=[v], y=[0.0]))
-                for v in grid
-            ]
-        )
+        pdf = np.array([res.value for res in S.frac_green_batch(g1, 0.5, [1.0] * grid.size, grid[:, None],
+                                                                np.zeros((grid.size, 1)))])
         # symmetric kernel: build the CDF on r >= 0 and mirror
         half = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2.0 * np.diff(grid))])
 
