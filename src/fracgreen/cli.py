@@ -60,8 +60,18 @@ def _emit_table(rows, columns, fmt, out, config):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _build_kernel(p):
+_FAMILY_PARAMS = {"gaussian": {"d", "diffusion_matrix"}, "stable": {"d", "alpha"}, "anisotropic": {"alpha", "spectral"},
+                  "fd1d": {"coeff_a", "coeff_b", "coeff_c", "horizon"}}
+
+
+def _build_kernel(p, own=()):
+    """The kernel ``p`` asks for; a kernel parameter its family does not read is a usage error unless in ``own``."""
     family = p.get("kernel", "gaussian")
+    if family not in _FAMILY_PARAMS:
+        raise _Usage(f"unknown kernel family {family!r}")
+    for name in sorted(set().union(*_FAMILY_PARAMS.values()) - _FAMILY_PARAMS[family] - set(own)):
+        if p.get(name) is not None:
+            raise _Usage(f"--{name.replace('_', '-')} is not read by the {family} kernel")
     d = int(p.get("d", 1))
     if family == "gaussian":
         matrix = p.get("diffusion_matrix")
@@ -93,7 +103,6 @@ def _build_kernel(p):
             coeff("coeff_c", "zero"),
             horizon=float(p.get("horizon", 1.0)),
         )
-    raise _Usage(f"unknown kernel family {family!r}")
 
 
 class _Usage(Exception):
@@ -178,7 +187,7 @@ def _cmd_verify(p, fmt, out, config):
     if p.get("kernel") is None:
         p = dict(p)
         p["kernel"] = "fd1d" if selector == "4.1" else {"diffusion": "gaussian", "stable": "stable"}[family]
-    kernel = _build_kernel(p)
+    kernel = _build_kernel(p, own=("horizon",))  # the grid reads --horizon for every family
     horizon = p.get("horizon")
     if horizon is not None:
         horizon = float(horizon)
@@ -252,11 +261,10 @@ def _cmd_mc(p, fmt, out, config):
     elif campaign == "subordinated":
         kernel = _build_kernel({**p, "kernel": p.get("kernel", "gaussian"), "d": 1})
         est = M.subordinated_density_mc(kernel, beta, t, cfg)
-        summary = {
-            "campaign": campaign, "beta": beta, "t": t,
-            "second_moment": float((est.samples**2).mean()),
-            "config": config,
-        }
+        summary = {"campaign": campaign, "beta": beta, "t": t}
+        if kernel.alpha is None or kernel.alpha == 2.0:  # a stable base with alpha < 2 has no second moment
+            summary["second_moment"] = float((est.samples**2).mean())
+        summary["config"] = config
         data = est.samples
     elif campaign == "comparison":
         comps = p.get("components", [[0.5, 0.4], [0.5, 0.6]])

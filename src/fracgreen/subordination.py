@@ -21,8 +21,9 @@ estimate; reaching the finest level without it raises ``AccuracyError``.
 The rule takes a batch of points at one beta and one kernel
 (``frac_green_batch``; a single request is a batch of one).  Each point
 keeps its own window, clip, stop level, error estimate and node count, and
-its sums are its own; each round of window growth or refinement makes one
-kernel call and one omega lookup over every point that still needs nodes.
+its sums are its own, reduced over its own nodes; that state lives in arrays
+indexed by point, and each round of window growth or refinement is one kernel
+call, one omega lookup and a few whole-array steps over every unfinished point.
 A point that raises fails on its own and the rest of the batch goes on.
 omega_beta depends on beta alone: it is computed in log form and memoised
 per beta on the lattice in a bounded cache, so a sweep at one beta evaluates
@@ -41,7 +42,6 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -121,7 +121,7 @@ class _OmegaTable:
 
     def merged(self, zeta, omega):
         """A new table with these nodes added (sorted, none of them in this one)."""
-        at = np.searchsorted(self.zeta, zeta) + np.arange(zeta.size)
+        at = self.zeta.searchsorted(zeta) + np.arange(zeta.size)
         old = np.ones(self.zeta.size + zeta.size, dtype=bool)
         old[at] = False
         table = _OmegaTable(np.empty(old.size), np.empty(old.size))
@@ -143,10 +143,10 @@ class _WeightCache:
     def omega(self, beta, zeta):
         with self._lock:
             table = self._tables.pop(beta, None) or _OmegaTable()
-            at = np.searchsorted(table.zeta, zeta)
+            at = table.zeta.searchsorted(zeta)
             out = table.omega[at]
             todo = table.zeta[at] != zeta
-            if todo.any():
+            if np.count_nonzero(todo):
                 new, back = zeta[todo], slice(None)
                 if not (new[1:] > new[:-1]).all():  # a batch asks for a node once per point: compute it once
                     new, back = np.unique(new, return_inverse=True)
@@ -163,144 +163,170 @@ class _WeightCache:
 _WEIGHTS = _WeightCache()
 
 
-def _point_rule(beta, t, q_scale, tol, zeta_clip):
-    """Trapezoid rule for Int sign * exp(phi) dzeta on the shared lattice, for
-    one point, as a generator: it yields each array of zeta nodes where it
-    needs phi, is sent back (phi, sign) there, and returns (log|I|, sign of
-    I, error estimate).  ``zeta_clip`` bounds the window on the right (the
-    finite-horizon family); an integrand that has not decayed there raises
-    HorizonError.
-    """
-    lo, hi = _scan_window(beta, t, q_scale)
-    j_limit = int(_ZETA_LIMIT / _H0)
-    j_max = j_limit if zeta_clip is None else min(math.floor(zeta_clip / _H0), j_limit)
-    j = np.arange(math.floor(lo / _H0), min(math.ceil(hi / _H0), j_max) + 1)
-    vals, signs = yield j * _H0
-
-    # extend level 0 until phi has fallen by _DROP at both ends; at the clip
-    # the window ends at the clip itself if phi has fallen by then
-    b = None
-    while True:
-        top = vals.max()
-        if not math.isfinite(top):
-            raise AccuracyError("integrand identically negligible on the scan window")
-        grow_left = vals[0] > top - _DROP
-        grow_right = vals[-1] > top - _DROP and b is None
-        if not (grow_left or grow_right):
-            break
-        if grow_right and j[-1] == j_max and zeta_clip is not None:
-            if (yield np.array([zeta_clip]))[0][0] > top - _DROP:
-                raise HorizonError(f"integrand has not decayed at the stored horizon (zeta = {zeta_clip:g})")
-            b = zeta_clip
-            continue
-        n = max(j.size, 8)
-        if grow_left:
-            new = np.arange(max(j[0] - n, -j_limit), j[0])
-        else:
-            new = np.arange(j[-1] + 1, min(j[-1] + n, j_max) + 1)
-        if new.size == 0:
-            raise AccuracyError(f"subordination integrand has not decayed within |zeta| <= {_ZETA_LIMIT:g}")
-        v, s = yield new * _H0
-        parts = ((new, j), (v, vals), (s, signs)) if grow_left else ((j, new), (vals, v), (signs, s))
-        j, vals, signs = (np.concatenate(p) for p in parts)
-
-    # trim to the nodes above the drop, keeping one node of margin each side
-    above = np.flatnonzero(vals > top - _DROP)
-    keep = slice(max(above[0] - 1, 0), min(above[-1] + 2, j.size))
-    a = j[keep][0] * _H0
-    if b is None:
-        b = j[keep][-1] * _H0
-    scale = float(top)
-    e = np.exp(vals[keep] - scale)
-    total = float((signs[keep] * e).sum())
-    total_abs = float(e.sum())
-    prev = _H0 * total
-
-    for level in range(1, _MAX_LEVEL + 1):
-        h = _H0 / 2 ** level
-        # the nodes this level adds inside [a, b]: (2 i + 1) h
-        v, s = yield np.arange(2 * math.ceil((a / h - 1.0) / 2.0) + 1, 2 * math.floor((b / h - 1.0) / 2.0) + 2, 2) * h
-        peak = v.max() if v.size else -math.inf
-        if peak > scale:
-            shrink = math.exp(scale - peak)
-            total, total_abs, prev, scale = total * shrink, total_abs * shrink, prev * shrink, float(peak)
-        e = np.exp(v - scale)
-        total += float((s * e).sum())
-        total_abs += float(e.sum())
-        err = abs(h * total - prev) / (h * total_abs)
-        if err < tol:
-            if total == 0.0:
-                return -math.inf, 0.0, err
-            return scale + math.log(h * abs(total)), math.copysign(1.0, total), err
-        prev = h * total
-    raise AccuracyError(
-        "subordination quadrature above tolerance at the finest lattice level",
-        estimate=scale + math.log(abs(prev)) if prev else -math.inf,
-        achieved=err,
-    )
+_J_LIMIT = int(_ZETA_LIMIT / _H0)  # level-0 nodes j _H0 with |j| <= _J_LIMIT
+_HALVE = np.array([[2.0], [2.0], [0.5]])  # one level finer: a/2h, b/h and h
+_START = np.zeros(1, dtype=int)  # where the one run of a batch of one starts
 
 
-def _run_rules(log_kernel, beta, lb, rules):
-    """Run the point rules {i: ``_point_rule`` generator} together.  Each
-    round gathers the nodes that every unfinished rule asks for, makes one
-    kernel call and one omega lookup over all of them, and sends each rule
-    its own slice.
+def _ragged(first, cnt):
+    """The runs first[i] + (0, 1, ..., cnt[i] - 1) concatenated, and where each starts."""
+    if cnt.size == 1:
+        return np.arange(cnt[0]) + first, _START
+    ends = cnt.cumsum()
+    return np.arange(ends[-1] if cnt.size else 0) + (first - ends + cnt).repeat(cnt), ends - cnt
 
-    ``log_kernel(s, i)`` maps base times s of the points i (one index, or
-    one per node) to (log|kernel part|, sign), the sign a scalar or an
-    array; ``lb[i]`` is beta log t of point i.  Returns {i: (log|I|, sign of
-    I, error estimate, nodes used), or the exception that ended rule i}: a
-    kernel call that raises is repeated point by point, so only the points
-    that raise fail.
-    """
-    out, nodes, asks = {}, dict.fromkeys(rules, 0), {}
 
-    def advance(i, sent):
-        try:
-            asks[i] = rules[i].send(sent)
-        except StopIteration as stop:
-            out[i] = (*stop.value, nodes[i])
-        except Exception as exc:  # the point fails on its own
-            out[i] = exc
+def _spread(x, cnt):
+    """x[i] at each of the cnt[i] nodes of run i (one run: x itself, which broadcasts)."""
+    return x if x.size == 1 else x.repeat(cnt)
 
-    for i in rules:
-        advance(i, None)
-    while asks:
-        pts, zetas, asks, failed = list(asks), list(asks.values()), {}, {}
-        if len(pts) == 1:
-            zeta, at, parts = zetas[0], pts[0], [slice(None)]
-        else:
-            zeta, at = np.concatenate(zetas), np.repeat(pts, [z.size for z in zetas])
-            parts = [slice(end - z.size, end) for z, end in zip(zetas, accumulate(z.size for z in zetas))]
+
+def _run_rules(log_kernel, beta, tol, lb, w, clip):
+    """Trapezoid rules for Int sign * exp(phi) dzeta on the shared lattice
+    over a batch.  ``w`` has a column per point on level 0: its index i, its
+    window ends, the last node the window may reach, the clip's node (past
+    the reach for none) and the run of nodes it asks for (first, count), at
+    first its scan window (``_scan_window``); ``clip`` is its zeta clip (NaN
+    for none), ``lb[i]`` beta log t_i, and ``log_kernel(s, i)`` (log|kernel
+    part|, sign) at base times s of the points i.  A kernel call that raises
+    is repeated point by point.  Returns {i: (log|I|, sign of I, error
+    estimate, nodes used), or the exception that ended i}."""
+    n, out, h_min = clip.size, {}, _H0 / 2 ** _MAX_LEVEL
+    # level 0 also keeps per point its clip, peak, and inf once the clip ends its window (0 before); W holds
+    # phi + i sign at the windows' nodes, window after window, and the block a point asks for goes in at ins
+    wf, probe, probing = np.array([clip, np.full(n, -np.inf), np.zeros(n)]), np.zeros(n, dtype=bool), 0
+    W, ins, rp, R = np.zeros(0, dtype=complex), np.zeros(n, dtype=int), np.zeros(0, dtype=int), np.zeros((8, 0))
+    # R has a column per point past level 0 (its index in rp): a/2h, b/h, h, scale, the sums of
+    # sign * exp(phi - scale), of exp(phi - scale) and of the last level, and nodes used
+    while rp.size or w.shape[1]:
+        nwp, nrp, failed = w.shape[1], rp.size, {}
+        if nrp:  # the odd multiples of h in [a, b]: (2 (c + k) + 1) h, k < m
+            mf = (R[1] - 1.0) // 2.0 - R[0] + 1.0  # b >= a: m >= 0
+            m = mf.astype(int)
+            q, st = _ragged(R[0], m)
+            zeta, pts, counts = (2.0 * q + 1.0) * _spread(R[2], m), rp, m
+        if nwp:  # window blocks of level-0 nodes j _H0, or the clip a window probes; they go first
+            q, sw = _ragged(w[5], w[6])
+            zw = q * _H0
+            if probing:
+                zw[sw[probe]] = wf[0, probe]
+            zeta, pts, counts = ((np.concatenate([zw, zeta]), np.concatenate([w[0], rp]), np.concatenate([w[6], m]))
+                                 if nrp else (zw, w[0], w[6]))
+        nw, at = zw.size if nwp else 0, int(pts[0]) if pts.size == 1 else pts.repeat(counts)
         try:
             log_k, sign = log_kernel(np.exp(lb[at] + zeta), at)
         except Exception:
             log_k, sign = np.full(zeta.size, np.nan), np.zeros(zeta.size)
-            for i, part in zip(pts, parts):
+            for i, hi, c in zip(pts.tolist(), counts.cumsum().tolist(), counts.tolist()):
                 try:
-                    log_k[part], sign[part] = log_kernel(np.exp(lb[i] + zeta[part]), i)
-                except Exception as exc:
+                    log_k[hi - c:hi], sign[hi - c:hi] = log_kernel(np.exp(lb[i] + zeta[hi - c:hi]), i)
+                except Exception as exc:  # the point fails on its own
                     failed[i] = exc
-        vals, sign = log_k + _WEIGHTS.omega(beta, zeta), (sign if np.ndim(sign) else np.full(zeta.size, sign))
-        for i, z, part in zip(pts, zetas, parts):
-            nodes[i] += z.size
-            if i in failed:
-                out[i] = failed[i]
+        vals, gone = log_k + _WEIGHTS.omega(beta, zeta), failed and np.isin(pts, list(failed))
+
+        if nrp:  # refinement: the level's nodes join the sums, rescaled to a new peak
+            R[7] += mf
+            v, s = vals[nw:], sign[nw:] if isinstance(sign, np.ndarray) else sign
+            if v.size:  # a level without a node in [a, b] leaves its point's sums alone
+                sel = slice(None) if np.count_nonzero(m) == m.size else m > 0
+                st = st[sel]
+                scale = np.fmax(R[3, sel], np.maximum.reduceat(v, st))
+                R[4:7, sel] *= np.exp(R[3, sel] - scale)
+                R[3, sel] = scale
+                e = np.exp(v - _spread(scale, m[sel]))
+                sum_e = np.add.reduceat(e, st)
+                R[4, sel] += np.add.reduceat(s * e, st) if isinstance(s, np.ndarray) else s * sum_e
+                R[5, sel] += sum_e
+            h_sums = R[2] * R[4:6]
+            err = np.abs(h_sums[0] - R[6]) / h_sums[1]
+            R[6] = h_sums[0]
+            leave = (err < tol) | (R[2] == h_min) | (gone[nwp:] if failed else False)
+            if np.count_nonzero(leave):
+                for i, er, (_, _, h, sc, total, _, prev, used) in zip(rp[leave].tolist(), err[leave].tolist(),
+                                                                      R[:, leave].T.tolist()):
+                    out[i] = (AccuracyError("subordination quadrature above tolerance at the finest lattice level",
+                                            estimate=sc + math.log(abs(prev)) if prev else -math.inf, achieved=er)
+                              if er >= tol else (-math.inf, 0.0, er, int(used)) if total == 0.0
+                              else (sc + math.log(h * abs(total)), math.copysign(1.0, total), er, int(used)))
+                rp, R = rp[~leave], R[:, ~leave]
+            R[:3] *= _HALVE
+
+        if nwp:  # level 0: store the blocks, then probe the clip, grow or trim each window
+            j0, j1, cnt, zc, top, fixed = w[1], w[2], w[6], wf[0], wf[1], wf[2]
+            v, hz = vals[:nw], False
+            peak = np.maximum.reduceat(v, sw)
+            block = v + 1j * (sign[:nw] if isinstance(sign, np.ndarray) else sign)
+            if probing:  # the integrand must have decayed at the clip, which then ends the window
+                hz = probe & (peak > top - _DROP)
+                fixed[probe & ~hz] = np.inf
+                peak[probe] = -np.inf
+                block, cnt = block[_spread(~probe, cnt)], np.where(probe, 0, cnt)
+            new, W_old = ins.repeat(cnt) + np.arange(block.size), W  # each block after those before it
+            old = np.ones(W.size + block.size, dtype=bool)
+            old[new], W = False, np.empty(old.size, dtype=complex)
+            W[new], W[old] = block, W_old
+            np.maximum(top, peak, out=top)
+            size = j1 - j0 + 1
+            ends = size.cumsum()
+            thr = top - _DROP
+            grow_left = W.real[ends - size] > thr
+            grow_right = W.real[ends - 1] > thr + fixed  # never once the clip ends the window
+            probe, moving, fail = grow_right & (j1 == w[4]), grow_left | grow_right, ~np.isfinite(top) | hz
+            probing, growing = np.count_nonzero(probe), np.count_nonzero(moving)
+            if growing:  # the block a growing window asks for, at least 8 nodes, left first; or its clip
+                left, grow = grow_left & ~probe, np.maximum(size, 8)
+                lo = np.where(left, np.maximum(j0 - grow, -_J_LIMIT), j1 + 1)
+                hi = np.where(left, j0 - 1, np.minimum(j1 + grow, w[3]))
+                fail |= moving & ~probe & (hi < lo)
+            fail |= gone[:nwp] if failed else False
+            for i, tp, hor, z in zip(*(x[fail].tolist() for x in (w[0], top, fail & hz, zc))) if fail.any() else ():
+                out[i] = (AccuracyError("integrand identically negligible on the scan window") if not math.isfinite(tp)
+                          else HorizonError(f"integrand has not decayed at the stored horizon (zeta = {z:g})") if hor
+                          else AccuracyError(f"subordination integrand has not decayed within |zeta| <= {_ZETA_LIMIT:g}"))
+            enter = ~(moving | fail)
+            if np.count_nonzero(enter):  # trim to the nodes above the drop, keeping one node of margin each side
+                en = slice(None) if (whole := np.count_nonzero(enter) == enter.size) else enter
+                span, end, h = size[en], ends[en], _H0 / 2
+                flat, st = (en, end - span) if whole else _ragged(end - span, span)
+                pv, fin = W[flat], st + span
+                above = (pv.real > _spread(thr[en], span)).nonzero()[0]
+                k0 = np.maximum(above[above.searchsorted(st)] - 1, st)
+                kept = np.minimum(above[above.searchsorted(fin) - 1] + 2, fin) - k0
+                pos, kst = _ragged(k0, kept)
+                pv = pv[pos]
+                e = np.exp(pv.real - _spread(top[en], kept))
+                c, clipped = j0[en] + (k0 - st), fixed[en] > 0.0  # c = a / 2h, the window's first node
+                b = np.where(clipped, zc[en], (c + (kept - 1)) * _H0)
+                total = np.add.reduceat(pv.imag * e, kst)  # level 0 used the window and a probed clip
+                new = np.array([c, b / h, np.full(c.size, h), top[en], total, np.add.reduceat(e, kst), _H0 * total,
+                                span + clipped])
+                R, rp = np.concatenate([R, new], axis=1), np.concatenate([rp, w[0, en]])
+            if growing:
+                ins = np.where(left, 0, size)  # a block on the left goes first in its window, one on the right last
+                np.minimum(j0, lo, out=j0)
+                np.maximum(j1, hi, out=j1)
+                w[5], w[6] = lo, np.where(probe, 1, hi - lo + 1)
+                keep = moving & ~fail
+                if np.count_nonzero(keep) < keep.size:
+                    W, w, wf = W[keep.repeat(size)], w[:, keep], wf[:, keep]
+                    probe, ins, size = probe[keep], ins[keep], size[keep]
+                ins += size.cumsum() - size
             else:
-                advance(i, (vals[part], sign[part]))
+                w = w[:, :0]
+        out.update(failed)
     return out
 
 
-def _scan_window(beta, t, q_scale):
-    """Generous zeta window: left end from kernel small-time decay, right
-    end from the superexponential stable-weight decay."""
+def _scan_window(beta, t, q_scale, zeta_clip):
+    """Level-0 nodes j of a generous zeta window (left end from kernel
+    small-time decay, right end from the superexponential stable-weight
+    decay), and the last node a window may reach: the clip, if any, within
+    |zeta| <= _ZETA_LIMIT."""
     c_beta = stable_exponent_constant(beta)
     hi = (1.0 - beta) * math.log(60.0 / c_beta) + 3.0
-    if q_scale > 0:
-        lo = math.log(q_scale / 200.0) - beta * math.log(t) - 3.0
-    else:
-        lo = -40.0
-    return min(lo, -10.0), max(hi, 5.0)
+    lo = math.log(q_scale / 200.0) - beta * math.log(t) - 3.0 if q_scale > 0 else -40.0
+    reach = _J_LIMIT if math.isnan(zeta_clip) else min(math.floor(zeta_clip / _H0), _J_LIMIT)
+    return math.floor(min(lo, -10.0) / _H0), min(math.ceil(max(hi, 5.0) / _H0), reach), reach
 
 
 def frac_green_batch(kernel, beta, t, x, y, derivative_order=0) -> list:
@@ -314,16 +340,22 @@ def frac_green_batch(kernel, beta, t, x, y, derivative_order=0) -> list:
     if not len(t) == len(x) == len(y):
         raise DomainError(f"a batch takes one time and two points per point, got {len(t)}, {len(x)} and {len(y)}")
     log_kernel, setup = kernel.base_integrand(x, y, derivative_order, t, beta)
-    lb, rules = np.zeros(len(setup)), {}
+    # None: the derivative vanishes identically; an exception: the point failed
+    out = [FracGreenResult(value=0.0, log_value=-math.inf) if point is None else point for point in setup]
+    lb, scan, clip = np.zeros(len(setup)), [], []
     for i, point in enumerate(setup):
         if isinstance(point, tuple):  # (q_scale, s_clip): integrate
             ti, (q_scale, s_clip) = float(t[i]), point
             lb[i] = beta * math.log(ti)
-            zeta_clip = None if s_clip is None else math.log(s_clip / ti ** beta)
-            rules[i] = _point_rule(beta, ti, q_scale, kernel.rule_tol, zeta_clip)
-    # None: the derivative vanishes identically; an exception: the point failed
-    out = [FracGreenResult(value=0.0, log_value=-math.inf) if point is None else point for point in setup]
-    for i, rule in _run_rules(log_kernel, beta, lb, rules).items():
+            zeta_clip = math.nan if s_clip is None else math.log(s_clip / ti ** beta)
+            j0, j1, reach = _scan_window(beta, ti, q_scale, zeta_clip)
+            if j1 < j0:  # the clip lies left of the scan window
+                out[i] = AccuracyError("integrand identically negligible on the scan window")
+            else:
+                scan.append((i, j0, j1, reach, _J_LIMIT + 1 if s_clip is None else reach, j0, j1 - j0 + 1))
+                clip.append(zeta_clip)
+    scan = np.array(scan, dtype=int).reshape(-1, 7).T
+    for i, rule in _run_rules(log_kernel, beta, kernel.rule_tol, lb, scan, np.array(clip)).items():
         try:
             out[i] = rule if isinstance(rule, Exception) else _result(beta, float(t[i]), setup[i][1], *rule)
         except AccuracyError as exc:

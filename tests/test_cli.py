@@ -134,7 +134,8 @@ class TestKernelFlags:
     and `mc` takes the family and order of its subordinated campaign."""
 
     @pytest.mark.parametrize("args", [
-        ("green", "--spectral", "two_bump", "--beta", "0.5", "--t", "1"),
+        ("green", "--kernel", "anisotropic", "--alpha", "1.5", "--spectral", "two_bump", "--x", "1", "0",
+         "--beta", "0.5", "--t", "1"),
         ("green", "--kernel", "fd1d", "--coeff-a", "sin_bump", "--beta", "0.5", "--t", "0.3", "--x", "0.5"),
         ("mc", "--campaign", "subordinated", "--kernel", "stable", "--alpha", "1.5", "--n", "2000", "--bins", "20"),
     ])
@@ -143,6 +144,34 @@ class TestKernelFlags:
         assert code == 0 and err == ""
         if args[0] == "mc":
             assert json.loads(out)["config"]["params"]["kernel"] == "stable"
+
+    @pytest.mark.parametrize("args, flag", [
+        (("--spectral", "two_bump"), "--spectral"),
+        (("--kernel", "stable", "--coeff-a", "one"), "--coeff-a"),
+        (("--kernel", "anisotropic", "--d", "2"), "--d"),
+        (("--kernel", "fd1d", "--alpha", "1.5"), "--alpha"),
+    ])
+    def test_flag_the_family_does_not_read_is_usage_error(self, args, flag):
+        code, out, err = run_cli("green", *args, "--beta", "0.5", "--t", "1")
+        assert code == 2 and out == ""
+        assert flag in err and "usage error" in err
+
+    def test_verify_reads_horizon_for_every_family(self, tmp_path):
+        # the grid reads --horizon, so a Gaussian sweep takes it too
+        code, _, err = run_cli("verify", "--theorem", "3.1", "--d", "1", "--beta", "0.5", "--horizon", "2",
+                               "--out", str(tmp_path / "r.json"))
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("flags, has_moment", [(("--kernel", "gaussian"), True),
+                                                   (("--kernel", "stable", "--alpha", "1.5"), False)])
+    def test_subordinated_summary_reports_only_finite_moments(self, flags, has_moment):
+        # X = B(E_t) has no second moment for a stable base with alpha < 2
+        code, out, err = run_cli("mc", "--campaign", "subordinated", *flags, "--n", "2000", "--bins", "20")
+        summary = json.loads(out)
+        assert code == 0 and err == ""
+        assert ("second_moment" in summary) is has_moment
+        if has_moment:
+            assert math.isfinite(summary["second_moment"]) and summary["second_moment"] > 0
 
     @pytest.mark.parametrize("command, required", [("kernel", ()), ("green", ("--beta", "0.5", "--t", "1")),
                                                    ("verify", ("--beta", "0.5"))])
