@@ -25,8 +25,9 @@ Families:
   R, G_frozen the isotropic d = 2 kernel at time t w_mu(phi + pi/2) (phi the
   angle of x) from the cached P_2, and R the angular integral of the cosine
   transform ``C_alpha = F_{1,cos}`` with w_mu less that with w_mu frozen at
-  phi + pi/2, on panels graded toward the crossings phi +- pi/2, linear in t
-  below the time where the scaled radius reaches ``_COS_SPLINE_CAP``.
+  phi + pi/2, on panels graded toward the crossings phi +- pi/2 (those a
+  row's scale leaves unresolved merged), linear in t below the time where the
+  scaled radius reaches ``_COS_SPLINE_CAP``.
 * ``VariableDiffusion1D(a, b, c, horizon)`` - Crank-Nicolson fundamental
   solution of ``du/dt = a u'' + b u' + c u`` on a truncated line, with
   Rannacher start-up for the point-mass initial condition.  The working step
@@ -69,7 +70,8 @@ answer is log|d^k G| with its sign, which no family forms from a linear G;
   profiles, angular trapezoids, the piecewise-smooth Crank-Nicolson
   history);
 * ``family`` (its name), ``envelope_family`` (``"diffusion"`` or
-  ``"stable"``), ``d``, ``alpha`` (a plain float in (0, 2], ``None`` for the
+  ``"stable"``, which also sets how deep the subordination rule's first
+  window starts), ``d``, ``alpha`` (a plain float in (0, 2], ``None`` for the
   diffusion families), ``horizon`` (``None`` unless the kernel is only valid
   up to a finite time) and ``max_derivative_order()``;
 * ``base_integrand(x, y, k, t, beta)`` for a batch of n points x_i, y_i and
@@ -598,13 +600,20 @@ _MEASURE_SAMPLES = 256  # angles of a measure built from a callable or a constan
 
 @lru_cache(maxsize=1)
 def _remainder_rule():
-    """Nodes u (the angle to the nearer crossing), weights and theta - phi =
-    +-(pi/2 - u) of the remainder's rule: 12-node Gauss-Legendre panels [r^{k+1},
-    r^k] pi/2, r = 0.35, for k < 13, then [0, r^13 pi/2], below 1e-3/_COS_SPLINE_CAP."""
+    """The remainder's rule in u, the angle to the nearer crossing: 12-node
+    Gauss-Legendre panels [E_{k+1}, E_k], E_k = r^k pi/2, r = 0.35, for k < 13,
+    then [0, E_13], below 1e-3/_COS_SPLINE_CAP.  Returns the E_k; the rule, as
+    nodes u, weights and theta - phi = +-(pi/2 - u); and the table that
+    ``AnisotropicStable2D._log_g`` reads, those and sin u at the rule's nodes
+    followed by those of each merged panel [0, E_k]."""
     edges = np.append(0.5 * math.pi * 0.35 ** np.arange(14), 0.0)
     x, w = np.polynomial.legendre.leggauss(12)
-    u = (edges[1:, None] - 0.5 * np.diff(edges)[:, None] * (1.0 + x)).ravel()
-    return _frozen(u, (-0.5 * np.diff(edges)[:, None] * w).ravel(), np.stack([0.5 * math.pi - u, u - 0.5 * math.pi]))
+    lo, hi = np.append(edges[1:], np.zeros(14)), np.tile(edges[:-1], 2)
+    half = 0.5 * (hi - lo)[:, None]
+    u = (lo[:, None] + half * (1.0 + x)).ravel()
+    table = _frozen(u, (half * w).ravel(), np.stack([0.5 * math.pi - u, u - 0.5 * math.pi]), np.sin(u))
+    n = u.size // 2
+    return _frozen(edges[:-1])[0], (table[0][:n], table[1][:n], table[2][:, :n]), table
 
 
 @lru_cache(maxsize=32)
@@ -675,7 +684,7 @@ class SpectralMeasure:
         the remainder's rule, graded into the cusps of |cos|^alpha at +-pi/2."""
         alpha = _alpha_value(alpha)
         dens = _periodic_spline(self.angles, self.values)
-        _, wt, psi = _remainder_rule()
+        _, (_, wt, psi), _ = _remainder_rule()
         deltas = np.concatenate([psi.ravel(), math.pi + psi.ravel()])
         args = (self.angles[:, None] - deltas) % (2.0 * math.pi)
         return (np.abs(np.cos(deltas)) ** alpha * dens(args)) @ np.tile(wt, 4)
@@ -690,8 +699,9 @@ class AnisotropicStable2D:
     is pi-periodic), and G = G_frozen + R: G_frozen, the integral of f(theta,
     W_c), is the isotropic kernel at time t W_c; R, that of f(theta, w) -
     f(theta, W_c), has no O(1/sigma) crossing mass and takes the graded rule
-    ``_remainder_rule``.  Below the time t_cap at which sigma_max = |x| (t min
-    w)^{-1/alpha} reaches _COS_SPLINE_CAP, R is R(t_cap) t / t_cap.
+    ``_remainder_rule``, sized to each row.  Below the time t_cap at which
+    sigma_max = |x| (t min w)^{-1/alpha} reaches _COS_SPLINE_CAP, R is
+    R(t_cap) t / t_cap.
     """
 
     family = "anisotropic_stable_2d"
@@ -717,23 +727,33 @@ class AnisotropicStable2D:
 
     def _log_g(self, t, rho, phase):
         """log G at times t and offsets of radius rho and angle phase, 1-D
-        arrays of one length or scalars; with one phase w is evaluated once."""
-        a, (u, wt, psi) = self.alpha, _remainder_rule()
+        arrays of one length or scalars; with one phase w is evaluated once.
+        A row of R takes the first k panels of ``_remainder_rule`` and its
+        k-th merged panel [0, E_k], the last edge with sigma0 E_k w_min^{-1/alpha}
+        <= 1/4: C_alpha's argument stays below 1/4 there."""
+        a, (edges, rule, (u, wt, psi, sin_u)) = self.alpha, _remainder_rule()
+        n = rule[0].size  # the merged panel [0, E_k] at n + 12 k
         s = np.maximum(t, (rho / _COS_SPLINE_CAP) ** a / self._w_min)  # max(t, t_cap), where R is integrated
         back = slice(None)
         if np.ndim(rho) == 0:  # one offset: every time below t_cap takes R(t_cap)
             s, back = np.unique(s, return_inverse=True)
         sigma0 = rho * s ** (-1.0 / a)
+        reach = sigma0 * self._w_min ** (-1.0 / a)
         # W^{-1/alpha} at the crossing and at both crossings' nodes
         scale_c = self._w(phase + 0.5 * math.pi) ** (-1.0 / a)
         scale = self._w(phase + psi) ** (-1.0 / a) if np.ndim(phase) == 0 else None
         rem = np.empty(s.size)
-        for rows in np.array_split(np.arange(s.size), -(-s.size * u.size // _REMAINDER_BLOCK)):
-            sc, sc_c = (scale, scale_c) if scale is not None else (
-                self._w(phase[rows, None, None] + psi) ** (-1.0 / a), scale_c[rows, None])
-            arg = sigma0[rows, None] * np.sin(u)
-            f = (sc ** 2 * self._cos(arg[:, None, :] * sc)).sum(axis=1) - 2.0 * sc_c ** 2 * self._cos(arg * sc_c)
-            rem[rows] = f @ wt
+        for rows in np.array_split(np.arange(s.size), -(-s.size * n // _REMAINDER_BLOCK)):
+            k12 = 12 * np.count_nonzero(np.multiply.outer(reach[rows], edges) > 0.25, axis=1)  # reach <= 400: k <= 8
+            cnt = k12 + 12
+            ends = cnt.cumsum()
+            pos = np.arange(ends[-1]) - (ends - cnt).repeat(cnt)
+            at = pos + np.where(pos < k12.repeat(cnt), 0, n)
+            arg = sigma0[rows].repeat(cnt) * sin_u[at]
+            sc, sc_c = (scale[:, at], scale_c) if scale is not None else (
+                self._w(phase[rows].repeat(cnt) + psi[:, at]) ** (-1.0 / a), scale_c[rows].repeat(cnt))
+            f = (sc ** 2 * self._cos(arg * sc)).sum(axis=0) - 2.0 * sc_c ** 2 * self._cos(arg * sc_c)
+            rem[rows] = np.add.reduceat(f * wt[at], ends - cnt)
         log_tc = np.log(t) - a * np.log(scale_c)  # log(t W_c)
         log_frozen = self._profile.log_value(rho * np.exp(-log_tc / a)) - 2.0 / a * log_tc
         # R(t) / G_frozen, with R(t) = s^{-2/alpha} rem t / (2 pi^2 s)

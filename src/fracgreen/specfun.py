@@ -11,9 +11,9 @@ beta-stable subordinator, and the Mittag-Leffler function ``E_beta``.
   ``x >= SWITCH_POINT``), and
 * a non-oscillatory single integral over ``(0, pi)`` built from the
   monotone angular function ``A(phi)`` with ``A(0+) = c_beta`` (used for
-  ``x < SWITCH_POINT``), on Gauss-Legendre panels built once for every beta;
-  in the deep left tail the integral concentrates at ``phi = 0`` and is
-  evaluated in log form.
+  ``x < SWITCH_POINT``), in log form, on Gauss-Legendre panels built once for
+  every beta, of which each row uses only those its own scale resolves; in
+  the deep left tail the integral concentrates at ``phi = 0``.
 
 The series goes through the library's one inverse-power summer,
 ``_InversePowerSeries``, which also sums the far-field profile tails of
@@ -122,28 +122,36 @@ def _frozen(*arrays):
     return arrays
 
 
+_LEFT_PANELS = 65  # the angular rule's panels on (0, pi/2]
+
+
 @lru_cache(maxsize=1)
 def _zolo_panels():
-    """Gauss-Legendre nodes and weights on (0, pi), geometrically refined at
-    both endpoints: the same for every beta, so built once."""
+    """Edges, nodes and weights of Gauss-Legendre panels on (0, pi), refined
+    at both ends, and the rule on (0, 1): the same for every beta."""
     xg, wg = np.polynomial.legendre.leggauss(14)
     # cluster toward 0 (the deep-tail peak, ~M^{-1/2} wide) and toward pi
     # (the A blow-up), from 0 itself: the peak holds a share of about
     # 1e-13 sqrt(M) below the first geometric edge, 8e-14
-    left = np.pi / 2 * 0.62 ** np.arange(64, -1, -1)
+    left = np.pi / 2 * 0.62 ** np.arange(_LEFT_PANELS - 1, -1, -1)
     right = np.pi - np.pi / 2 * 0.62 ** np.arange(1, 30)
     edges = np.concatenate(([0.0], left, right))
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    return _frozen((mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel())
+    return _frozen(edges, (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel(),
+                   0.5 * (1.0 + xg), 0.5 * wg)
 
 
 @lru_cache(maxsize=64)
 def _zolo_nodes(b: float):
-    """The shared angular panels with log A, A and c_beta at this beta."""
-    nodes, weights = _zolo_panels()
+    """log A and A - c_beta at the shared nodes, A - c_beta at their edges
+    (nondecreasing over its rounding near 0), and c_beta at this beta."""
+    edges, nodes = _zolo_panels()[:2]
+    c_beta = stable_exponent_constant(b)
     logA = _zolo_log_A(nodes, b)
     with np.errstate(over="ignore"):  # A = inf near pi for beta close to 1
-        return nodes, weights, logA, np.exp(logA), stable_exponent_constant(b)
+        rise = np.exp(logA) - c_beta
+        edge_rise = np.maximum.accumulate(np.append(0.0, np.exp(_zolo_log_A(edges[1:], b)) - c_beta))
+    return logA, rise, edge_rise, c_beta
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +271,38 @@ def _w_series_log(lx, b):
     return series.log_coef[0] - math.log(np.pi) - (b + 1.0) * lx + np.log(series.relative_sum(lx))
 
 
-def _w_integral_log(lx, b):
-    """log w_beta by the integral representation from lx = log x (any x > 0).
+def _row_panels(M, b):
+    """Per row, the panels [first, last) it integrates from the table.  Those
+    left of the last edge e <= pi/2 with M (A - c_beta) <= 1/4 and A <= 5/4
+    c_beta, where the exponent moves by at most 1/4, merge into one panel
+    [0, e], first = e (at least the table's first panel), which A's branch
+    points at +-pi leave smooth.  Those past the first edge with
+    M (A - c_beta) > 800 underflow to 0 for M >= 1, and are dropped."""
+    edge_rise, c_beta = _zolo_nodes(b)[2:]
+    merge = edge_rise[:_LEFT_PANELS + 1].searchsorted(0.25 * np.fmin(1.0 / M, c_beta), side="right") - 1
+    return np.maximum(merge, 1), np.minimum(edge_rise.searchsorted(800.0 / M, side="right"), edge_rise.size - 1)
 
-    Rows are reduced with ``sum`` rather than a matrix product, so a value
-    does not depend on which other arguments share its call.
+
+def _w_integral_log(lx, b):
+    """log w_beta by the integral representation from lx = log x (x < 1).
+
+    w = b/((1-b) pi) x^{-1/(1-b)} e^{-c_beta M} Int A e^{-(A - c_beta) M},
+    M = x^{-b/(1-b)}, on a row's own panels (``_row_panels``), each row reduced
+    alone, so a value does not depend on which other arguments share its call.
     """
     if lx.size > 256:  # bound the (len(lx), angular nodes) temporaries
         return np.concatenate([_w_integral_log(lx[i:i + 256], b) for i in range(0, lx.size, 256)])
-    nodes, weights, logA, A, c_beta = _zolo_nodes(b)
+    edges, _, weights, unit, unit_w = _zolo_panels()
+    logA, rise, _, c_beta = _zolo_nodes(b)
     M = np.exp((-b / (1.0 - b)) * lx)
-    # w = b/((1-b) pi) x^{-1/(1-b)} e^{-c_beta M} Int A e^{-(A - c_beta) M};
-    # where A overflows (near pi, beta close to 1) the exponent is -inf
-    with np.errstate(over="ignore"):
-        expo = logA[None, :] - np.outer(M, A - c_beta)
-    core = (np.exp(expo) * weights[None, :]).sum(axis=1)
+    first, last = _row_panels(M, b)
+    cnt = 14 * (last - first)
+    ends = cnt.cumsum()
+    at = np.arange(ends[-1]) + (14 * first - ends + cnt).repeat(cnt)
+    core = np.add.reduceat(np.exp(logA[at] - M.repeat(cnt) * rise[at]) * weights[at], ends - cnt)
+    e = edges[first]  # the merged panel [0, e]
+    log_a = _zolo_log_A(e[:, None] * unit, b)
+    core += e * (np.exp(log_a - M[:, None] * (np.exp(log_a) - c_beta)) * unit_w).sum(axis=1)
     return math.log(b / ((1.0 - b) * np.pi)) - lx / (1.0 - b) - c_beta * M + np.log(core)
 
 

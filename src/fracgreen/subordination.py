@@ -102,6 +102,10 @@ class FracGreenResult:
 _H0 = 0.5            # level-0 step of the zeta lattice
 _MAX_LEVEL = 12      # finest step _H0 / 2^12
 _DROP = 46.0         # window ends: phi this far below its largest node value
+# how deep below log q_scale - beta log t a first window starts, by envelope family:
+# exp(-q/4s) is e^-50 at s = q/200, and a stable integrand falls only 2 per unit
+# of zeta left of its peak (log G and omega_beta both grow like zeta)
+_SCAN_DEPTH = {"diffusion": math.log(200.0) + 3.0, "stable": _DROP / 2.0 + 3.0}
 _ZETA_LIMIT = 600.0  # |zeta| beyond which a window is not extended
 _TRUNC_MASS = 1e-8   # largest neglected weight mass beyond a clipped window
 _MAX_BETAS = 8       # betas a weight cache keeps, least recently used first out
@@ -317,14 +321,14 @@ def _run_rules(log_kernel, beta, tol, lb, w, clip):
     return out
 
 
-def _scan_window(beta, t, q_scale, zeta_clip):
-    """Level-0 nodes j of a generous zeta window (left end from kernel
-    small-time decay, right end from the superexponential stable-weight
-    decay), and the last node a window may reach: the clip, if any, within
-    |zeta| <= _ZETA_LIMIT."""
+def _scan_window(beta, t, q_scale, depth, zeta_clip):
+    """Level-0 nodes j of a generous zeta window (left end ``depth`` below
+    log q_scale - beta log t, see ``_SCAN_DEPTH``; right end from the
+    superexponential stable-weight decay), and the last node a window may
+    reach: the clip, if any, within |zeta| <= _ZETA_LIMIT."""
     c_beta = stable_exponent_constant(beta)
     hi = (1.0 - beta) * math.log(60.0 / c_beta) + 3.0
-    lo = math.log(q_scale / 200.0) - beta * math.log(t) - 3.0 if q_scale > 0 else -40.0
+    lo = math.log(q_scale) - depth - beta * math.log(t) if q_scale > 0 else -40.0
     reach = _J_LIMIT if math.isnan(zeta_clip) else min(math.floor(zeta_clip / _H0), _J_LIMIT)
     return math.floor(min(lo, -10.0) / _H0), min(math.ceil(max(hi, 5.0) / _H0), reach), reach
 
@@ -342,13 +346,13 @@ def frac_green_batch(kernel, beta, t, x, y, derivative_order=0) -> list:
     log_kernel, setup = kernel.base_integrand(x, y, derivative_order, t, beta)
     # None: the derivative vanishes identically; an exception: the point failed
     out = [FracGreenResult(value=0.0, log_value=-math.inf) if point is None else point for point in setup]
-    lb, scan, clip = np.zeros(len(setup)), [], []
+    lb, scan, clip, depth = np.zeros(len(setup)), [], [], _SCAN_DEPTH[kernel.envelope_family]
     for i, point in enumerate(setup):
         if isinstance(point, tuple):  # (q_scale, s_clip): integrate
             ti, (q_scale, s_clip) = float(t[i]), point
             lb[i] = beta * math.log(ti)
             zeta_clip = math.nan if s_clip is None else math.log(s_clip / ti ** beta)
-            j0, j1, reach = _scan_window(beta, ti, q_scale, zeta_clip)
+            j0, j1, reach = _scan_window(beta, ti, q_scale, depth, zeta_clip)
             if j1 < j0:  # the clip lies left of the scan window
                 out[i] = AccuracyError("integrand identically negligible on the scan window")
             else:

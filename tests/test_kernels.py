@@ -418,6 +418,35 @@ class TestIsotropicStable:
         assert K.IsotropicStable(3, alpha).value(1.0, e1(0.0, 3), e1(0.0, 3)) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
+def full_remainder_log_g(an, t, rho, phase):
+    """``AnisotropicStable2D._log_g`` with every row on the whole remainder rule,
+    as before each row took only the panels its scale resolves: the reference
+    for the rule sized to each row."""
+    a, (u, wt, psi) = an.alpha, K._remainder_rule()[1]
+    s = np.maximum(t, (rho / K._COS_SPLINE_CAP) ** a / an._w_min)
+    back = slice(None)
+    if np.ndim(rho) == 0:
+        s, back = np.unique(s, return_inverse=True)
+    sigma0 = rho * s ** (-1.0 / a)
+    scale_c = an._w(phase + 0.5 * math.pi) ** (-1.0 / a)
+    scale = an._w(phase + psi) ** (-1.0 / a) if np.ndim(phase) == 0 else None
+    rem = np.empty(s.size)
+    for rows in np.array_split(np.arange(s.size), -(-s.size * u.size // K._REMAINDER_BLOCK)):
+        sc, sc_c = (scale, scale_c) if scale is not None else (
+            an._w(phase[rows, None, None] + psi) ** (-1.0 / a), scale_c[rows, None])
+        arg = sigma0[rows, None] * np.sin(u)
+        f = (sc ** 2 * an._cos(arg[:, None, :] * sc)).sum(axis=1) - 2.0 * sc_c ** 2 * an._cos(arg * sc_c)
+        rem[rows] = f @ wt
+    log_tc = np.log(t) - a * np.log(scale_c)
+    log_frozen = an._profile.log_value(rho * np.exp(-log_tc / a)) - 2.0 / a * log_tc
+    ratio = rem[back] / (2.0 * math.pi ** 2) * np.exp(np.log(t / s[back]) - 2.0 / a * np.log(s[back]) - log_frozen)
+    return log_frozen + np.log1p(ratio)
+
+
+def _two_bump_aniso(alpha):
+    return K.AnisotropicStable2D(alpha, K.SpectralMeasure.from_callable(K.SPECTRAL_BUILTINS["two_bump"]))
+
+
 class TestAnisotropic:
     def test_uniform_reduces_to_isotropic(self):
         an = K.AnisotropicStable2D(1.0, K.SpectralMeasure.uniform(1.0))
@@ -477,17 +506,42 @@ class TestAnisotropic:
             assert an.value(1.0, (sigma, 0.0), O2) == pytest.approx(iso.value(1.0, (sigma, 0.0), O2), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.8, 1.2, 1.5])
-    @pytest.mark.parametrize("sigma", [1.0, 5.0])
+    @pytest.mark.parametrize("sigma", [1.0, 5.0, 30.0, 200.0])
     def test_two_bump_matches_fine_trapezoid(self, alpha, sigma):
         # the frozen part and the graded remainder against 2^17 uniform
-        # angles of the whole integrand, at scaled radius sigma
-        an = K.AnisotropicStable2D(alpha, K.SpectralMeasure.from_callable(K.SPECTRAL_BUILTINS["two_bump"]))
+        # angles of the whole integrand, at scaled radius sigma (2^17 and 2^20
+        # angles agree to 3e-11 at sigma = 200, to 3e-14 below)
+        an = _two_bump_aniso(alpha)
         rho, phi = sigma * an._w_min ** (1.0 / alpha), 0.7
         theta = np.linspace(0.0, 2 * math.pi, 1 << 17, endpoint=False)
         w = an._w(theta)
         integrand = w ** (-2.0 / alpha) * an._cos(rho * np.cos(theta - phi) * w ** (-1.0 / alpha))
         expect = integrand.mean() / (2 * math.pi)
-        assert an.value(1.0, (rho * math.cos(phi), rho * math.sin(phi)), O2) == pytest.approx(expect, rel=1e-6, abs=0.0)
+        assert an.value(1.0, (rho * math.cos(phi), rho * math.sin(phi)), O2) == pytest.approx(expect, rel=6e-9, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.2, 1.5, 1.9])
+    def test_row_rule_matches_full_rule(self, alpha):
+        # each row on the panels its scale resolves against every row on the whole rule
+        an, ts = _two_bump_aniso(alpha), np.exp(np.linspace(-14.0, 4.0, 200))
+        for rho in (0.05, 0.3, 1.5, 6.0):
+            for phase in (0.0, 0.7, 2.0):
+                assert np.abs(an._log_g(ts, rho, phase) - full_remainder_log_g(an, ts, rho, phase)).max() <= 2e-9
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.5])
+    def test_row_rule_uniform_is_full_rule(self, alpha):
+        # the remainder is exactly 0 at every node of either rule
+        an, ts = K.AnisotropicStable2D(alpha, K.SpectralMeasure.uniform(alpha)), np.exp(np.linspace(-14.0, 4.0, 200))
+        for rho in (0.05, 1.0, 30.0):
+            assert np.array_equal(an._log_g(ts, rho, 0.9), full_remainder_log_g(an, ts, rho, 0.9))
+
+    @pytest.mark.parametrize("spectral", ["uniform", "two_bump"])
+    def test_mass_row_rule_matches_full_rule(self, spectral):
+        # the many-offset path, the centre rho = 0 included
+        an = K.AnisotropicStable2D(0.8, K.SpectralMeasure.from_callable(K.SPECTRAL_BUILTINS[spectral]))
+        got = an.mass(1.0, half_width=10.0, n=61)
+        an._log_g = lambda t, rho, phase: full_remainder_log_g(an, t, rho, phase)
+        want = an.mass(1.0, half_width=10.0, n=61)
+        assert got == want if spectral == "uniform" else got == pytest.approx(want, rel=2e-9, abs=0.0)
 
     def test_alpha_below_validated_range_raises(self):
         with pytest.raises(CapabilityError):

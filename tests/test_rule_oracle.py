@@ -18,19 +18,19 @@ from fracgreen.errors import AccuracyError, HorizonError
 from fracgreen.specfun import _beta_value, stable_exponent_constant
 
 
-def _oracle_scan_window(beta, t, q_scale):
+def _oracle_scan_window(beta, t, q_scale, depth):
     c_beta = stable_exponent_constant(beta)
     hi = (1.0 - beta) * math.log(60.0 / c_beta) + 3.0
     if q_scale > 0:
-        lo = math.log(q_scale / 200.0) - beta * math.log(t) - 3.0
+        lo = math.log(q_scale) - depth - beta * math.log(t)
     else:
         lo = -40.0
     return min(lo, -10.0), max(hi, 5.0)
 
 
-def _oracle_point_rule(beta, t, q_scale, tol, zeta_clip):
+def _oracle_point_rule(beta, t, q_scale, depth, tol, zeta_clip):
     _H0, _DROP, _ZETA_LIMIT = S._H0, S._DROP, S._ZETA_LIMIT
-    lo, hi = _oracle_scan_window(beta, t, q_scale)
+    lo, hi = _oracle_scan_window(beta, t, q_scale, depth)
     j_limit = int(_ZETA_LIMIT / _H0)
     j_max = j_limit if zeta_clip is None else min(math.floor(zeta_clip / _H0), j_limit)
     j = np.arange(math.floor(lo / _H0), min(math.ceil(hi / _H0), j_max) + 1)
@@ -151,7 +151,8 @@ def oracle_batch(kernel, beta, t, x, y, k=0, wrap=lambda f: f):
             ti, (q_scale, s_clip) = float(t[i]), point
             lb[i] = beta * math.log(ti)
             zeta_clip = None if s_clip is None else math.log(s_clip / ti ** beta)
-            rules[i] = _oracle_point_rule(beta, ti, q_scale, kernel.rule_tol, zeta_clip)
+            rules[i] = _oracle_point_rule(beta, ti, q_scale, S._SCAN_DEPTH[kernel.envelope_family], kernel.rule_tol,
+                                          zeta_clip)
     got = _oracle_run_rules(wrap(log_kernel), beta, lb, rules)
     out = []
     for i, point in enumerate(setup):
@@ -266,3 +267,41 @@ class TestAgainstOracle:
         ts, xs = [0.3, 1.0, 0.05, 4.0], [[0.3], [-1.2], [2.5], [0.7]]
         want = assert_matches_oracle(g, 0.6, ts, xs, [[0.0]] * 4, wrap=wrap)
         assert want[2][0] is FloatingPointError and sum(isinstance(w, tuple) and len(w) == 5 for w in want) == 3
+
+
+STABLE_CASES = {
+    "stable1": (K.IsotropicStable(1, 1.5), [0.7], [0.0]),
+    "stable2": (K.IsotropicStable(2, 1.2), [0.3, -0.5], [0.0, 0.0]),
+    "anisotropic": (K.AnisotropicStable2D(1.5, K.SpectralMeasure.uniform(1.5)), [0.4, -0.9], [0.0, 0.0]),
+}
+
+
+class TestStableScanDepth:
+    """A stable request with r > 0 starts its window below the integrand's
+    linear left tail (``subordination._SCAN_DEPTH``), so it refines from its
+    first round; its value and error estimate are those of the window grown
+    from the diffusion families' depth, bit for bit."""
+
+    @staticmethod
+    def run(monkeypatch, kernel, depth, beta, t, x, y):
+        calls = []
+
+        def wrap(log_kernel):
+            def counted(s, i):
+                calls.append(s.size)
+                return log_kernel(s, i)
+            return counted
+
+        monkeypatch.setitem(S._SCAN_DEPTH, "stable", depth)
+        return S.frac_green_batch(wrap_kernel(kernel, wrap), beta, [t], [x], [y])[0], len(calls)
+
+    @pytest.mark.parametrize("family", sorted(STABLE_CASES))
+    @pytest.mark.parametrize("beta, t", [(0.35, 0.2), (0.5, 1.0), (0.8, 3.0)])
+    def test_no_growth_round(self, monkeypatch, family, beta, t):
+        kernel, x, y = STABLE_CASES[family]
+        level = oracle_batch(kernel, beta, [t], [x], [y])[0][3]
+        deep, shallow = S._SCAN_DEPTH["stable"], S._SCAN_DEPTH["diffusion"]
+        res, calls = self.run(monkeypatch, kernel, deep, beta, t, x, y)
+        grown, grown_calls = self.run(monkeypatch, kernel, shallow, beta, t, x, y)
+        assert calls == 1 + level and grown_calls >= 2 + level, (calls, grown_calls, level)
+        assert (res.log_value, res.error_estimate) == (grown.log_value, grown.error_estimate)

@@ -53,6 +53,25 @@ def mp_series_log_w(beta, x):
             k += 1
 
 
+def full_w_integral_log(lx, b):
+    """log w_beta by the integral representation on every node of the full
+    angular rule, for every row: 94 Gauss-Legendre panels of 14 nodes on
+    (0, pi), graded toward both ends, as before each row took only its own
+    panels (the reference for ``specfun._w_integral_log``)."""
+    xg, wg = np.polynomial.legendre.leggauss(14)
+    left = np.pi / 2 * 0.62 ** np.arange(64, -1, -1)
+    right = np.pi - np.pi / 2 * 0.62 ** np.arange(1, 30)
+    edges = np.concatenate(([0.0], left, right))
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    nodes, weights = (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
+    logA, c_beta = sf._zolo_log_A(nodes, b), sf.stable_exponent_constant(b)
+    M = np.exp((-b / (1.0 - b)) * lx)
+    with np.errstate(over="ignore"):  # A = inf near pi for beta close to 1
+        expo = logA[None, :] - np.outer(M, np.exp(logA) - c_beta)
+    core = (np.exp(expo) * weights[None, :]).sum(axis=1)
+    return math.log(b / ((1.0 - b) * np.pi)) - lx / (1.0 - b) - c_beta * M + np.log(core)
+
+
 # frozen with an 80-digit arbitrary-precision summation of the inverse-power
 # series (converges for every x > 0 when beta < 1)
 W_ORACLE = {
@@ -190,6 +209,9 @@ class TestWeightSeries:
         assert (~series & tiny).any() and (~series & ~tiny).any()
         groups = np.searchsorted(sf._SERIES_GROUPS, sf._w_series(beta).counts(lu[series]))
         assert set(groups.tolist()) == set(range(groups.max() + 1))
+        # integral rows sum segments of different lengths after different merged panels
+        first, last = sf._row_panels(np.exp(-beta / (1.0 - beta) * lu[~series & ~tiny]), beta)
+        assert np.unique(last - first).size >= 3 and np.unique(first).size >= 3
         whole = sf.subordination_log_weight(beta, zeta)
         alone = np.array([sf.subordination_log_weight(beta, zeta[i:i + 1])[0] for i in range(zeta.size)])
         assert np.array_equal(whole, alone)
@@ -208,6 +230,35 @@ class TestWeightSeries:
         lx = np.concatenate([np.linspace(-2.0, 0.0, 50), np.geomspace(1e-4, 400.0, 400)])
         env = series.log_coef - series.power * lx[:, None]
         assert np.array_equal(series.counts(lx), sf._term_counts(env, asymptotic=False))
+
+
+class TestWeightIntegralPerRow:
+    """Each integral row on its own panels (``_row_panels``) against the full rule."""
+
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.7, 0.9, 0.99])
+    def test_matches_full_rule(self, beta):
+        # x from where the leading asymptotic takes over up to 1
+        lx = np.linspace(-(1.0 - beta) / beta * math.log(sf._ASYMPTOTIC_M / (beta * (1.0 - beta))), 0.0, 3001)
+        lx = lx[~sf._asymptotic(beta, lx)]
+        ref = full_w_integral_log(lx, beta)
+        got = sf._w_integral_log(lx, beta)
+        assert np.all(np.abs(got - ref) <= 5e-14 * np.maximum(1.0, np.abs(ref)))
+        # the rows merge panels on the left and drop panels on the right
+        first, last = sf._row_panels(np.exp(-beta / (1.0 - beta) * lx), beta)
+        assert (first > 1).all() and (last < 94).all()
+
+    @pytest.mark.parametrize("beta, last_panel", [(1e-4, 94), (1e-3, 92)])
+    def test_tiny_beta(self, beta, last_panel):
+        # A - c_beta stays within 800/M up to pi - 1.5e-6 at beta = 1e-4, so
+        # every right panel is kept; a merge stops at pi/2, short of A's rise
+        # toward pi, which 14 nodes on [0, pi - 0.013] miss by 2e-5 at 1e-3
+        lx = np.log(np.linspace(1e-3, 1.0, 1000, endpoint=False))
+        ref = full_w_integral_log(lx, beta)
+        assert np.all(np.abs(sf._w_integral_log(lx, beta) - ref) <= 5e-14 * np.maximum(1.0, np.abs(ref)))
+        first, last = sf._row_panels(np.exp(-beta / (1.0 - beta) * lx), beta)
+        assert (first == sf._LEFT_PANELS).all() and last.max() == last_panel
+        x = np.array([0.5, 0.9])
+        assert sf.stable_density_log_vec(beta, x) == pytest.approx(full_w_integral_log(np.log(x), beta), rel=1e-14)
 
 
 class TestStableEnvelope:
