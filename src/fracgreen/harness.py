@@ -292,7 +292,7 @@ def _collect_points(kernel, beta, grid, k, rate, case, horizon):
         point = env.compute_omega(family, t, r, beta, alpha=alpha)
         regime = env.derivative_regime(point, beta, family) if case == "local_small_time" else point.regime
         err, nodes = (res.error_estimate, res.nodes) if isinstance(res, FracGreenResult) else (math.nan, 0)
-        if isinstance(res, DomainError):
+        if isinstance(res, DomainError) and r == 0.0:
             # known on-diagonal divergence (d >= 2 / d >= alpha); the
             # envelope shape diverges there too
             log_g = log_env = math.inf

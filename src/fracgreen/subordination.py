@@ -23,11 +23,10 @@ The rule takes a batch of points at one beta and one kernel
 keeps its own window, clip, stop level, error estimate and node count, and
 its sums are its own, reduced over its own nodes; that state lives in arrays
 indexed by point, and each round of window growth or refinement is one kernel
-call, one omega lookup and a few whole-array steps over every unfinished point.
-A point that raises fails on its own and the rest of the batch goes on.
-omega_beta depends on beta alone: it is computed in log form and memoised
-per beta on the lattice in a bounded cache, so a sweep at one beta evaluates
-w_beta about once per node.
+call, one omega_beta call and a few whole-array steps over every unfinished
+point.  A point that raises fails on its own and the rest of the batch goes
+on.  omega_beta depends on beta alone: it is computed in log form, once per
+distinct node of a round, and elementwise, so no value depends on the batch.
 
 A family may clip the window at a base time (the variable-coefficient kernel
 is only simulated up to a finite time, and clips each request where the
@@ -39,8 +38,6 @@ value.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,65 +105,7 @@ _DROP = 46.0         # window ends: phi this far below its largest node value
 _SCAN_DEPTH = {"diffusion": math.log(200.0) + 3.0, "stable": _DROP / 2.0 + 3.0}
 _ZETA_LIMIT = 600.0  # |zeta| beyond which a window is not extended
 _TRUNC_MASS = 1e-8   # largest neglected weight mass beyond a clipped window
-_MAX_BETAS = 8       # betas a weight cache keeps, least recently used first out
-_MAX_NODES = 1 << 15  # values per beta; a table that outgrows it is dropped
 _MASS_THRESHOLD = 0.999  # least kernel mass a frac_solve grid must capture
-
-
-class _OmegaTable:
-    """omega_beta at nodes sorted by zeta, closed by a NaN node, which sorts
-    last and equals nothing, so a bisection always lands inside the table."""
-
-    def __init__(self, zeta=np.array([np.nan]), omega=np.array([np.nan])):
-        self.zeta, self.omega = zeta, omega
-
-    def __len__(self):
-        return self.zeta.size - 1
-
-    def merged(self, zeta, omega):
-        """A new table with these nodes added (sorted, none of them in this one)."""
-        at = self.zeta.searchsorted(zeta) + np.arange(zeta.size)
-        old = np.ones(self.zeta.size + zeta.size, dtype=bool)
-        old[at] = False
-        table = _OmegaTable(np.empty(old.size), np.empty(old.size))
-        table.zeta[at], table.zeta[old] = zeta, self.zeta
-        table.omega[at], table.omega[old] = omega, self.omega
-        return table
-
-
-class _WeightCache:
-    """omega_beta memoised per beta, keyed by zeta (exact on the lattice) in a
-    sorted array and looked up by bisection, with no per-node Python work,
-    within ``_MAX_BETAS`` and ``_MAX_NODES``.  Values are computed
-    elementwise, so none depends on which request filled it."""
-
-    def __init__(self):
-        self._tables = OrderedDict()
-        self._lock = threading.Lock()
-
-    def omega(self, beta, zeta):
-        with self._lock:
-            table = self._tables.pop(beta, None) or _OmegaTable()
-            at = table.zeta.searchsorted(zeta)
-            out = table.omega[at]
-            todo = table.zeta[at] != zeta
-            if np.count_nonzero(todo):
-                new, back = zeta[todo], slice(None)
-                if not (new[1:] > new[:-1]).all():  # a batch asks for a node once per point: compute it once
-                    new, back = np.unique(new, return_inverse=True)
-                omega = subordination_log_weight(beta, new)
-                out[todo] = omega[back]
-                table = table.merged(new, omega)
-            if len(table) <= _MAX_NODES:
-                self._tables[beta] = table
-                if len(self._tables) > _MAX_BETAS:
-                    self._tables.popitem(last=False)
-            return out
-
-
-_WEIGHTS = _WeightCache()
-
-
 _J_LIMIT = int(_ZETA_LIMIT / _H0)  # level-0 nodes j _H0 with |j| <= _J_LIMIT
 _HALVE = np.array([[2.0], [2.0], [0.5]])  # one level finer: a/2h, b/h and h
 _START = np.zeros(1, dtype=int)  # where the one run of a batch of one starts
@@ -226,7 +165,8 @@ def _run_rules(log_kernel, beta, tol, lb, w, clip):
                     log_k[hi - c:hi], sign[hi - c:hi] = log_kernel(np.exp(lb[i] + zeta[hi - c:hi]), i)
                 except Exception as exc:  # the point fails on its own
                     failed[i] = exc
-        vals, gone = log_k + _WEIGHTS.omega(beta, zeta), failed and np.isin(pts, list(failed))
+        distinct, back = np.unique(zeta, return_inverse=True)  # a node many points ask for is computed once
+        vals, gone = log_k + subordination_log_weight(beta, distinct)[back], failed and np.isin(pts, list(failed))
 
         if nrp:  # refinement: the level's nodes join the sums, rescaled to a new peak
             R[7] += mf

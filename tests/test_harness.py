@@ -383,3 +383,20 @@ def test_anisotropic_diagonal_row_is_skipped():
     grid = H.SweepGrid(t_values=(1.0,), r_values=(0.0, 1.0), theorem="3.2")
     rows = H._collect_points(kernel, 0.5, grid, 0, 1.0, "global", None)
     assert [row["flag"] for row in rows] == ["skipped:diagonal-divergent", "ok"]
+
+
+def test_off_diagonal_domain_error_is_an_error_row(monkeypatch):
+    # a DomainError away from r = 0 is no known divergence: it is an error row
+    kernel = K.AnisotropicStable2D(1.5, K.SpectralMeasure.uniform(1.5))
+    grid = H.SweepGrid(t_values=(1.0,), r_values=(0.0, 1.0, 2.0), theorem="3.2")
+    batch = H.frac_green_batch
+
+    def off_diagonal_fails(kernel, beta, t, x, y, k):
+        out = batch(kernel, beta, t, x, y, k)
+        out[1] = DomainError("malformed point")
+        return out
+
+    monkeypatch.setattr(H, "frac_green_batch", off_diagonal_fails)
+    rows = H._collect_points(kernel, 0.5, grid, 0, 1.0, "global", None)
+    assert [row["flag"] for row in rows] == ["skipped:diagonal-divergent", "error:DomainError", "ok"]
+    assert math.isnan(rows[1]["log_G"]) and math.isnan(rows[1]["log_ratio"])

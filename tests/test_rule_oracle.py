@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fracgreen import kernels as K
+from fracgreen import specfun as sf
 from fracgreen import subordination as S
 from fracgreen.errors import AccuracyError, HorizonError
 from fracgreen.specfun import _beta_value, stable_exponent_constant
@@ -130,7 +131,7 @@ def _oracle_run_rules(log_kernel, beta, lb, rules):
                     log_k[lo:hi], sign[lo:hi] = log_kernel(np.exp(lb[i] + zeta[lo:hi]), i)
                 except Exception as exc:
                     failed[i] = exc
-        vals, sign = log_k + S._WEIGHTS.omega(beta, zeta), (sign if np.ndim(sign) else np.full(zeta.size, sign))
+        vals, sign = log_k + sf.subordination_log_weight(beta, zeta), (sign if np.ndim(sign) else np.full(zeta.size, sign))
         for i, z, lo, hi in zip(pts, zetas, bounds[:-1], bounds[1:]):
             nodes[i] += z.size
             if i in failed:

@@ -201,8 +201,7 @@ class TestWeightSeries:
     @pytest.mark.parametrize("beta", [0.05, 0.5, 0.995])
     def test_batch_independent(self, beta):
         # every row of a call equals the row alone, bit for bit: series rows of
-        # each term-count group the series reaches, integral and asymptotic rows,
-        # through specfun and through the lattice cache (empty, then full)
+        # each term-count group the series reaches, and integral and asymptotic rows
         zeta = np.unique(np.concatenate([np.arange(-640, 481) * 0.0625, np.arange(-64, 65) * S._H0 / 2**10]))
         lu = -zeta / beta
         series, tiny = lu >= 0.0, sf._asymptotic(beta, lu)
@@ -215,13 +214,6 @@ class TestWeightSeries:
         whole = sf.subordination_log_weight(beta, zeta)
         alone = np.array([sf.subordination_log_weight(beta, zeta[i:i + 1])[0] for i in range(zeta.size)])
         assert np.array_equal(whole, alone)
-
-        cache = S._WeightCache()
-        zeta = np.append(zeta, 0.3 + 1e-9)  # off the lattice, as a window clip is
-        whole = np.append(whole, sf.subordination_log_weight(beta, zeta[-1:]))
-        assert np.array_equal(cache.omega(beta, zeta), whole)
-        assert np.array_equal(cache.omega(beta, zeta), whole)
-        assert np.array_equal([S._WeightCache().omega(beta, zeta[i:i + 1])[0] for i in range(zeta.size)], whole)
 
     @pytest.mark.parametrize("beta", [0.05, 0.5, 0.995])
     def test_term_counts_match_the_envelope_rule(self, beta):

@@ -238,25 +238,31 @@ class TestFracGreenDerivative:
 
 
 class TestLatticeRule:
-    def test_value_independent_of_call_order(self, gauss1d, monkeypatch):
-        monkeypatch.setattr(S, "_WEIGHTS", S._WeightCache())
+    def test_value_independent_of_call_order(self, gauss1d):
         point = req(gauss1d, 0.45, 1.3, [0.7], [0.0])
         first = S.frac_green_detailed(point)
         H.verify_envelope("3.1", K.ConstantDiffusion(3), 0.45)
         again = S.frac_green_detailed(point)
-        # a fresh cache recomputes every weight in other batches
-        monkeypatch.setattr(S, "_WEIGHTS", S._WeightCache())
         fresh = S.frac_green_detailed(point)
         assert first == again == fresh
 
-    def test_weight_cache_bounded(self, gauss1d, monkeypatch):
-        cache = S._WeightCache()
-        monkeypatch.setattr(S, "_WEIGHTS", cache)
-        for beta in np.linspace(0.2, 0.9, 200):
-            S.frac_green(req(gauss1d, float(beta), 1.0, [0.5], [0.0]))
-        sizes = [len(table) for table in cache._tables.values()]
-        assert 0 < len(sizes) <= S._MAX_BETAS
-        assert max(sizes) <= S._MAX_NODES
+    def test_weight_computed_once_per_distinct_node(self, gauss1d, monkeypatch):
+        calls, weight = [], S.subordination_log_weight
+
+        def counted(beta, zeta):
+            calls.append(zeta)
+            return weight(beta, zeta)
+
+        monkeypatch.setattr(S, "subordination_log_weight", counted)
+
+        def rows(n):
+            calls.clear()
+            res = S.frac_green_batch(gauss1d, 0.45, [1.3] * n, [[0.7]] * n, [[0.0]] * n)
+            assert all(isinstance(r, S.FracGreenResult) for r in res)
+            assert all(np.all(np.diff(zeta) > 0.0) for zeta in calls)  # no node twice in a round
+            return sum(zeta.size for zeta in calls)
+
+        assert rows(5) == rows(1) > 0
 
     def test_finest_level_without_convergence_raises(self, gauss1d, monkeypatch):
         monkeypatch.setattr(S, "_MAX_LEVEL", 1)
